@@ -180,17 +180,21 @@ func BenchmarkRankBrute(b *testing.B) { benchRankIndexed(b, "brute") }
 // BenchmarkRankKDTree is the same pipeline on the k-d tree index.
 func BenchmarkRankKDTree(b *testing.B) { benchRankIndexed(b, "kdtree") }
 
-// BenchmarkStreamScore measures the streaming hot path: one Push through
-// a warm never-refitting detector — ring-buffer append plus a frozen
-// out-of-sample score, the per-row cost an always-on hicsd /stream
-// session pays.
+// BenchmarkStreamScore measures the streaming hot path: one PushAppend
+// through a warm never-refitting detector — ring-buffer append plus a
+// frozen out-of-sample score, the per-row cost an always-on hicsd /stream
+// session pays. The model is fitted on 500 rows (k-d tree backed, since
+// N ≥ neighbors.AutoMinN) and the pushed rows are held out from the same
+// generator, so every push runs the subspace kNN queries rather than the
+// training-row lookup.
 func BenchmarkStreamScore(b *testing.B) {
 	r := rng.New(55)
-	rows := make([][]float64, 500)
+	rows := make([][]float64, 1000)
 	for i := range rows {
 		rows[i] = []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}
 	}
-	m, err := Fit(rows, Options{M: 10, Seed: 1, TopK: 5})
+	train, held := rows[:500], rows[500:]
+	m, err := Fit(train, Options{M: 10, Seed: 1, TopK: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -200,10 +204,11 @@ func BenchmarkStreamScore(b *testing.B) {
 	}
 	defer st.Close()
 	ctx := context.Background()
+	var out []StreamResult
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Push(ctx, rows[i%len(rows)]); err != nil {
+		if out, err = st.PushAppend(ctx, held[i%len(held)], out[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,9 @@
 // -rows sequential unary /score requests. Sessions bounced with 429
 // (an admission quota at work) back off for the server's Retry-After
 // and retry under a rotated session key, which a front spreads across
-// the shard map; bounces are counted separately from errors.
+// the shard map; bounces are counted separately from errors, and rows
+// written into a bounced attempt are reported as rows_bounced, never as
+// rows_sent.
 //
 // The target may be a standalone hicsd, one shard, or a front — the
 // session keys hicsload generates are exactly what the front's

@@ -44,7 +44,7 @@ import (
 // them; the hicsload command itself reports through its summary record.
 var (
 	mRowsSent = metrics.Default.NewCounter("hicsload_rows_sent_total",
-		"Rows written to the target across all sessions.")
+		"Rows written to the target across all admitted sessions.")
 	mRecords = metrics.Default.NewCounter("hicsload_records_total",
 		"Scored records received back across all sessions.")
 	mErrors = metrics.Default.NewCounterVec("hicsload_errors_total",
@@ -166,6 +166,11 @@ type Report struct {
 	AdmissionRetries int64       `json:"admission_retries"`
 	RowsPerSecond    float64     `json:"rows_per_second"`
 	LatencyMS        Percentiles `json:"latency_ms"`
+	// RowsBounced counts rows written into stream session attempts or
+	// /score requests the server never admitted (a 429 refusal, another
+	// non-200 status or a failed connect). They were not scored and are
+	// not in RowsSent; a retried row counts once per bounced attempt.
+	RowsBounced int64 `json:"rows_bounced"`
 	// SlowTraces lists the distinct trace IDs behind the slowest
 	// latencies at or above p99, slowest first, when tracing was on.
 	SlowTraces []SlowTrace `json:"slow_traces,omitempty"`
@@ -189,6 +194,7 @@ func (r *Report) Human() string {
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "  duration         %.2fs\n", r.DurationSeconds)
 	fmt.Fprintf(&b, "  rows sent        %d\n", r.RowsSent)
+	fmt.Fprintf(&b, "  rows bounced     %d\n", r.RowsBounced)
 	fmt.Fprintf(&b, "  records received %d\n", r.RecordsReceived)
 	fmt.Fprintf(&b, "  throughput       %.1f rows/s\n", r.RowsPerSecond)
 	fmt.Fprintf(&b, "  latency ms       p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n",
@@ -210,11 +216,12 @@ func (r *Report) Human() string {
 
 // sessionResult is one worker's tally.
 type sessionResult struct {
-	rowsSent  int64
-	records   int64
-	errors    int64
-	retries   int64
-	latencies []float64 // milliseconds
+	rowsSent    int64
+	rowsBounced int64
+	records     int64
+	errors      int64
+	retries     int64
+	latencies   []float64 // milliseconds
 	// traceIDs parallels latencies when Config.Trace is on: the trace
 	// each measurement rode in (one per session attempt in stream mode,
 	// one per request in score mode).
@@ -280,6 +287,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	var samples []SlowTrace
 	for _, r := range results {
 		rep.RowsSent += r.rowsSent
+		rep.RowsBounced += r.rowsBounced
 		rep.RecordsReceived += r.records
 		rep.Errors += r.errors
 		rep.AdmissionRetries += r.retries
@@ -457,7 +465,6 @@ func streamOnce(ctx context.Context, cfg Config, worker int, key string, sc trac
 				return // server closed the session; the reader has the story
 			}
 			sent++
-			mRowsSent.Inc()
 		}
 	}()
 	// The writer feeds the request while Do waits for response headers
@@ -466,7 +473,7 @@ func streamOnce(ctx context.Context, cfg Config, worker int, key string, sc trac
 	if err != nil {
 		pr.CloseWithError(err)
 		<-writerDone
-		res.rowsSent += sent
+		res.tally(sent, false)
 		res.errors++
 		mErrors.With("connect").Inc()
 		return 0, true
@@ -474,7 +481,7 @@ func streamOnce(ctx context.Context, cfg Config, worker int, key string, sc trac
 	defer func() {
 		resp.Body.Close()
 		<-writerDone
-		res.rowsSent += sent
+		res.tally(sent, resp.StatusCode == http.StatusOK)
 	}()
 	if resp.StatusCode == http.StatusTooManyRequests {
 		pr.CloseWithError(fmt.Errorf("admission refused"))
@@ -527,6 +534,17 @@ func streamOnce(ctx context.Context, cfg Config, worker int, key string, sc trac
 	return 0, true
 }
 
+// tally books the rows one session attempt or request wrote: as sent
+// when the server admitted it (200), else as bounced.
+func (r *sessionResult) tally(rows int64, admitted bool) {
+	if admitted {
+		r.rowsSent += rows
+		mRowsSent.Add(rows)
+	} else {
+		r.rowsBounced += rows
+	}
+}
+
 // runScoreWorker issues sequential /score requests, retrying 429s in
 // place.
 func runScoreWorker(ctx context.Context, cfg Config, worker int) sessionResult {
@@ -566,16 +584,16 @@ func runScoreWorker(ctx context.Context, cfg Config, worker int) sessionResult {
 			req.Header.Set("Traceparent", sc.Traceparent())
 		}
 		sentAt := time.Now()
-		res.rowsSent++
-		mRowsSent.Inc()
 		resp, err := cfg.Client.Do(req)
 		if err != nil {
+			res.tally(1, false)
 			res.errors++
 			mErrors.With("connect").Inc()
 			continue
 		}
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
+		res.tally(1, resp.StatusCode == http.StatusOK)
 		switch {
 		case resp.StatusCode == http.StatusOK:
 			lat := time.Since(sentAt)

@@ -1,8 +1,12 @@
 package loadgen
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -122,6 +126,84 @@ func TestStreamLoadQuotaRetry(t *testing.T) {
 	}
 	if rep.Errors != 0 {
 		t.Errorf("errors %d, want 0 — quota bounces are retries, not errors", rep.Errors)
+	}
+}
+
+// refusingTarget answers the first attempt of /stream and of /score
+// with 429 — the stream refusal only after reading two rows, so rows
+// were written into a session that was never admitted — and serves every
+// later attempt: one record per streamed line, one score per request.
+func refusingTarget(t *testing.T) *httptest.Server {
+	t.Helper()
+	var mu sync.Mutex
+	refused := map[string]bool{}
+	refuseFirst := func(path string) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		first := !refused[path]
+		refused[path] = true
+		return first
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		lines := bufio.NewScanner(r.Body)
+		if r.URL.Path == "/score" {
+			if refuseFirst(r.URL.Path) {
+				w.Header().Set("Retry-After", "0")
+				http.Error(w, `{"error":"quota"}`, http.StatusTooManyRequests)
+				return
+			}
+			fmt.Fprintln(w, `{"score":1}`)
+			return
+		}
+		if refuseFirst(r.URL.Path) {
+			for range 2 {
+				lines.Scan()
+			}
+			w.Header().Set("Retry-After", "0")
+			http.Error(w, `{"error":"quota"}`, http.StatusTooManyRequests)
+			return
+		}
+		var out bytes.Buffer
+		for i := 0; lines.Scan(); i++ {
+			fmt.Fprintf(&out, "{\"index\":%d,\"score\":1}\n", i)
+		}
+		_, _ = w.Write(out.Bytes())
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRefusedRowsCountAsBounced: rows written into an attempt the server
+// refused with 429 are reported as bounced, never as sent; rows_sent
+// counts only the admitted attempt's rows.
+func TestRefusedRowsCountAsBounced(t *testing.T) {
+	ts := refusingTarget(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rep, err := Run(ctx, Config{Target: ts.URL, Mode: "stream", Sessions: 1, Rows: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RowsSent != 5 || rep.RecordsReceived != 5 {
+		t.Errorf("stream: rows sent %d records %d, want 5/5", rep.RowsSent, rep.RecordsReceived)
+	}
+	if rep.RowsBounced < 2 || rep.RowsBounced > 5 {
+		t.Errorf("stream: rows bounced %d, want 2..5 (the refused attempt read 2)", rep.RowsBounced)
+	}
+	if rep.AdmissionRetries != 1 || rep.Errors != 0 {
+		t.Errorf("stream: retries %d errors %d, want 1/0", rep.AdmissionRetries, rep.Errors)
+	}
+	if !strings.Contains(rep.Human(), "rows bounced") {
+		t.Errorf("Human() missing the bounced rows:\n%s", rep.Human())
+	}
+
+	rep, err = Run(ctx, Config{Target: ts.URL, Mode: "score", Sessions: 1, Rows: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RowsSent != 3 || rep.RowsBounced != 1 || rep.RecordsReceived != 3 {
+		t.Errorf("score: rows sent %d bounced %d records %d, want 3/1/3",
+			rep.RowsSent, rep.RowsBounced, rep.RecordsReceived)
 	}
 }
 

@@ -1,29 +1,39 @@
 package neighbors
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // KDTree is the space-partitioning backend: a median-split k-d tree stored
 // implicitly in a permutation of the object ids (the node of segment
 // [lo,hi) sits at its midpoint, children are the two half-segments), so
 // the whole structure is one []int with zero per-node allocation.
+// Segments of at most leafSize ids are leaves, scanned linearly.
+// Coordinates are read from the shared dataset columns, never copied.
 //
-// Queries run in two exact phases: a best-first bound phase that finds the
-// k-th smallest squared distance with a size-k max-heap, then a range
-// phase that collects every object within that bound. Both phases prune a
-// subtree only when the squared split-plane offset strictly exceeds the
-// bound, which under floating point can never discard an object whose full
-// squared distance is within the bound (the full distance is a sum of
-// non-negative rounded terms, hence at least its split-axis term).
+// A query is one best-first descent that keeps the k smallest squared
+// distances seen in a max-heap (the bound) and lists every visited object
+// within the current bound. The bound only shrinks, so it never drops
+// below the final k-th smallest squared distance tau; the list filtered
+// to d2 ≤ tau is the neighborhood, ties at tau included. A subtree is
+// pruned only when the squared split-plane offset strictly exceeds the
+// bound, which under floating point can never discard an object within
+// it (a computed full squared distance is a sum of non-negative rounded
+// terms, hence at least its split-axis term).
 type KDTree struct {
 	cols [][]float64
 	n    int
 	ids  []int
 }
+
+// leafSize is the segment length below which the build stops splitting.
+// Scanning a few ids beats a plane test and recursion per object; sizes
+// from 6 to 24 measure the same.
+const leafSize = 12
 
 func newKDTree(cols [][]float64, n int) *KDTree {
 	ids := make([]int, n)
@@ -37,7 +47,7 @@ func newKDTree(cols [][]float64, n int) *KDTree {
 
 // buildRange recursively median-splits ids[lo:hi) on the depth-cycled axis.
 func (t *KDTree) buildRange(lo, hi, depth int) {
-	if hi-lo <= 1 {
+	if hi-lo <= leafSize {
 		return
 	}
 	mid := (lo + hi) / 2
@@ -63,17 +73,6 @@ func (t *KDTree) NewScratch() *Scratch {
 		qv:    make([]float64, 0, len(t.cols)),
 		bound: make([]float64, 0, 32),
 	}
-}
-
-// d2 is the full squared distance from the query (sc.qv) to object id,
-// accumulated in subspace column order exactly like the brute backend.
-func (t *KDTree) d2(qv []float64, id int) float64 {
-	sum := 0.0
-	for c, col := range t.cols {
-		d := col[id] - qv[c]
-		sum += d * d
-	}
-	return sum
 }
 
 // KNN implements Index.
@@ -111,14 +110,18 @@ func (t *KDTree) KNNPoint(q []float64, k int, sc *Scratch, out []Neighbor) ([]Ne
 // (-1 for out-of-sample point queries, where no indexed object is the
 // query itself).
 func (t *KDTree) knnQuery(exclude, k int, sc *Scratch, out []Neighbor) ([]Neighbor, float64) {
-	sc.bound = sc.bound[:0]
-	t.searchBound(0, t.n, 0, exclude, k, sc)
+	sc.bound, sc.cand = sc.bound[:0], sc.cand[:0]
+	t.search(0, t.n, 0, exclude, k, sc)
 	tau := sc.bound[0] // k-th smallest squared distance
-	sc.cand = sc.cand[:0]
-	t.collect(0, t.n, 0, exclude, tau, sc)
-	sort.Slice(sc.cand, func(a, b int) bool { return sc.cand[a].id < sc.cand[b].id })
-	neighbors := out[:0]
+	cand := sc.cand[:0]
 	for _, c := range sc.cand {
+		if c.d2 <= tau {
+			cand = append(cand, c)
+		}
+	}
+	slices.SortFunc(cand, func(a, b candidate) int { return cmp.Compare(a.id, b.id) })
+	neighbors := out[:0]
+	for _, c := range cand {
 		neighbors = append(neighbors, Neighbor{ID: c.id, Dist: math.Sqrt(c.d2)})
 	}
 	return neighbors, math.Sqrt(tau)
@@ -135,50 +138,46 @@ func (t *KDTree) KNNAllContext(ctx context.Context, k, workers int) ([][]Neighbo
 	return knnAll(ctx, t, k, workers)
 }
 
-// searchBound fills sc.bound with the k smallest squared distances from
-// the query to objects other than exclude, visiting near subtrees first.
-func (t *KDTree) searchBound(lo, hi, depth, exclude, k int, sc *Scratch) {
-	if lo >= hi {
+// search visits the objects of ids[lo:hi) other than exclude, nearer
+// subtree first, pruning a far subtree once the bound is full and closer
+// than its split plane.
+func (t *KDTree) search(lo, hi, depth, exclude, k int, sc *Scratch) {
+	if hi-lo <= leafSize {
+		t.scan(t.ids[lo:hi], exclude, k, sc)
 		return
 	}
 	mid := (lo + hi) / 2
-	id := t.ids[mid]
-	if id != exclude {
-		sc.bound = boundPush(sc.bound, k, t.d2(sc.qv, id))
-	}
 	axis := depth % len(t.cols)
-	diff := sc.qv[axis] - t.cols[axis][id]
+	diff := sc.qv[axis] - t.cols[axis][t.ids[mid]]
 	nearLo, nearHi, farLo, farHi := mid+1, hi, lo, mid
 	if diff < 0 {
 		nearLo, nearHi, farLo, farHi = lo, mid, mid+1, hi
 	}
-	t.searchBound(nearLo, nearHi, depth+1, exclude, k, sc)
+	t.search(nearLo, nearHi, depth+1, exclude, k, sc)
+	t.scan(t.ids[mid:mid+1], exclude, k, sc)
 	if len(sc.bound) < k || diff*diff <= sc.bound[0] {
-		t.searchBound(farLo, farHi, depth+1, exclude, k, sc)
+		t.search(farLo, farHi, depth+1, exclude, k, sc)
 	}
 }
 
-// collect appends every object (except exclude) with squared distance ≤ tau.
-func (t *KDTree) collect(lo, hi, depth, exclude int, tau float64, sc *Scratch) {
-	if lo >= hi {
-		return
-	}
-	mid := (lo + hi) / 2
-	id := t.ids[mid]
-	if id != exclude {
-		if d2 := t.d2(sc.qv, id); d2 <= tau {
-			sc.cand = append(sc.cand, candidate{id: id, d2: d2})
+// scan offers each object of ids (except exclude) to the bound heap and
+// lists it when it is within the bound or the heap is not yet full. The
+// squared distance is accumulated in subspace column order exactly like
+// the brute backend.
+func (t *KDTree) scan(ids []int, exclude, k int, sc *Scratch) {
+	for _, id := range ids {
+		if id == exclude {
+			continue
 		}
-	}
-	axis := depth % len(t.cols)
-	diff := sc.qv[axis] - t.cols[axis][id]
-	nearLo, nearHi, farLo, farHi := mid+1, hi, lo, mid
-	if diff < 0 {
-		nearLo, nearHi, farLo, farHi = lo, mid, mid+1, hi
-	}
-	t.collect(nearLo, nearHi, depth+1, exclude, tau, sc)
-	if diff*diff <= tau {
-		t.collect(farLo, farHi, depth+1, exclude, tau, sc)
+		d2 := 0.0
+		for c, col := range t.cols {
+			d := col[id] - sc.qv[c]
+			d2 += d * d
+		}
+		if len(sc.bound) < k || d2 <= sc.bound[0] {
+			sc.cand = append(sc.cand, candidate{id: id, d2: d2})
+			sc.bound = boundPush(sc.bound, k, d2)
+		}
 	}
 }
 

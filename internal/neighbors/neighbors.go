@@ -8,9 +8,11 @@
 //   - Brute: the O(N·|S|) linear scan with a quickselect cutoff — optimal
 //     for small N and for high-dimensional subspaces, where space
 //     partitioning degenerates to a linear scan anyway.
-//   - KDTree: a median-split k-d tree — sub-linear queries in the
-//     low-dimensional subspaces the HiCS search actually selects, turning
-//     the O(N²) ranking hot path into O(N log N) in practice.
+//   - KDTree: a median-split k-d tree with bucketed leaves — sub-linear
+//     queries in the low-dimensional subspaces the HiCS search actually
+//     selects, turning the O(N²) ranking hot path into O(N log N) in
+//     practice. Each query is a single best-first pass that allocates
+//     nothing once its Scratch is warm.
 //   - LSH: an approximate random-projection forest — opt-in only (never
 //     chosen by KindAuto), trading a bounded recall loss for query cost
 //     independent of N. See the LSH type for the recall contract.
@@ -20,7 +22,9 @@
 // k-distance and neighborhood they report is the identical float64. The
 // k-d tree's plane pruning is safe under floating point because a computed
 // full squared distance is a sum of non-negative rounded terms and
-// therefore never less than its computed split-axis term.
+// therefore never less than its computed split-axis term; its single pass
+// prunes against a bound that never drops below the final k-distance, so
+// ties at the k-distance are never lost.
 //
 // KindAuto picks the backend per (N, |S|) — callers that do not care get
 // the fast path automatically, and callers that must preserve the paper's
@@ -140,13 +144,13 @@ type Index interface {
 // Scratch holds per-goroutine query buffers, shared across backends so an
 // adapter can pass one scratch to whichever Index it was configured with.
 type Scratch struct {
-	dists   []float64 // brute: all squared distances from the query
-	sel     []float64 // brute: quickselect working copy
-	qv      []float64 // query point, one value per subspace column
-	bound   []float64 // kdtree: max-heap of the k smallest squared distances
-	cand    []candidate
-	mark    []int32 // lsh: per-object dedup stamps across the tree union
-	markGen int32   // lsh: current dedup generation
+	dists   []float64   // brute: all squared distances from the query
+	sel     []float64   // brute: quickselect working copy
+	qv      []float64   // query point, one value per subspace column
+	bound   []float64   // kdtree: max-heap of the k smallest squared distances
+	cand    []candidate // kdtree, lsh: candidate objects and their squared distances
+	mark    []int32     // lsh: per-object dedup stamps across the tree union
+	markGen int32       // lsh: current dedup generation
 }
 
 type candidate struct {

@@ -1,12 +1,14 @@
 package neighbors
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"hics/internal/dataset"
+	"hics/internal/race"
 	"hics/internal/rng"
 )
 
@@ -116,36 +118,67 @@ func TestKDTreeMatchesBruteBitForBit(t *testing.T) {
 		{4, 300, 2, 4, 300}, // quantized: many exact duplicates
 		{5, 120, 5, 0, 120},
 		{6, 64, 2, 1, 64}, // near-constant columns
+		// Segment lengths around the leaf bucket: a lone leaf, a root
+		// with two leaves, and a two-level split.
+		{10, leafSize - 1, 2, 0, leafSize - 1},
+		{11, leafSize, 2, 3, leafSize},
+		{12, leafSize + 1, 2, 3, leafSize + 1},
+		{13, 2*leafSize + 1, 3, 2, 2*leafSize + 1},
+		{14, 5000, 3, 0, 300},
+		{15, 2000, 5, 3, 300}, // quantized: ties straddle leaf boundaries
 	}
 	for _, cfg := range configs {
 		ds := randomDataset(cfg.seed, cfg.n, cfg.d, cfg.quant)
-		dims := allDims(cfg.d)
-		brute, err := New(ds, dims, KindBrute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := New(ds, dims, KindKDTree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scB, scT := brute.NewScratch(), tree.NewScratch()
-		for _, k := range []int{1, 3, 10, cfg.n - 1, cfg.n + 5} {
-			for q := 0; q < cfg.queries; q++ {
-				nbB, kdB := brute.KNN(q, k, scB, nil)
-				nbT, kdT := tree.KNN(q, k, scT, nil)
-				if kdB != kdT {
-					t.Fatalf("n=%d d=%d q=%d k=%d: kdist brute %v != kdtree %v",
-						cfg.n, cfg.d, q, k, kdB, kdT)
-				}
-				if len(nbB) != len(nbT) {
-					t.Fatalf("n=%d d=%d q=%d k=%d: %d neighbors brute vs %d kdtree",
-						cfg.n, cfg.d, q, k, len(nbB), len(nbT))
-				}
-				for i := range nbB {
-					if nbB[i] != nbT[i] {
-						t.Fatalf("n=%d d=%d q=%d k=%d: neighbor %d brute %v != kdtree %v",
-							cfg.n, cfg.d, q, k, i, nbB[i], nbT[i])
-					}
+		checkKNNBitForBit(t, ds, allDims(cfg.d), cfg.queries)
+	}
+	// A constant column inside the subspace: every split on it is a tie.
+	ds := constantColumnDataset(16, 300)
+	checkKNNBitForBit(t, ds, []int{0, 1, 2}, 300)
+	checkKNNBitForBit(t, ds, []int{1}, 300)
+}
+
+// constantColumnDataset is n×3 with a quantized column 0, a constant
+// column 1 and a continuous column 2.
+func constantColumnDataset(seed uint64, n int) *dataset.Dataset {
+	constant := make([]float64, n)
+	for i := range constant {
+		constant[i] = 0.5
+	}
+	return dataset.MustNew(nil, [][]float64{
+		randomDataset(seed, n, 1, 4).Col(0),
+		constant,
+		randomDataset(seed+1, n, 1, 0).Col(0),
+	})
+}
+
+func checkKNNBitForBit(t *testing.T, ds *dataset.Dataset, dims []int, queries int) {
+	t.Helper()
+	n, d := ds.N(), len(dims)
+	brute, err := New(ds, dims, KindBrute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := New(ds, dims, KindKDTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scB, scT := brute.NewScratch(), tree.NewScratch()
+	for _, k := range []int{1, 3, 10, 20, n - 1, n + 5} {
+		for q := 0; q < queries; q++ {
+			nbB, kdB := brute.KNN(q, k, scB, nil)
+			nbT, kdT := tree.KNN(q, k, scT, nil)
+			if kdB != kdT {
+				t.Fatalf("n=%d d=%d q=%d k=%d: kdist brute %v != kdtree %v",
+					n, d, q, k, kdB, kdT)
+			}
+			if len(nbB) != len(nbT) {
+				t.Fatalf("n=%d d=%d q=%d k=%d: %d neighbors brute vs %d kdtree",
+					n, d, q, k, len(nbB), len(nbT))
+			}
+			for i := range nbB {
+				if nbB[i] != nbT[i] {
+					t.Fatalf("n=%d d=%d q=%d k=%d: neighbor %d brute %v != kdtree %v",
+						n, d, q, k, i, nbB[i], nbT[i])
 				}
 			}
 		}
@@ -167,55 +200,74 @@ func TestKNNPointMatchesBruteBitForBit(t *testing.T) {
 		{23, 500, 3, 0},
 		{24, 300, 2, 4}, // quantized: many exact duplicates and ties
 		{25, 120, 5, 0},
+		{26, leafSize - 1, 2, 0},
+		{27, leafSize, 2, 3},
+		{28, leafSize + 1, 2, 3},
+		{29, 2*leafSize + 1, 3, 2},
+		{30, 5000, 3, 0},
+		{31, 2000, 5, 3}, // quantized: ties straddle leaf boundaries
 	}
 	for _, cfg := range configs {
 		ds := randomDataset(cfg.seed, cfg.n, cfg.d, cfg.quant)
-		dims := allDims(cfg.d)
-		brute, err := New(ds, dims, KindBrute)
-		if err != nil {
-			t.Fatal(err)
+		checkKNNPointBitForBit(t, ds, allDims(cfg.d), cfg.seed+1000, cfg.quant)
+	}
+	ds := constantColumnDataset(32, 300)
+	checkKNNPointBitForBit(t, ds, []int{0, 1, 2}, 1032, 4)
+	checkKNNPointBitForBit(t, ds, []int{1}, 1033, 4)
+}
+
+func checkKNNPointBitForBit(t *testing.T, ds *dataset.Dataset, dims []int, seed uint64, quant float64) {
+	t.Helper()
+	n, d := ds.N(), len(dims)
+	brute, err := New(ds, dims, KindBrute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := New(ds, dims, KindKDTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scB, scT := brute.NewScratch(), tree.NewScratch()
+	r := rng.New(seed)
+	check := func(q []float64, k int) {
+		t.Helper()
+		nbB, kdB := brute.KNNPoint(q, k, scB, nil)
+		nbT, kdT := tree.KNNPoint(q, k, scT, nil)
+		if kdB != kdT {
+			t.Fatalf("n=%d d=%d k=%d q=%v: kdist brute %v != kdtree %v",
+				n, d, k, q, kdB, kdT)
 		}
-		tree, err := New(ds, dims, KindKDTree)
-		if err != nil {
-			t.Fatal(err)
+		if len(nbB) != len(nbT) {
+			t.Fatalf("n=%d d=%d k=%d q=%v: %d neighbors brute vs %d kdtree",
+				n, d, k, q, len(nbB), len(nbT))
 		}
-		scB, scT := brute.NewScratch(), tree.NewScratch()
-		r := rng.New(cfg.seed + 1000)
-		check := func(q []float64, k int) {
-			t.Helper()
-			nbB, kdB := brute.KNNPoint(q, k, scB, nil)
-			nbT, kdT := tree.KNNPoint(q, k, scT, nil)
-			if kdB != kdT {
-				t.Fatalf("n=%d d=%d k=%d q=%v: kdist brute %v != kdtree %v",
-					cfg.n, cfg.d, k, q, kdB, kdT)
+		for i := range nbB {
+			if nbB[i] != nbT[i] {
+				t.Fatalf("n=%d d=%d k=%d q=%v: neighbor %d brute %v != kdtree %v",
+					n, d, k, q, i, nbB[i], nbT[i])
 			}
-			if len(nbB) != len(nbT) {
-				t.Fatalf("n=%d d=%d k=%d q=%v: %d neighbors brute vs %d kdtree",
-					cfg.n, cfg.d, k, q, len(nbB), len(nbT))
-			}
-			for i := range nbB {
-				if nbB[i] != nbT[i] {
-					t.Fatalf("n=%d d=%d k=%d q=%v: neighbor %d brute %v != kdtree %v",
-						cfg.n, cfg.d, k, q, i, nbB[i], nbT[i])
+		}
+	}
+	for _, k := range []int{1, 3, 10, 20, n, n + 5} {
+		// Random out-of-sample points.
+		for trial := 0; trial < 60; trial++ {
+			q := make([]float64, d)
+			for j := range q {
+				q[j] = r.Float64()*1.4 - 0.2
+				if quant > 0 && r.Float64() < 0.5 {
+					q[j] = math.Floor(q[j]*quant) / quant
 				}
 			}
+			check(q, k)
 		}
-		for _, k := range []int{1, 3, 10, cfg.n, cfg.n + 5} {
-			// Random out-of-sample points.
-			for trial := 0; trial < 60; trial++ {
-				q := make([]float64, cfg.d)
-				for j := range q {
-					q[j] = r.Float64()*1.4 - 0.2
-					if cfg.quant > 0 && r.Float64() < 0.5 {
-						q[j] = math.Floor(q[j]*cfg.quant) / cfg.quant
-					}
-				}
-				check(q, k)
+		// Training rows as point queries (self at distance zero).
+		for trial := 0; trial < 30; trial++ {
+			i := r.Intn(n)
+			q := make([]float64, d)
+			for j, dim := range dims {
+				q[j] = ds.Value(i, dim)
 			}
-			// Training rows as point queries (self at distance zero).
-			for trial := 0; trial < 30; trial++ {
-				check(ds.Row(r.Intn(cfg.n), nil), k)
-			}
+			check(q, k)
 		}
 	}
 }
@@ -362,62 +414,152 @@ func TestDistMatchesAcrossBackends(t *testing.T) {
 	}
 }
 
+// quickTieData builds the n×d tie-heavy dataset (values in {0,…,4}) the
+// quick properties draw from; n reaches past a dozen leaf buckets.
+func quickTieData(r *rng.RNG, nRaw uint16, dRaw uint8) *dataset.Dataset {
+	n := int(nRaw%200) + 3
+	d := int(dRaw%3) + 1
+	cols := make([][]float64, d)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+		for i := range cols[j] {
+			cols[j][i] = math.Floor(r.Float64() * 5) // heavy ties
+		}
+	}
+	return dataset.MustNew(nil, cols)
+}
+
+// sqDist is the squared distance from object i to point q over every
+// attribute of ds, accumulated in column order like the backends.
+func sqDist(ds *dataset.Dataset, i int, q []float64) float64 {
+	sum := 0.0
+	for j, v := range q {
+		d := ds.Value(i, j) - v
+		sum += d * d
+	}
+	return sum
+}
+
+// isExactNeighborhood reports whether nb and kd are the neighborhood
+// given every candidate's squared distance to the query: kd is the root
+// of the k-th smallest, and nb lists, in ascending id order, exactly the
+// ids whose squared distance is within it. The cut is on squared
+// distances because two of them can share a rounded square root.
+func isExactNeighborhood(d2s map[int]float64, k int, nb []Neighbor, kd float64) bool {
+	sorted := make([]float64, 0, len(d2s))
+	for _, d2 := range d2s {
+		sorted = append(sorted, d2)
+	}
+	sort.Float64s(sorted)
+	tau := sorted[k-1]
+	if kd != math.Sqrt(tau) {
+		return false
+	}
+	within := 0
+	for _, d2 := range d2s {
+		if d2 <= tau {
+			within++
+		}
+	}
+	if len(nb) != within {
+		return false
+	}
+	for i, x := range nb {
+		d2, ok := d2s[x.ID]
+		if !ok || d2 > tau || x.Dist != math.Sqrt(d2) || (i > 0 && nb[i-1].ID >= x.ID) {
+			return false
+		}
+	}
+	return true
+}
+
 // Property: the tree neighborhood is exactly the set of points within the
 // k-th smallest distance, on adversarially tie-heavy data.
 func TestQuickKDTreeDefinition(t *testing.T) {
-	f := func(seed uint64, nRaw, kRaw, dRaw uint8) bool {
+	f := func(seed uint64, nRaw uint16, kRaw, dRaw uint8) bool {
 		r := rng.New(seed)
-		n := int(nRaw%60) + 3
+		ds := quickTieData(r, nRaw, dRaw)
+		n := ds.N()
 		k := int(kRaw)%(n-1) + 1
-		d := int(dRaw%3) + 1
-		cols := make([][]float64, d)
-		for j := range cols {
-			cols[j] = make([]float64, n)
-			for i := range cols[j] {
-				cols[j][i] = math.Floor(r.Float64() * 5) // heavy ties
+		tree, err := New(ds, allDims(ds.D()), KindKDTree)
+		if err != nil {
+			return false
+		}
+		q := r.Intn(n)
+		nb, kd := tree.KNN(q, k, tree.NewScratch(), nil)
+		qv := ds.Row(q, nil)
+		d2s := map[int]float64{}
+		for i := 0; i < n; i++ {
+			if i != q {
+				d2s[i] = sqDist(ds, i, qv)
 			}
 		}
-		ds := dataset.MustNew(nil, cols)
+		return isExactNeighborhood(d2s, k, nb, kd)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the same definition holds for out-of-sample point queries,
+// with no object excluded and the query snapped onto the tie grid half
+// of the time.
+func TestQuickKDTreeKNNPointDefinition(t *testing.T) {
+	f := func(seed uint64, nRaw uint16, kRaw, dRaw uint8) bool {
+		r := rng.New(seed)
+		ds := quickTieData(r, nRaw, dRaw)
+		n, d := ds.N(), ds.D()
+		k := int(kRaw)%n + 1
 		tree, err := New(ds, allDims(d), KindKDTree)
 		if err != nil {
 			return false
 		}
-		sc := tree.NewScratch()
-		q := r.Intn(n)
-		nb, kd := tree.KNN(q, k, sc, nil)
-
-		type pair struct {
-			id int
-			d  float64
+		q := make([]float64, d)
+		for j := range q {
+			q[j] = r.Float64() * 5
+			if r.Float64() < 0.5 {
+				q[j] = math.Floor(q[j])
+			}
 		}
-		var all []pair
+		nb, kd := tree.KNNPoint(q, k, tree.NewScratch(), nil)
+		d2s := map[int]float64{}
 		for i := 0; i < n; i++ {
-			if i != q {
-				all = append(all, pair{i, tree.Dist(q, i)})
-			}
+			d2s[i] = sqDist(ds, i, q)
 		}
-		sort.Slice(all, func(a, b int) bool { return all[a].d < all[b].d })
-		if kd != all[k-1].d {
-			return false
-		}
-		want := map[int]bool{}
-		for _, p := range all {
-			if p.d <= kd {
-				want[p.id] = true
-			}
-		}
-		if len(nb) != len(want) {
-			return false
-		}
-		for i, x := range nb {
-			if !want[x.ID] || (i > 0 && nb[i-1].ID >= x.ID) {
-				return false
-			}
-		}
-		return true
+		return isExactNeighborhood(d2s, k, nb, kd)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExactBackendsZeroAllocs pins the exact query paths at 0 allocs/op
+// once the scratch and the output buffer are warm.
+func TestExactBackendsZeroAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race; the pin runs in non-race builds")
+	}
+	ds := randomDataset(41, 2000, 3, 0)
+	point := []float64{0.4, 0.6, 0.5}
+	for _, kind := range []Kind{KindBrute, KindKDTree} {
+		ix, err := New(ds, allDims(3), kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := ix.NewScratch()
+		var nb []Neighbor
+		q := 0
+		if a := testing.AllocsPerRun(200, func() {
+			nb, _ = ix.KNN(q, 10, sc, nb)
+			q = (q + 7) % ds.N()
+		}); a != 0 {
+			t.Errorf("%v: KNN allocates %.1f times per query, want 0", kind, a)
+		}
+		if a := testing.AllocsPerRun(200, func() {
+			nb, _ = ix.KNNPoint(point, 10, sc, nb)
+		}); a != 0 {
+			t.Errorf("%v: KNNPoint allocates %.1f times per query, want 0", kind, a)
+		}
 	}
 }
 
@@ -471,21 +613,43 @@ func TestNthElement(t *testing.T) {
 	}
 }
 
+// BenchmarkKNN times single in-sample (KNN) and out-of-sample (KNNPoint)
+// queries per backend at k=10; allocs/op must stay 0 on the exact
+// backends.
 func BenchmarkKNN(b *testing.B) {
-	ds := randomDataset(1, 10000, 3, 0)
-	dims := allDims(3)
-	for _, kind := range []Kind{KindBrute, KindKDTree, KindLSH} {
-		ix, err := New(ds, dims, kind)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(kind.String(), func(b *testing.B) {
-			sc := ix.NewScratch()
-			var nb []Neighbor
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				nb, _ = ix.KNN(i%ds.N(), 10, sc, nb)
+	for _, shape := range []struct{ n, d int }{{2000, 2}, {2000, 3}, {2000, 5}, {100000, 3}} {
+		ds := randomDataset(1, shape.n, shape.d, 0)
+		dims := allDims(shape.d)
+		r := rng.New(2)
+		points := make([][]float64, 256)
+		for i := range points {
+			points[i] = make([]float64, shape.d)
+			for j := range points[i] {
+				points[i][j] = r.Float64()
 			}
-		})
+		}
+		for _, kind := range []Kind{KindBrute, KindKDTree, KindLSH} {
+			ix, err := New(ds, dims, kind)
+			if err != nil {
+				b.Fatal(err)
+			}
+			name := fmt.Sprintf("%dx%d/%v", shape.n, shape.d, kind)
+			b.Run(name+"/KNN", func(b *testing.B) {
+				sc := ix.NewScratch()
+				var nb []Neighbor
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					nb, _ = ix.KNN(i%ds.N(), 10, sc, nb)
+				}
+			})
+			b.Run(name+"/KNNPoint", func(b *testing.B) {
+				sc := ix.NewScratch()
+				var nb []Neighbor
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					nb, _ = ix.KNNPoint(points[i%len(points)], 10, sc, nb)
+				}
+			})
+		}
 	}
 }

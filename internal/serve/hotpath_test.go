@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hics"
+	"hics/internal/race"
 	"hics/internal/rng"
 	"hics/internal/trace"
 )
@@ -204,6 +205,9 @@ func TestStreamHotPathAllocsTraced(t *testing.T) {
 
 func runHotPathAllocs(t *testing.T, ctx context.Context) {
 	t.Helper()
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under -race; the 0-alloc pin runs in non-race builds")
+	}
 	m := fitModel(t)
 	st, err := m.NewStream(hics.StreamOptions{Window: 50})
 	if err != nil {

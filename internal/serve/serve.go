@@ -1117,6 +1117,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
 				writeStreamError(w, rc, fmt.Errorf("stream input exceeded the %d-byte session limit; reconnect to continue", tooLarge.Limit))
+				discardRest(rc, r.Body)
 				return
 			}
 			writeStreamError(w, rc, fmt.Errorf("invalid row: %v (want one JSON array of %d numbers per line)", err, m.D()))
@@ -1164,6 +1165,18 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if n := st.Refits(); n > refitsSeen {
 		mRefits.With(model).Add(int64(n - refitsSeen))
 	}
+}
+
+// discardRest reads and drops what a client still sends after its
+// session limit, up to 256 KiB and for at most a second. The server
+// closes the connection after a body hits its limit, and a socket closed
+// with unread bytes is reset, which can discard the terminal limit
+// record before the client reads it. Draining inside the handler, while
+// the connection is still the handler's, lets a client that has finished
+// writing see a clean end of the response.
+func discardRest(rc *http.ResponseController, body io.Reader) {
+	_ = rc.SetReadDeadline(time.Now().Add(time.Second))
+	_, _ = io.CopyN(io.Discard, body, 256<<10)
 }
 
 // writeStreamError terminates an NDJSON stream with an {"error": ...}

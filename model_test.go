@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 
+	"hics/internal/neighbors"
+	"hics/internal/race"
+	"hics/internal/ranking"
 	"hics/internal/rng"
 )
 
@@ -103,6 +106,37 @@ func TestModelOutOfSampleScoring(t *testing.T) {
 		if math.IsNaN(a) {
 			t.Fatalf("Score(%v) = NaN", q)
 		}
+	}
+}
+
+// TestModelScoreZeroAllocs pins the served out-of-sample path at 0
+// allocs/row on a model large enough for the k-d tree backend: every
+// subspace query of Model.Score runs through the tree without
+// allocating.
+func TestModelScoreZeroAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under -race; the 0-alloc pin runs in non-race builds")
+	}
+	rows := demoRows(61, 600, 4)
+	train, held := rows[:400], rows[400:]
+	m, err := Fit(train, Options{M: 20, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range m.fp.Scorers {
+		if kind := f.(*ranking.FittedLOFScorer).State.Kind(); kind != neighbors.KindKDTree {
+			t.Fatalf("subspace %v is served by %v, want kdtree", f.Dims(), kind)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := m.Score(held[i%len(held)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Model.Score allocates %.1f times per row, want 0", allocs)
 	}
 }
 
