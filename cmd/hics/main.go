@@ -86,13 +86,12 @@ func run(ctx context.Context, args []string) error {
 		minPts      = fs.Int("minpts", 10, "LOF MinPts neighborhood size")
 		seed        = fs.Uint64("seed", 0, "random seed")
 		workers     = fs.Int("workers", 0, "max goroutines evaluating subspace contrasts (0 = one per CPU)")
-		adaptive    = fs.Bool("adaptive", false, "race the Monte Carlo budget: stop spending M on candidates decided against retention")
 		maxSample   = fs.Int("max-sample-rows", 0, "estimate each contrast on at most this many rows (0 = all rows)")
 		outl        = fs.Int("outliers", 10, "number of top outliers to print")
 		search      = fs.String("search", "hics", searchFlagUsage)
 		scorer      = fs.String("scorer", "lof", scorerFlagUsage)
 		aggName     = fs.String("agg", "average", aggFlagUsage)
-		index       = fs.String("index", "auto", "neighbor index for the ranking step: auto, kdtree, brute or lsh (approximate)")
+		index       = fs.String("index", "auto", "neighbor index for the ranking step: auto, kdtree or brute")
 		subOnly     = fs.Bool("subspaces-only", false, "run only the subspace search, skip the ranking step")
 		saveModel   = fs.String("save-model", "", "fit a reusable model and save it to this file (serve it with hicsd)")
 		listMethods = fs.Bool("list-methods", false, "list the registered searcher and scorer names and exit")
@@ -125,8 +124,8 @@ func run(ctx context.Context, args []string) error {
 			M: *m, Alpha: *alpha, CandidateCutoff: *cutoff, TopK: *topk,
 			Test: *test, Seed: *seed, MinPts: *minPts, Workers: *workers,
 			Aggregation: *aggName, NeighborIndex: *index,
-			AdaptiveM: *adaptive, MaxSampleRows: *maxSample,
-			Search: *search, Scorer: *scorer,
+			MaxSampleRows: *maxSample,
+			Search:        *search, Scorer: *scorer,
 		}
 		sopts := hics.StreamOptions{Window: *window, RefitEvery: *refitEvery, Async: *streamAsync}
 		in := io.Reader(os.Stdin)
@@ -171,8 +170,8 @@ func run(ctx context.Context, args []string) error {
 		M: *m, Alpha: *alpha, CandidateCutoff: *cutoff, TopK: *topk,
 		Test: *test, Seed: *seed, MinPts: *minPts, Workers: *workers,
 		Aggregation: *aggName, NeighborIndex: *index,
-		AdaptiveM: *adaptive, MaxSampleRows: *maxSample,
-		Search: *search, Scorer: *scorer,
+		MaxSampleRows: *maxSample,
+		Search:        *search, Scorer: *scorer,
 	}
 	rows := make([][]float64, ds.N())
 	for i := range rows {

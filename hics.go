@@ -107,14 +107,8 @@ type Options struct {
 	// MaxDim caps the dimensionality of generated subspace candidates;
 	// 0 means unbounded.
 	MaxDim int
-	// AdaptiveM enables the racing scheduler for the Monte Carlo budget:
-	// candidates of an Apriori level advance in rounds, and a candidate
-	// whose confidence bound falls below the level's retention cut stops
-	// early. Retained subspaces still complete all M iterations on their
-	// own random streams, so the final subspace set and its contrasts
-	// typically match the flat schedule; only the budget spent on
-	// discarded candidates shrinks. Off by default — the default flat
-	// schedule is bit-for-bit reproducible against earlier releases.
+	// AdaptiveM is ignored: every candidate subspace spends the full M
+	// Monte Carlo iterations, and setting it changes no result.
 	AdaptiveM bool
 	// MaxSampleRows bounds the rows used per contrast estimate: when the
 	// dataset has more rows, each candidate subspace draws a fixed,
@@ -125,11 +119,9 @@ type Options struct {
 	MaxSampleRows int
 	// NeighborIndex selects the neighbor-search backend of the ranking
 	// step: "auto" (default; k-d tree for large, low-dimensional
-	// projections, brute force otherwise), "kdtree", "brute", or "lsh"
-	// (approximate random-projection forest; never chosen by auto). The
-	// exact backends produce bit-for-bit identical scores and the choice
-	// only affects speed; "lsh" trades a small recall loss (≥ 0.95 in
-	// the default configuration) for query cost independent of N.
+	// projections, brute force otherwise), "kdtree", or "brute". The
+	// backends produce bit-for-bit identical scores and the choice only
+	// affects speed.
 	NeighborIndex string
 	// Search selects the subspace-search method by registry name:
 	// "hics" (default), "enclus", "ris", "randsub", "surfing", or
@@ -247,7 +239,6 @@ func (o Options) coreParams() (core.Params, error) {
 		Seed:          o.Seed,
 		Workers:       o.Workers,
 		MaxDim:        o.MaxDim,
-		AdaptiveM:     o.AdaptiveM,
 		MaxSampleRows: o.MaxSampleRows,
 	}
 	if o.Test != "" {

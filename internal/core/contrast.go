@@ -112,14 +112,7 @@ type Params struct {
 	// DisablePruning turns off the redundancy pruning post-processing
 	// (used by the pruning ablation; the paper always prunes).
 	DisablePruning bool
-	// AdaptiveM enables the racing scheduler: contrast estimation runs in
-	// rounds over the candidate set, and candidates whose confidence bound
-	// is statistically decided against the level's retention cut stop
-	// early instead of spending the full M. Candidates that survive to
-	// retention always complete all M iterations, so their contrasts are
-	// bit-for-bit the flat-M values; only pruned (discarded) candidates
-	// carry partial estimates. Off (the default) is bit-for-bit identical
-	// to the flat loop.
+	// AdaptiveM is ignored: every candidate spends the full M iterations.
 	AdaptiveM bool
 	// MaxSampleRows bounds the number of rows a contrast estimate may
 	// touch: when 0 < MaxSampleRows < N, each subspace is estimated on a
@@ -214,15 +207,103 @@ func (e *Evaluator) Contrast(s subspace.Subspace, r *rng.RNG, sc *Scratch) float
 // Carlo loop checks ctx between iterations and returns ctx.Err() when it
 // fires. The check never touches the random stream, so an uncancelled
 // call is bit-for-bit identical to Contrast.
+//
+// When Params.MaxSampleRows bounds the rows, the estimate runs on a
+// subsample drawn from a sub-stream derived from r, so the Monte Carlo
+// stream itself is unaffected and the sample is a pure function of
+// (Seed, subspace).
 func (e *Evaluator) ContrastContext(ctx context.Context, s subspace.Subspace, r *rng.RNG, sc *Scratch) (float64, error) {
-	if s.Dim() < 2 {
+	d := s.Dim()
+	if d < 2 {
 		return 0, ctx.Err()
 	}
-	run := e.newRun(s, r)
-	if err := run.advance(ctx, e.params.M, sc); err != nil {
-		return 0, err
+	p := e.params
+
+	// sorted[i] is the slicing order of the estimate's rows by attribute
+	// s[i]: the dataset's full sorted index, or the subsample's.
+	rows := e.ds.N()
+	var sorted [][]int
+	if p.MaxSampleRows > 0 && rows > p.MaxSampleRows {
+		rows = p.MaxSampleRows
+		sorted = e.sampleSortedIndex(s, r.Derive(sampleStream), rows)
+		mContrastSampleRows.Add(int64(rows))
+	} else {
+		sorted = make([][]int, d)
+		for i, attr := range s {
+			sorted[i] = e.ds.SortedIndex(attr)
+		}
 	}
-	return run.estimate(), nil
+
+	// α1 = |S|-th root of α: each of the |S|−1 conditions keeps an index
+	// block of rows·α1 objects so that E[N'] = rows·α1^{|S|−1} ≥ rows·α
+	// (Eq. 7; the paper sizes blocks with the |S|-th root, keeping N'
+	// slightly above the target for the final test statistic).
+	alpha1 := math.Pow(p.Alpha, 1/float64(d))
+	blockSize := int(math.Round(alpha1 * float64(rows)))
+	if blockSize < 1 {
+		blockSize = 1
+	}
+	if blockSize > rows {
+		blockSize = rows
+	}
+
+	if cap(sc.perm) < d {
+		sc.perm = make([]int, d)
+	}
+	perm := sc.perm[:d]
+
+	sum := 0.0
+	for iter := 0; iter < p.M; iter++ {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		sc.iter++
+		if sc.iter < 0 {
+			// The int32 stamp wrapped around. Old stamp values would
+			// collide with reused counter values and silently corrupt the
+			// conjunction counts, so reset the lazy-clearing state.
+			for i := range sc.stamp {
+				sc.stamp[i] = 0
+			}
+			sc.iter = 1
+		}
+		r.PermInto(perm)
+
+		// Apply |S|−1 conditions; remember the first block to enumerate the
+		// conjunction (the selected set is a subset of every block).
+		var firstBlock []int
+		need := int32(d - 1)
+		for j := 0; j < d-1; j++ {
+			idx := sorted[perm[j]]
+			start := r.Intn(rows - blockSize + 1)
+			block := idx[start : start+blockSize]
+			if j == 0 {
+				firstBlock = block
+			}
+			for _, id := range block {
+				if sc.stamp[id] != sc.iter {
+					sc.stamp[id] = sc.iter
+					sc.count[id] = 1
+				} else {
+					sc.count[id]++
+				}
+			}
+		}
+
+		// Conditional sample of the remaining attribute.
+		lastAttr := s[perm[d-1]]
+		col := e.ds.Col(lastAttr)
+		cond := sc.cond[:0]
+		for _, id := range firstBlock {
+			if sc.stamp[id] == sc.iter && sc.count[id] == need {
+				cond = append(cond, col[id])
+			}
+		}
+		sc.cond = cond
+
+		sum += e.deviation(lastAttr, cond)
+	}
+	return sum / float64(p.M), nil
 }
 
 // sampleStream labels the sub-stream a subspace's row subsample is drawn
@@ -230,18 +311,12 @@ func (e *Evaluator) ContrastContext(ctx context.Context, s subspace.Subspace, r 
 // subsampled run starts at the same state as a full-data run's.
 const sampleStream = 0x5a3c9d17
 
-// sampleIndex is the frozen per-candidate row subsample of a bounded
-// contrast estimate: the sampled object ids plus, per subspace position,
-// the sample re-sorted by that attribute's values (the sample's analog of
-// dataset.SortedIndex, with the same ascending-id tie order).
-type sampleIndex struct {
-	ids    []int   // sampled object ids, ascending
-	sorted [][]int // sorted[i]: ids ordered by the values of s[i]
-}
-
-// newSampleIndex draws m distinct row ids from [0, N) on the given stream
-// and builds the per-attribute sorted views the slicing loop needs.
-func (e *Evaluator) newSampleIndex(s subspace.Subspace, r *rng.RNG, m int) *sampleIndex {
+// sampleSortedIndex draws m distinct row ids from [0, N) on the given
+// stream — the frozen per-candidate row subsample of a bounded contrast
+// estimate — and returns, per subspace position, the sample sorted by that
+// attribute's values (the sample's analog of dataset.SortedIndex, with
+// the same ascending-id tie order).
+func (e *Evaluator) sampleSortedIndex(s subspace.Subspace, r *rng.RNG, m int) [][]int {
 	n := e.ds.N()
 	// Floyd's sampling: m distinct ids in O(m) expected time, no N-sized
 	// allocation.
@@ -257,7 +332,7 @@ func (e *Evaluator) newSampleIndex(s subspace.Subspace, r *rng.RNG, m int) *samp
 	}
 	sort.Ints(ids)
 
-	si := &sampleIndex{ids: ids, sorted: make([][]int, s.Dim())}
+	sorted := make([][]int, s.Dim())
 	for i, attr := range s {
 		col := e.ds.Col(attr)
 		so := append([]int(nil), ids...)
@@ -268,171 +343,9 @@ func (e *Evaluator) newSampleIndex(s subspace.Subspace, r *rng.RNG, m int) *samp
 			}
 			return so[a] < so[b]
 		})
-		si.sorted[i] = so
+		sorted[i] = so
 	}
-	return si
-}
-
-// run is the incremental state of one subspace's Monte Carlo contrast
-// estimate. The flat path builds a run and advances it M iterations in one
-// go; the adaptive scheduler advances runs in rounds and reads the partial
-// estimate between rounds. The per-candidate stream and the accumulated
-// sums live here; the N-sized slicing buffers stay in the shared Scratch,
-// so holding many runs concurrently is cheap.
-type run struct {
-	e *Evaluator
-	s subspace.Subspace
-	r *rng.RNG
-
-	rows      int          // effective row count (sample size, or N)
-	blockSize int          // condition block size over rows
-	sample    *sampleIndex // nil when estimating on the full data
-
-	sum   float64 // accumulated deviations
-	sumSq float64 // accumulated squared deviations (adaptive bounds)
-	done  int     // iterations completed
-}
-
-// newRun prepares incremental contrast estimation for s on stream r. When
-// Params.MaxSampleRows bounds the rows, the subsample is drawn from a
-// sub-stream derived from r, so the Monte Carlo stream itself is
-// unaffected and the sample is a pure function of (Seed, subspace).
-func (e *Evaluator) newRun(s subspace.Subspace, r *rng.RNG) *run {
-	d := s.Dim()
-	p := e.params
-	ru := &run{e: e, s: s, r: r, rows: e.ds.N()}
-	if p.MaxSampleRows > 0 && ru.rows > p.MaxSampleRows && d >= 2 {
-		ru.rows = p.MaxSampleRows
-		ru.sample = e.newSampleIndex(s, r.Derive(sampleStream), ru.rows)
-		mContrastSampleRows.Add(int64(ru.rows))
-	}
-
-	// α1 = |S|-th root of α: each of the |S|−1 conditions keeps an index
-	// block of rows·α1 objects so that E[N'] = rows·α1^{|S|−1} ≥ rows·α
-	// (Eq. 7; the paper sizes blocks with the |S|-th root, keeping N'
-	// slightly above the target for the final test statistic).
-	alpha1 := math.Pow(p.Alpha, 1/float64(d))
-	ru.blockSize = int(math.Round(alpha1 * float64(ru.rows)))
-	if ru.blockSize < 1 {
-		ru.blockSize = 1
-	}
-	if ru.blockSize > ru.rows {
-		ru.blockSize = ru.rows
-	}
-	return ru
-}
-
-// sortedIndex returns the slicing order of the run's rows for subspace
-// position pos: the dataset's full sorted index, or the subsample's.
-func (ru *run) sortedIndex(pos int) []int {
-	if ru.sample != nil {
-		return ru.sample.sorted[pos]
-	}
-	return ru.e.ds.SortedIndex(ru.s[pos])
-}
-
-// advance runs iters more Monte Carlo iterations, continuing the run's
-// random stream exactly where the previous advance left it — advancing in
-// increments is bit-for-bit identical to one uninterrupted loop. The
-// context is checked between iterations without touching the stream.
-func (ru *run) advance(ctx context.Context, iters int, sc *Scratch) error {
-	d := ru.s.Dim()
-	if d < 2 {
-		// No notion of correlation (Sec. IV-B): every iteration
-		// contributes zero deviation.
-		ru.done += iters
-		return ctx.Err()
-	}
-	e := ru.e
-	if cap(sc.perm) < d {
-		sc.perm = make([]int, d)
-	}
-	perm := sc.perm[:d]
-
-	for iter := 0; iter < iters; iter++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sc.iter++
-		if sc.iter < 0 {
-			// The int32 stamp wrapped around. Old stamp values would
-			// collide with reused counter values and silently corrupt the
-			// conjunction counts, so reset the lazy-clearing state.
-			for i := range sc.stamp {
-				sc.stamp[i] = 0
-			}
-			sc.iter = 1
-		}
-		ru.r.PermInto(perm)
-
-		// Apply |S|−1 conditions; remember the first block to enumerate the
-		// conjunction (the selected set is a subset of every block).
-		var firstBlock []int
-		need := int32(d - 1)
-		for j := 0; j < d-1; j++ {
-			idx := ru.sortedIndex(perm[j])
-			start := ru.r.Intn(ru.rows - ru.blockSize + 1)
-			block := idx[start : start+ru.blockSize]
-			if j == 0 {
-				firstBlock = block
-			}
-			for _, id := range block {
-				if sc.stamp[id] != sc.iter {
-					sc.stamp[id] = sc.iter
-					sc.count[id] = 1
-				} else {
-					sc.count[id]++
-				}
-			}
-		}
-
-		// Conditional sample of the remaining attribute.
-		lastAttr := ru.s[perm[d-1]]
-		col := e.ds.Col(lastAttr)
-		cond := sc.cond[:0]
-		for _, id := range firstBlock {
-			if sc.stamp[id] == sc.iter && sc.count[id] == need {
-				cond = append(cond, col[id])
-			}
-		}
-		sc.cond = cond
-
-		dev := e.deviation(lastAttr, cond)
-		ru.sum += dev
-		ru.sumSq += dev * dev
-		ru.done++
-	}
-	return nil
-}
-
-// estimate returns the running mean deviation — the contrast estimate
-// after done iterations. A full run (done == M) reproduces the flat-M
-// contrast bit for bit: the deviations accumulate in the same order and
-// the division is the same.
-func (ru *run) estimate() float64 {
-	if ru.done == 0 {
-		return 0
-	}
-	return ru.sum / float64(ru.done)
-}
-
-// variance returns the (biased) empirical variance of the deviations seen
-// so far — the spread the adaptive scheduler's confidence radius is built
-// on. Deviations live in [0,1], so the value is clamped to that range's
-// maximal variance to absorb rounding.
-func (ru *run) variance() float64 {
-	if ru.done == 0 {
-		return 0.25
-	}
-	m := ru.sum / float64(ru.done)
-	v := ru.sumSq/float64(ru.done) - m*m
-	if v < 0 {
-		v = 0
-	}
-	if v > 0.25 {
-		v = 0.25
-	}
-	return v
+	return sorted
 }
 
 // deviation compares the conditional sample of attribute attr to its

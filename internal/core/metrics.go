@@ -3,20 +3,13 @@ package core
 import "hics/internal/metrics"
 
 // Fit observability: how much Monte Carlo work the subspace search
-// actually spends, and how much the flat-M loop would have spent. The
-// counters are process-wide (every Fit/Rank/stream-refit search adds to
-// them); compare hics_fit_mc_iterations_total against
-// hics_fit_mc_budget_total to read the adaptive scheduler's savings on a
-// live process.
+// spends. The counters are process-wide (every Fit/Rank/stream-refit
+// search adds to them).
 var (
 	mCandidates = metrics.Default.NewCounter("hics_fit_candidates_total",
 		"Candidate subspaces whose contrast the subspace search estimated (all Apriori levels).")
-	mCandidatesPruned = metrics.Default.NewCounter("hics_fit_candidates_pruned_total",
-		"Candidates the adaptive racing scheduler stopped early, before their full M iterations.")
 	mMCIterations = metrics.Default.NewCounter("hics_fit_mc_iterations_total",
-		"Monte Carlo contrast iterations actually executed by the subspace search.")
-	mMCBudget = metrics.Default.NewCounter("hics_fit_mc_budget_total",
-		"Monte Carlo iterations a flat-M loop would have executed (candidates times M).")
+		"Monte Carlo contrast iterations executed by the subspace search.")
 	mContrastSampleRows = metrics.Default.NewCounter("hics_fit_contrast_sample_rows_total",
 		"Rows drawn into bounded-subsample contrast estimates (MaxSampleRows per sampled candidate).")
 )

@@ -21,13 +21,8 @@ type SearchResult struct {
 	Levels [][]subspace.Scored
 	// Evaluated counts contrast computations performed.
 	Evaluated int
-	// MCIterations counts the Monte Carlo iterations actually executed.
-	// With the flat schedule it equals Evaluated·M; with AdaptiveM it is
-	// smaller whenever the racing scheduler pruned candidates early.
+	// MCIterations counts the Monte Carlo iterations executed: Evaluated·M.
 	MCIterations int
-	// PrunedEarly counts the candidates the adaptive scheduler stopped
-	// before their full M iterations (always 0 with the flat schedule).
-	PrunedEarly int
 }
 
 // Search runs the full HiCS subspace framework (Sec. IV-B) on ds:
@@ -78,36 +73,18 @@ func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*SearchR
 		lctx, lspan := trace.StartSpan(ctx, "search.contrast_level")
 		lspan.SetAttr("dim", candidates[0].Dim())
 		lspan.SetAttr("candidates", len(candidates))
-		var (
-			scored []subspace.Scored
-			err    error
-		)
-		if p.AdaptiveM {
-			var spent, nPruned int
-			scored, spent, nPruned, err = scoreAllAdaptive(lctx, eval, base, candidates, p)
-			if err == nil {
-				result.MCIterations += spent
-				result.PrunedEarly += nPruned
-				lspan.SetAttr("mc_iterations", spent)
-				lspan.SetAttr("pruned_early", nPruned)
-			}
-		} else {
-			scored, err = scoreAll(lctx, eval, base, candidates, p.Workers)
-			if err == nil {
-				result.MCIterations += len(scored) * p.M
-				lspan.SetAttr("mc_iterations", len(scored)*p.M)
-			}
-		}
+		scored, err := scoreAll(lctx, eval, base, candidates, p.Workers)
 		if err != nil {
 			lspan.SetError(err)
 			lspan.End()
 			span.SetError(err)
 			return nil, err
 		}
+		lspan.SetAttr("mc_iterations", len(scored)*p.M)
 		lspan.End()
 		result.Evaluated += len(scored)
+		result.MCIterations += len(scored) * p.M
 		mCandidates.Add(int64(len(scored)))
-		mMCBudget.Add(int64(len(scored) * p.M))
 
 		retained := subspace.TopK(scored, p.Cutoff)
 		result.Levels = append(result.Levels, retained)
@@ -129,10 +106,8 @@ func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*SearchR
 	}
 	result.Subspaces = subspace.TopK(pool, p.TopK)
 	mMCIterations.Add(int64(result.MCIterations))
-	mCandidatesPruned.Add(int64(result.PrunedEarly))
 	span.SetAttr("evaluated", result.Evaluated)
 	span.SetAttr("mc_iterations", result.MCIterations)
-	span.SetAttr("pruned_early", result.PrunedEarly)
 	span.SetAttr("levels", len(result.Levels))
 	span.SetAttr("subspaces", len(result.Subspaces))
 	return result, nil

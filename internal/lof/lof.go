@@ -65,7 +65,7 @@ func ScoresContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts 
 
 // buildIndex constructs the neighbor index under a trace span, so a
 // traced request shows each per-subspace index build as its own phase
-// (the dominant cost for the tree and LSH backends). ctx carries only
+// (the dominant cost for the tree backend). ctx carries only
 // the span — index construction is not cancellable.
 func buildIndex(ctx context.Context, ds *dataset.Dataset, dims []int, kind neighbors.Kind) (neighbors.Index, error) {
 	_, span := trace.StartSpan(ctx, "neighbors.build")

@@ -13,11 +13,8 @@
 //     selects, turning the O(N²) ranking hot path into O(N log N) in
 //     practice. Each query is a single best-first pass that allocates
 //     nothing once its Scratch is warm.
-//   - LSH: an approximate random-projection forest — opt-in only (never
-//     chosen by KindAuto), trading a bounded recall loss for query cost
-//     independent of N. See the LSH type for the recall contract.
 //
-// The exact backends are bit-for-bit equivalent: they accumulate
+// The two backends are bit-for-bit equivalent: they accumulate
 // squared distances column by column in subspace order, so every distance,
 // k-distance and neighborhood they report is the identical float64. The
 // k-d tree's plane pruning is safe under floating point because a computed
@@ -60,10 +57,6 @@ const (
 	KindBrute
 	// KindKDTree pins the k-d tree backend.
 	KindKDTree
-	// KindLSH pins the approximate random-projection forest. It is the
-	// only non-exact backend and is therefore never selected by KindAuto —
-	// trading recall for speed is an explicit opt-in.
-	KindLSH
 )
 
 // String implements fmt.Stringer.
@@ -73,8 +66,6 @@ func (k Kind) String() string {
 		return "brute"
 	case KindKDTree:
 		return "kdtree"
-	case KindLSH:
-		return "lsh"
 	default:
 		return "auto"
 	}
@@ -89,10 +80,8 @@ func ParseKind(s string) (Kind, error) {
 		return KindBrute, nil
 	case "kdtree", "kd-tree", "kd":
 		return KindKDTree, nil
-	case "lsh", "rptree", "annoy":
-		return KindLSH, nil
 	}
-	return KindAuto, fmt.Errorf("neighbors: unknown index kind %q (want auto, kdtree, brute or lsh)", s)
+	return KindAuto, fmt.Errorf("neighbors: unknown index kind %q (want auto, kdtree or brute)", s)
 }
 
 // Auto-selection thresholds: below AutoMinN the scan's cache behaviour wins
@@ -144,13 +133,11 @@ type Index interface {
 // Scratch holds per-goroutine query buffers, shared across backends so an
 // adapter can pass one scratch to whichever Index it was configured with.
 type Scratch struct {
-	dists   []float64   // brute: all squared distances from the query
-	sel     []float64   // brute: quickselect working copy
-	qv      []float64   // query point, one value per subspace column
-	bound   []float64   // kdtree: max-heap of the k smallest squared distances
-	cand    []candidate // kdtree, lsh: candidate objects and their squared distances
-	mark    []int32     // lsh: per-object dedup stamps across the tree union
-	markGen int32       // lsh: current dedup generation
+	dists []float64   // brute: all squared distances from the query
+	sel   []float64   // brute: quickselect working copy
+	qv    []float64   // query point, one value per subspace column
+	bound []float64   // kdtree: max-heap of the k smallest squared distances
+	cand  []candidate // kdtree: candidate objects and their squared distances
 }
 
 type candidate struct {
@@ -179,8 +166,6 @@ func New(ds *dataset.Dataset, dims []int, kind Kind) (Index, error) {
 		return &Brute{cols: cols, n: n}, nil
 	case KindKDTree:
 		return newKDTree(cols, n), nil
-	case KindLSH:
-		return newLSH(cols, n, LSHParams{}), nil
 	}
 	return nil, fmt.Errorf("neighbors: invalid index kind %d", kind)
 }

@@ -317,9 +317,8 @@ func BenchmarkStreamServe(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sessionRows), "ns/row")
 }
 
-// BenchmarkStreamRowCodec isolates the serving codec the hot path
-// replaced: "hot" is the reused-buffer parser + append encoder, "legacy"
-// the json.Decoder + json.Marshal cycle it replaced in v1.7.0.
+// BenchmarkStreamRowCodec isolates the serving row codec: "hot" is the
+// reused-buffer parser + append encoder.
 func BenchmarkStreamRowCodec(b *testing.B) {
 	line := []byte("[0.312345,0.291234,0.557654,0.443210]\n")
 	rec := StreamRecord{Index: 123456, Score: 1.0481924561236412, Refits: 3}
@@ -334,20 +333,5 @@ func BenchmarkStreamRowCodec(b *testing.B) {
 			buf, _ = appendStreamRecord(buf[:0], rec)
 		}
 		_, _ = row, buf
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		input := bytes.Repeat(line, 1024)
-		dec := json.NewDecoder(bytes.NewReader(input))
-		for i := 0; i < b.N; i++ {
-			var row []float64
-			if err := dec.Decode(&row); err != nil {
-				dec = json.NewDecoder(bytes.NewReader(input))
-				i--
-				continue
-			}
-			data, _ := json.Marshal(rec)
-			_ = append(data, '\n')
-		}
 	})
 }

@@ -298,7 +298,6 @@ type RankOptions struct {
 	Search          string  `json:"search,omitempty"`
 	Scorer          string  `json:"scorer,omitempty"`
 	MaxDim          int     `json:"max_dim,omitempty"`
-	AdaptiveM       bool    `json:"adaptive_m,omitempty"`
 	MaxSampleRows   int     `json:"max_sample_rows,omitempty"`
 	NeighborIndex   string  `json:"neighbor_index,omitempty"`
 }
@@ -318,7 +317,6 @@ func (o RankOptions) options(workers int) hics.Options {
 		Search:          o.Search,
 		Scorer:          o.Scorer,
 		MaxDim:          o.MaxDim,
-		AdaptiveM:       o.AdaptiveM,
 		MaxSampleRows:   o.MaxSampleRows,
 		NeighborIndex:   o.NeighborIndex,
 		Workers:         workers,

@@ -342,14 +342,19 @@ func TestRankEndpointBadRequests(t *testing.T) {
 		`{"rows": []}`,            // empty rows
 		`{"rowz": [[1, 2]]}`,      // unknown field
 		`{"rows": [[1, 2], [3]]}`, // ragged rows
-		`{"rows": [[1, 2], [3, 4]], "options": {"search": "bogus"}}`, // unknown method
-		`{"rows": [[1, 2], [3, 4]], "options": {"m": -1}}`,           // invalid M
+		`{"rows": [[1, 2], [3, 4]], "options": {"search": "bogus"}}`,       // unknown method
+		`{"rows": [[1, 2], [3, 4]], "options": {"m": -1}}`,                 // invalid M
+		`{"rows": [[1, 2], [3, 4]], "options": {"neighbor_index": "lsh"}}`, // removed backend
+		`{"rows": [[1, 2], [3, 4]], "options": {"adaptive_m": true}}`,      // removed field
 	}
 	for _, body := range cases {
 		resp, got := postRank(t, srv, []byte(body))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %d (%s), want 400", body, resp.StatusCode, got)
 		}
+	}
+	if _, got := postRank(t, srv, []byte(`{"rows": [[1, 2], [3, 4]], "options": {"neighbor_index": "lsh"}}`)); !strings.Contains(got, "lsh") {
+		t.Errorf("neighbor_index lsh: error %s should name the rejected index", got)
 	}
 	// GET on /rank is rejected.
 	resp, err := http.Get(srv.URL + "/rank")

@@ -25,8 +25,8 @@ import (
 
 // mFitDuration observes the wall time of completed model fits (Fit and
 // FitContext, including the fits behind Rank-free production training);
-// paired with the hics_fit_* counters it shows what the adaptive knobs
-// buy on a live process.
+// paired with the hics_fit_* counters it shows what the contrast
+// subsampling knob buys on a live process.
 var mFitDuration = metrics.Default.NewHistogram("hics_fit_duration_seconds",
 	"Wall time of completed model fits (Fit/FitContext).", nil)
 
@@ -487,6 +487,11 @@ func assembleModel(mf modelFileV2, version uint32) (*Model, error) {
 		trainScores: mf.TrainScores,
 	}
 	for i, sv := range mf.Subspaces {
+		// Rebuilding an approximate-index model on an exact index would
+		// silently change its scores, so such files are refused.
+		if sv.IndexKind == "lsh" {
+			return nil, fmt.Errorf("hics: loading model subspace %d: the approximate lsh neighbor index is no longer supported; refit the model", i)
+		}
 		kind, err := neighbors.ParseKind(sv.IndexKind)
 		if err != nil {
 			return nil, fmt.Errorf("hics: loading model subspace %d: %w", i, err)

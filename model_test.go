@@ -496,6 +496,19 @@ func TestLoadModelRejectsUnbuildablePair(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "quantum") || !strings.Contains(err.Error(), "hics") {
 		t.Errorf("error %q should name the offender and the valid searchers", err)
 	}
+
+	// A model fitted on the removed approximate index must not be rebuilt
+	// on an exact one, which would silently change its scores.
+	lshIndex := corrupt(func(mf *modelFileV2) {
+		for i := range mf.Subspaces {
+			mf.Subspaces[i].IndexKind = "lsh"
+		}
+	})
+	if _, err := LoadModel(bytes.NewReader(lshIndex)); err == nil {
+		t.Error("a model recording the lsh index should be rejected")
+	} else if !strings.Contains(err.Error(), "lsh") || !strings.Contains(err.Error(), "refit") {
+		t.Errorf("error %q should name the removed lsh index and ask for a refit", err)
+	}
 }
 
 // TestAggregationOptionCompat pins the Options.Aggregation / legacy

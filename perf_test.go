@@ -1,108 +1,19 @@
 package hics
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
-
-	"hics/internal/rng"
 )
 
-// TestFitLSHSaveLoadRoundTrip pins the approximate backend's persistence
-// contract: the forest rebuild at load time is seed-deterministic, so a
-// Save/LoadModel round trip with NeighborIndex "lsh" reproduces identical
-// scores on training rows and out-of-sample points.
-func TestFitLSHSaveLoadRoundTrip(t *testing.T) {
-	rows := demoRows(31, 500, 4)
-	m, err := Fit(rows, Options{M: 20, Seed: 31, NeighborIndex: "lsh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range m.TrainingScores() {
-		ls, err := loaded.Score(rows[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ls != s {
-			t.Fatalf("loaded Score(train %d) = %v, want %v", i, ls, s)
-		}
-	}
-	r := rng.New(13)
-	for trial := 0; trial < 50; trial++ {
-		q := make([]float64, 4)
-		for j := range q {
-			q[j] = r.Float64() * 1.2
-		}
-		a, err := m.Score(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.Score(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("loaded Score(%v) = %v, original %v", q, b, a)
-		}
-	}
-}
-
-// TestLSHScoresCloseToExact: the approximate backend's model scores stay
-// close to the exact backend's on the same data — the recall loss may
-// perturb individual neighborhoods, but the planted outlier must still
-// stand out.
-func TestLSHScoresCloseToExact(t *testing.T) {
-	rows := demoRows(32, 600, 5)
-	exact, err := Fit(rows, Options{M: 20, Seed: 32, NeighborIndex: "kdtree"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := Fit(rows, Options{M: 20, Seed: 32, NeighborIndex: "lsh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outlier := []float64{0.3, 0.7, 0.5, 0.5, 0.5}
-	inlier := []float64{0.7, 0.7, 0.5, 0.5, 0.5}
-	so, err := approx.Score(outlier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	si, err := approx.Score(inlier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if so <= si {
-		t.Errorf("lsh outlier score %v <= inlier score %v", so, si)
-	}
-	// The subspace search is index-independent, so the frozen projections
-	// must be identical.
-	se, sa := exact.Subspaces(), approx.Subspaces()
-	if len(se) != len(sa) {
-		t.Fatalf("lsh model froze %d subspaces, exact %d", len(sa), len(se))
-	}
-	for i := range se {
-		if se[i].Contrast != sa[i].Contrast {
-			t.Fatalf("subspace %d contrast differs: lsh %v, exact %v", i, sa[i].Contrast, se[i].Contrast)
-		}
-	}
-}
-
-// TestAdaptiveFitMatchesRank: the fit/rank equivalence holds with the new
-// performance knobs enabled — training scores are bit-for-bit the Rank
+// TestAdaptiveFitMatchesRank: the fit/rank equivalence holds with
+// contrast subsampling enabled — training scores are bit-for-bit the Rank
 // scores under the same options.
 func TestAdaptiveFitMatchesRank(t *testing.T) {
 	rows := demoRows(33, 400, 6)
-	opts := Options{M: 40, Seed: 33, AdaptiveM: true, MaxSampleRows: 300, CandidateCutoff: 8}
+	opts := Options{M: 40, Seed: 33, MaxSampleRows: 300, CandidateCutoff: 8}
 	res, err := Rank(rows, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -122,21 +33,59 @@ func TestAdaptiveFitMatchesRank(t *testing.T) {
 	}
 }
 
-// TestPerfOptionValidation: the new knobs are validated at the API
-// boundary.
+// TestPerfOptionValidation: the performance knobs are validated at the
+// API boundary, and the removed "lsh" backend is an unknown index name.
 func TestPerfOptionValidation(t *testing.T) {
 	rows := demoRows(34, 50, 3)
 	if _, err := Rank(rows, Options{MaxSampleRows: -1}); err == nil {
 		t.Error("negative MaxSampleRows should be rejected")
 	}
-	if _, err := Rank(rows, Options{M: 5, NeighborIndex: "octree"}); err == nil {
-		t.Error("unknown NeighborIndex should be rejected")
+	for _, index := range []string{"octree", "lsh"} {
+		if _, err := Rank(rows, Options{M: 5, NeighborIndex: index}); err == nil {
+			t.Errorf("Rank with NeighborIndex %q should be rejected", index)
+		}
+		if _, err := Fit(rows, Options{M: 5, NeighborIndex: index}); err == nil {
+			t.Errorf("Fit with NeighborIndex %q should be rejected", index)
+		}
 	}
 }
 
-// TestFitContextCancelAdaptive: cancellation lands inside the racing
-// scheduler's rounds — a fit with AdaptiveM and subsampling enabled
-// surfaces ctx.Err() promptly and leaks no goroutines.
+// TestAdaptiveMIsIgnored: AdaptiveM is a no-op — a fit with it set is
+// bit-for-bit the default fit: same training scores, subspaces and
+// contrasts.
+func TestAdaptiveMIsIgnored(t *testing.T) {
+	rows := demoRows(36, 400, 8)
+	opts := Options{M: 40, Seed: 36, CandidateCutoff: 6}
+	flat, err := Fit(rows, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.AdaptiveM = true
+	adaptive, err := Fit(rows, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, as := flat.Subspaces(), adaptive.Subspaces()
+	if len(fs) != len(as) {
+		t.Fatalf("AdaptiveM froze %d subspaces, default %d", len(as), len(fs))
+	}
+	for i := range fs {
+		if !slices.Equal(fs[i].Dims, as[i].Dims) || fs[i].Contrast != as[i].Contrast {
+			t.Fatalf("subspace %d: AdaptiveM %v (%v), default %v (%v)",
+				i, as[i].Dims, as[i].Contrast, fs[i].Dims, fs[i].Contrast)
+		}
+	}
+	ft, at := flat.TrainingScores(), adaptive.TrainingScores()
+	for i := range ft {
+		if ft[i] != at[i] {
+			t.Fatalf("train[%d]: AdaptiveM %v, default %v", i, at[i], ft[i])
+		}
+	}
+}
+
+// TestFitContextCancelAdaptive: cancellation lands inside the Monte Carlo
+// loop of a subsampled fit — it surfaces ctx.Err() promptly and leaks no
+// goroutines.
 func TestFitContextCancelAdaptive(t *testing.T) {
 	rows := demoRows(35, 500, 12)
 	baseline := goroutineBaseline()
@@ -146,7 +95,6 @@ func TestFitContextCancelAdaptive(t *testing.T) {
 		cancel()
 	}()
 	opts := heavyOpts()
-	opts.AdaptiveM = true
 	opts.MaxSampleRows = 400
 	_, err := FitContext(ctx, rows, opts)
 	if !errors.Is(err, context.Canceled) {
