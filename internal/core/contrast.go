@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hics/internal/dataset"
@@ -138,9 +139,15 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Evaluator computes subspace contrasts for one dataset. It caches the
-// per-attribute artifacts both deviation functions need: sorted value
-// arrays (KS marginals) and marginal moments (Welch marginals).
+// Evaluator computes subspace contrasts for one dataset. It precomputes,
+// once, the one-dimensional structures every Monte Carlo slice reads
+// (Sec. IV-A): per attribute the sorted value array (the KS, MW and CvM
+// marginal), the marginal moments (the Welch marginal) and, when
+// estimates run on all rows, rank[a][id], the position of object id in
+// dataset.SortedIndex(a). A rank turns "is id inside this condition's
+// index block" into one comparison, so the Monte Carlo loop finds a
+// conditional sample by filtering one block through the other conditions
+// (see ContrastContext).
 // An Evaluator is safe for concurrent Contrast calls as long as each call
 // uses its own *rng.RNG and scratch (see NewScratch).
 type Evaluator struct {
@@ -150,6 +157,7 @@ type Evaluator struct {
 	sortedVals [][]float64 // per attribute, ascending
 	margMean   []float64
 	margVar    []float64
+	rank       [][]int32 // per attribute; nil when estimates are subsampled
 }
 
 // NewEvaluator prepares contrast evaluation for ds.
@@ -163,6 +171,9 @@ func NewEvaluator(ds *dataset.Dataset, p Params) *Evaluator {
 		margMean:   make([]float64, d),
 		margVar:    make([]float64, d),
 	}
+	if !e.subsampled() {
+		e.rank = make([][]int32, d)
+	}
 	for j := 0; j < d; j++ {
 		idx := ds.SortedIndex(j)
 		col := ds.Col(j)
@@ -172,26 +183,57 @@ func NewEvaluator(ds *dataset.Dataset, p Params) *Evaluator {
 		}
 		e.sortedVals[j] = sv
 		e.margMean[j], e.margVar[j] = stats.MeanVar(col)
+		if e.rank != nil {
+			e.rank[j] = make([]int32, len(idx))
+			setRanks(e.rank[j], idx)
+		}
 	}
 	return e
 }
 
-// Scratch holds the per-goroutine buffers of the Monte Carlo loop.
-type Scratch struct {
-	perm  []int     // permutation of subspace attributes
-	count []int32   // conjunction counter per object
-	stamp []int32   // iteration stamp for lazy counter reset
-	iter  int32     // current stamp value
-	cond  []float64 // conditional sample values
+// subsampled reports whether estimates run on a MaxSampleRows subsample.
+func (e *Evaluator) subsampled() bool {
+	return e.params.MaxSampleRows > 0 && e.ds.N() > e.params.MaxSampleRows
 }
 
-// NewScratch allocates scratch buffers sized for the evaluator's dataset.
-func (e *Evaluator) NewScratch() *Scratch {
-	return &Scratch{
-		count: make([]int32, e.ds.N()),
-		stamp: make([]int32, e.ds.N()),
-		cond:  make([]float64, 0, e.ds.N()),
+// setRanks inverts a sorted order: rank[order[pos]] = pos.
+func setRanks(rank []int32, order []int) {
+	for pos, id := range order {
+		rank[id] = int32(pos)
 	}
+}
+
+// column is the view of one attribute that Monte Carlo slices are cut
+// from: the row ids in ascending value order, each row's rank in that
+// order, and the values by row id.
+type column struct {
+	order []int
+	rank  []int32
+	vals  []float64
+}
+
+// Scratch holds the per-goroutine buffers of the Monte Carlo loop. They
+// are reused across iterations and candidates, and none is N-sized: the
+// selection vector and the conditional sample hold at most one index
+// block, and a subsampled estimate's sample view (drawn ids, and per
+// subspace attribute the sample's values, sorted order and ranks) holds
+// MaxSampleRows rows. A Scratch serves only the Evaluator that made it.
+type Scratch struct {
+	perm   []int     // permutation of subspace positions
+	starts []int     // index block start per condition
+	sel    []int     // selection vector: row ids inside every block so far
+	cond   []float64 // conditional sample values
+	view   []column  // per subspace position, the full-data view
+
+	chosen map[int]struct{} // Floyd's membership set
+	ids    []int            // the subsample's row ids, ascending
+	sample []column         // per subspace position, the sample-local view
+}
+
+// NewScratch returns empty scratch space for the evaluator; its buffers
+// grow on first use.
+func (e *Evaluator) NewScratch() *Scratch {
+	return &Scratch{}
 }
 
 // Contrast computes the HiCS contrast of subspace s (Definition 5) using
@@ -208,10 +250,19 @@ func (e *Evaluator) Contrast(s subspace.Subspace, r *rng.RNG, sc *Scratch) float
 // fires. The check never touches the random stream, so an uncancelled
 // call is bit-for-bit identical to Contrast.
 //
+// Each iteration draws a permutation of the subspace's attributes and one
+// index block start per condition. The conditional sample is then found
+// with a selection vector: the first condition's block is walked in
+// sorted order, and each further condition keeps the rows whose rank
+// falls inside its block, compacting the vector in place. The survivors
+// keep the first block's order, so the sample is deterministic; for a
+// two-dimensional subspace it is a plain gather of the block.
+//
 // When Params.MaxSampleRows bounds the rows, the estimate runs on a
 // subsample drawn from a sub-stream derived from r, so the Monte Carlo
 // stream itself is unaffected and the sample is a pure function of
-// (Seed, subspace).
+// (Seed, subspace). The loop then reads a sample-local view built in sc:
+// local row ids 0..m−1 with their own sorted order, ranks and values.
 func (e *Evaluator) ContrastContext(ctx context.Context, s subspace.Subspace, r *rng.RNG, sc *Scratch) (float64, error) {
 	d := s.Dim()
 	if d < 2 {
@@ -219,19 +270,18 @@ func (e *Evaluator) ContrastContext(ctx context.Context, s subspace.Subspace, r 
 	}
 	p := e.params
 
-	// sorted[i] is the slicing order of the estimate's rows by attribute
-	// s[i]: the dataset's full sorted index, or the subsample's.
 	rows := e.ds.N()
-	var sorted [][]int
-	if p.MaxSampleRows > 0 && rows > p.MaxSampleRows {
+	var cols []column
+	if e.subsampled() {
 		rows = p.MaxSampleRows
-		sorted = e.sampleSortedIndex(s, r.Derive(sampleStream), rows)
+		cols = e.sampleView(s, r.Derive(sampleStream), rows, sc)
 		mContrastSampleRows.Add(int64(rows))
 	} else {
-		sorted = make([][]int, d)
+		cols = resize(sc.view, d)
 		for i, attr := range s {
-			sorted[i] = e.ds.SortedIndex(attr)
+			cols[i] = column{order: e.ds.SortedIndex(attr), rank: e.rank[attr], vals: e.ds.Col(attr)}
 		}
+		sc.view = cols
 	}
 
 	// α1 = |S|-th root of α: each of the |S|−1 conditions keeps an index
@@ -247,63 +297,59 @@ func (e *Evaluator) ContrastContext(ctx context.Context, s subspace.Subspace, r 
 		blockSize = rows
 	}
 
-	if cap(sc.perm) < d {
-		sc.perm = make([]int, d)
-	}
-	perm := sc.perm[:d]
+	sc.perm, sc.starts = resize(sc.perm, d), resize(sc.starts, d-1)
+	sc.sel, sc.cond = resize(sc.sel, blockSize), resize(sc.cond, blockSize)
+	perm, starts := sc.perm, sc.starts
 
 	sum := 0.0
 	for iter := 0; iter < p.M; iter++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		sc.iter++
-		if sc.iter < 0 {
-			// The int32 stamp wrapped around. Old stamp values would
-			// collide with reused counter values and silently corrupt the
-			// conjunction counts, so reset the lazy-clearing state.
-			for i := range sc.stamp {
-				sc.stamp[i] = 0
-			}
-			sc.iter = 1
-		}
 		r.PermInto(perm)
-
-		// Apply |S|−1 conditions; remember the first block to enumerate the
-		// conjunction (the selected set is a subset of every block).
-		var firstBlock []int
-		need := int32(d - 1)
-		for j := 0; j < d-1; j++ {
-			idx := sorted[perm[j]]
-			start := r.Intn(rows - blockSize + 1)
-			block := idx[start : start+blockSize]
-			if j == 0 {
-				firstBlock = block
-			}
-			for _, id := range block {
-				if sc.stamp[id] != sc.iter {
-					sc.stamp[id] = sc.iter
-					sc.count[id] = 1
-				} else {
-					sc.count[id]++
-				}
-			}
+		for j := range starts {
+			starts[j] = r.Intn(rows - blockSize + 1)
 		}
 
-		// Conditional sample of the remaining attribute.
-		lastAttr := s[perm[d-1]]
-		col := e.ds.Col(lastAttr)
-		cond := sc.cond[:0]
-		for _, id := range firstBlock {
-			if sc.stamp[id] == sc.iter && sc.count[id] == need {
-				cond = append(cond, col[id])
-			}
+		// Conditional sample of the remaining attribute: the rows of the
+		// first block that lie inside every further block.
+		sel := cols[perm[0]].order[starts[0] : starts[0]+blockSize]
+		for j := 1; j < d-1; j++ {
+			sel = keepInBlock(sc.sel, sel, cols[perm[j]].rank, starts[j], blockSize)
 		}
-		sc.cond = cond
+		last := cols[perm[d-1]].vals
+		cond := sc.cond[:len(sel)]
+		for i, id := range sel {
+			cond[i] = last[id]
+		}
 
-		sum += e.deviation(lastAttr, cond)
+		sum += e.deviation(s[perm[d-1]], cond)
 	}
 	return sum / float64(p.M), nil
+}
+
+// keepInBlock writes to dst, in order, the ids of src whose rank lies in
+// [start, start+size), and returns that prefix of dst. dst may share
+// src's backing array (in-place compaction): each id is read before its
+// slot can be overwritten.
+func keepInBlock(dst, src []int, rank []int32, start, size int) []int {
+	dst = dst[:len(src)]
+	lo, n := int32(start), 0
+	for _, id := range src {
+		dst[n] = id
+		if uint32(rank[id]-lo) < uint32(size) {
+			n++
+		}
+	}
+	return dst[:n]
+}
+
+// resize returns buf with length n, reallocating only when it is too short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // sampleStream labels the sub-stream a subspace's row subsample is drawn
@@ -311,41 +357,57 @@ func (e *Evaluator) ContrastContext(ctx context.Context, s subspace.Subspace, r 
 // subsampled run starts at the same state as a full-data run's.
 const sampleStream = 0x5a3c9d17
 
-// sampleSortedIndex draws m distinct row ids from [0, N) on the given
-// stream — the frozen per-candidate row subsample of a bounded contrast
-// estimate — and returns, per subspace position, the sample sorted by that
-// attribute's values (the sample's analog of dataset.SortedIndex, with
-// the same ascending-id tie order).
-func (e *Evaluator) sampleSortedIndex(s subspace.Subspace, r *rng.RNG, m int) [][]int {
+// sampleView draws m distinct row ids from [0, N) on the given stream —
+// the frozen per-candidate row subsample of a bounded contrast estimate —
+// and builds in sc, per subspace position, the sample's view of that
+// attribute. Rows are addressed by local id, their position among the
+// ascending drawn ids, and ties in the local sorted order break toward the
+// lower local id, which is the lower row id: the sample's analog of
+// dataset.SortedIndex.
+func (e *Evaluator) sampleView(s subspace.Subspace, r *rng.RNG, m int, sc *Scratch) []column {
 	n := e.ds.N()
 	// Floyd's sampling: m distinct ids in O(m) expected time, no N-sized
 	// allocation.
-	chosen := make(map[int]struct{}, m)
-	ids := make([]int, 0, m)
+	if sc.chosen == nil {
+		sc.chosen = make(map[int]struct{}, m)
+	}
+	clear(sc.chosen)
+	ids := resize(sc.ids, m)[:0]
 	for i := n - m; i < n; i++ {
 		j := r.Intn(i + 1)
-		if _, dup := chosen[j]; dup {
+		if _, dup := sc.chosen[j]; dup {
 			j = i
 		}
-		chosen[j] = struct{}{}
+		sc.chosen[j] = struct{}{}
 		ids = append(ids, j)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
+	sc.ids = ids
 
-	sorted := make([][]int, s.Dim())
-	for i, attr := range s {
-		col := e.ds.Col(attr)
-		so := append([]int(nil), ids...)
-		// Ties break toward the lower id, matching dataset.SortedIndex.
-		sort.Slice(so, func(a, b int) bool {
-			if col[so[a]] != col[so[b]] {
-				return col[so[a]] < col[so[b]]
-			}
-			return so[a] < so[b]
-		})
-		sorted[i] = so
+	for len(sc.sample) < s.Dim() {
+		sc.sample = append(sc.sample, column{order: make([]int, m), rank: make([]int32, m), vals: make([]float64, m)})
 	}
-	return sorted
+	cols := sc.sample[:s.Dim()]
+	for i, attr := range s {
+		c := cols[i]
+		src := e.ds.Col(attr)
+		for k, id := range ids {
+			c.order[k] = k
+			c.vals[k] = src[id]
+		}
+		slices.SortFunc(c.order, func(a, b int) int {
+			switch {
+			case c.vals[a] < c.vals[b]:
+				return -1
+			case c.vals[a] > c.vals[b]:
+				return 1
+			default:
+				return a - b
+			}
+		})
+		setRanks(c.rank, c.order)
+	}
+	return cols
 }
 
 // deviation compares the conditional sample of attribute attr to its

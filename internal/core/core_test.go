@@ -254,43 +254,6 @@ func TestPruningAblation(t *testing.T) {
 	}
 }
 
-// TestScratchStampWraparound is the regression test for the int32
-// iteration-stamp overflow: a long-lived Scratch whose stamp counter wraps
-// must not let stale stamps collide with reused counter values (which
-// would silently corrupt the conjunction counts and change the contrast).
-func TestScratchStampWraparound(t *testing.T) {
-	ds := correlatedPair(7, 300, 2)
-	ds.EnsureIndexes()
-	e := NewEvaluator(ds, Params{M: 40, Alpha: 0.15})
-	s := subspace.New(0, 1)
-	stream := func() *rng.RNG { return rng.New(9).Derive(hashSubspace(s)) }
-	fresh := e.Contrast(s, stream(), e.NewScratch())
-	if fresh <= 0.2 {
-		t.Fatalf("correlated contrast %v too weak for the test to be meaningful", fresh)
-	}
-
-	// A scratch about to wrap, with adversarial stale state: every stamp
-	// holds the value the wrapped counter would reuse first, and every
-	// count is garbage that only a correct reset clears.
-	sc := e.NewScratch()
-	sc.iter = math.MaxInt32 - 3 // wraps on the 4th Monte Carlo iteration
-	for i := range sc.stamp {
-		sc.stamp[i] = math.MinInt32
-		sc.count[i] = 100
-	}
-	wrapped := e.Contrast(s, stream(), sc)
-	if wrapped != fresh {
-		t.Fatalf("contrast after stamp wraparound = %v, fresh scratch = %v", wrapped, fresh)
-	}
-	if sc.iter < 0 {
-		t.Fatalf("scratch iteration counter left negative: %d", sc.iter)
-	}
-	// The scratch stays reusable after the wrap.
-	if again := e.Contrast(s, stream(), sc); again != fresh {
-		t.Fatalf("contrast on reused wrapped scratch = %v, fresh = %v", again, fresh)
-	}
-}
-
 func TestHashSubspaceDistinct(t *testing.T) {
 	seen := map[uint64]string{}
 	for i := 0; i < 20; i++ {
@@ -348,31 +311,5 @@ func TestQuickSearchDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkContrast2D(b *testing.B) {
-	ds := correlatedPair(1, 1000, 2)
-	ds.EnsureIndexes()
-	e := NewEvaluator(ds, Params{M: 50, Seed: 1})
-	sc := e.NewScratch()
-	r := rng.New(1)
-	s := subspace.New(0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Contrast(s, r, sc)
-	}
-}
-
-func BenchmarkContrast5D(b *testing.B) {
-	ds := uncorrelated(1, 1000, 5)
-	ds.EnsureIndexes()
-	e := NewEvaluator(ds, Params{M: 50, Seed: 1})
-	sc := e.NewScratch()
-	r := rng.New(1)
-	s := subspace.Full(5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Contrast(s, r, sc)
 	}
 }

@@ -50,13 +50,19 @@ func New(seed uint64) *RNG {
 // The parent generator is not advanced, so Derive may be called
 // concurrently with other Derive calls (but not with Uint64 etc.).
 func (r *RNG) Derive(label uint64) *RNG {
+	// A small inlinable wrapper: a caller that does not keep the child
+	// gets it on its stack.
+	child := new(RNG)
+	r.deriveInto(child, label)
+	return child
+}
+
+func (r *RNG) deriveInto(child *RNG, label uint64) {
 	// Mix all four state words with the label through splitmix64.
 	sm := r.s[0] ^ (r.s[1] << 1) ^ (r.s[2] << 2) ^ (r.s[3] << 3) ^ (label * 0x9e3779b97f4a7c15)
-	child := &RNG{}
 	for i := range child.s {
 		child.s[i] = splitmix64(&sm)
 	}
-	return child
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
