@@ -63,16 +63,16 @@ func ScoresContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts 
 	return scores, err
 }
 
-// buildIndex constructs the neighbor index under a trace span, so a
-// traced request shows each per-subspace index build as its own phase
-// (the dominant cost for the tree backend). ctx carries only
-// the span — index construction is not cancellable.
-func buildIndex(ctx context.Context, ds *dataset.Dataset, dims []int, kind neighbors.Kind) (neighbors.Index, error) {
+// buildIndex constructs the neighbor index on up to workers goroutines
+// under a trace span, so a traced request shows each per-subspace index
+// build as its own phase (the dominant cost for the tree backend). ctx
+// carries only the span — index construction is not cancellable.
+func buildIndex(ctx context.Context, ds *dataset.Dataset, dims []int, kind neighbors.Kind, workers int) (neighbors.Index, error) {
 	_, span := trace.StartSpan(ctx, "neighbors.build")
 	span.SetAttr("kind", kind.String())
 	span.SetAttr("dims", len(dims))
 	span.SetAttr("objects", ds.N())
-	idx, err := neighbors.New(ds, dims, kind)
+	idx, err := neighbors.NewWorkers(ds, dims, kind, workers)
 	span.SetError(err)
 	span.End()
 	return idx, err
@@ -107,23 +107,25 @@ func Fit(ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind) (*Fit
 }
 
 // FitContext is Fit with cooperative cancellation and a bound on the
-// batch-pass parallelism (workers <= 0 means one per CPU). The dominant
+// parallelism of the index build and the batch pass (workers <= 0 means
+// one per CPU, 1 runs both on the calling goroutine). The dominant
 // neighborhood pass observes ctx between query chunks; the linear
 // follow-up passes run to completion.
 func FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind, workers int) (*Fitted, []float64, error) {
 	if minPts < 1 {
 		minPts = DefaultMinPts
 	}
-	idx, err := buildIndex(ctx, ds, dims, kind)
-	if err != nil {
-		return nil, nil, fmt.Errorf("lof: %w", err)
-	}
 	n := ds.N()
 	if n < 2 {
 		return nil, nil, fmt.Errorf("lof: need at least 2 objects, have %d", n)
 	}
+	idx, err := buildIndex(ctx, ds, dims, kind, workers)
+	if err != nil {
+		return nil, nil, fmt.Errorf("lof: %w", err)
+	}
 
-	// Pass 1: materialize neighborhoods and k-distances (batched, parallel).
+	// Pass 1: materialize neighborhoods and k-distances (batched, parallel,
+	// one slab for all neighborhoods).
 	neighborhoods, kdist, err := idx.KNNAllContext(ctx, minPts, workers)
 	if err != nil {
 		return nil, nil, err
@@ -303,28 +305,29 @@ func FitKNNContext(ctx context.Context, ds *dataset.Dataset, dims []int, k int, 
 	if k < 1 {
 		k = DefaultMinPts
 	}
-	idx, err := buildIndex(ctx, ds, dims, kind)
-	if err != nil {
-		return nil, nil, fmt.Errorf("lof: %w", err)
-	}
 	n := ds.N()
 	if n < 2 {
 		return nil, nil, fmt.Errorf("lof: need at least 2 objects, have %d", n)
 	}
-	neighborhoods, _, err := idx.KNNAllContext(ctx, k, workers)
+	idx, err := buildIndex(ctx, ds, dims, kind, workers)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("lof: %w", err)
 	}
+	// The score needs one distance sum per object, so no neighborhood is
+	// kept: each is summed as it streams past, in ascending id order.
 	scores := make([]float64, n)
-	for i, nb := range neighborhoods {
+	err = neighbors.ForEachKNN(ctx, idx, k, workers, func(q int, nb []neighbors.Neighbor, _ float64) {
 		if len(nb) == 0 {
-			continue
+			return
 		}
 		sum := 0.0
 		for _, x := range nb {
 			sum += x.Dist
 		}
-		scores[i] = sum / float64(len(nb))
+		scores[q] = sum / float64(len(nb))
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return newFittedKNN(idx, k), scores, nil
 }

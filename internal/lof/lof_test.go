@@ -1,13 +1,17 @@
 package lof
 
 import (
+	"context"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"hics/internal/dataset"
 	"hics/internal/neighbors"
+	"hics/internal/race"
 	"hics/internal/rng"
 )
 
@@ -409,6 +413,127 @@ func TestFitKNNMatchesBatchAndQueries(t *testing.T) {
 	}
 	if far, near := f.ScoreQuery([]float64{9, 9}), f.ScoreQuery([]float64{0, 0}); far <= near {
 		t.Errorf("far kNN query %v <= near query %v", far, near)
+	}
+}
+
+// gridDataset is n×d uniform data; quant > 0 floors it onto a grid of
+// that many steps, so exact duplicates and distance ties are common.
+func gridDataset(seed uint64, n, d int, quant float64) *dataset.Dataset {
+	r := rng.New(seed)
+	cols := make([][]float64, d)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+		for i := range cols[j] {
+			v := r.Float64()
+			if quant > 0 {
+				v = math.Floor(v*quant) / quant
+			}
+			cols[j][i] = v
+		}
+	}
+	return dataset.MustNew(nil, cols)
+}
+
+// fitKNNReference is the materializing average-kNN-distance pass that
+// FitKNNContext streams: every neighborhood kept, then summed in
+// ascending id order.
+func fitKNNReference(t *testing.T, ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind) []float64 {
+	t.Helper()
+	idx, err := neighbors.New(ds, dims, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neighborhoods, _, err := idx.KNNAllContext(context.Background(), k, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := make([]float64, ds.N())
+	for i, nb := range neighborhoods {
+		if len(nb) == 0 {
+			continue
+		}
+		sum := 0.0
+		for _, x := range nb {
+			sum += x.Dist
+		}
+		scores[i] = sum / float64(len(nb))
+	}
+	return scores
+}
+
+// TestFitKNNMatchesMaterializingReference: the streamed kNN scores equal
+// the materializing pass bit for bit, on both backends, at several worker
+// counts, on continuous, tie-heavy and leaf-sized data.
+func TestFitKNNMatchesMaterializingReference(t *testing.T) {
+	sets := map[string]*dataset.Dataset{
+		"cluster":  clusterWithOutlier(13, 400),
+		"ties":     gridDataset(14, 500, 2, 4),
+		"leafsize": gridDataset(15, 13, 3, 0),
+		"grid3d":   gridDataset(16, 3000, 3, 8),
+	}
+	for name, ds := range sets {
+		dims := make([]int, ds.D())
+		for j := range dims {
+			dims[j] = j
+		}
+		for _, kind := range []neighbors.Kind{neighbors.KindBrute, neighbors.KindKDTree} {
+			want := fitKNNReference(t, ds, dims, 10, kind)
+			for _, workers := range []int{1, 2, 4} {
+				_, got, err := FitKNNContext(context.Background(), ds, dims, 10, kind, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s %v workers=%d: score[%d] = %v, reference %v", name, kind, workers, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFitKNNAllocs: a kNN fit keeps no neighborhoods, so its allocation
+// count does not grow with n, and its bytes are the tree's id permutation
+// and the scores (16 per object), not k neighbors per object. One worker,
+// as AllocsPerRun measures at GOMAXPROCS 1 (see TestKNNAllContextAllocs
+// in internal/neighbors).
+func TestFitKNNAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race; the pin runs in non-race builds")
+	}
+	fit := func(ds *dataset.Dataset) {
+		if _, _, err := FitKNNContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindKDTree, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(n int) float64 {
+		ds := gridDataset(17, n, 2, 0)
+		return testing.AllocsPerRun(2, func() { fit(ds) })
+	}
+	if small, large := allocs(5000), allocs(40000); large > small+2 {
+		t.Errorf("FitKNNContext allocates %.0f times at n=40000, %.0f at n=5000", large, small)
+	}
+	const n = 40000
+	ds := gridDataset(17, n, 2, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fit(ds)
+	runtime.ReadMemStats(&after)
+	if perObject := float64(after.TotalAlloc-before.TotalAlloc) / n; perObject > 32 {
+		t.Errorf("FitKNNContext allocates %.1f bytes per object, want at most 32", perObject)
+	}
+}
+
+// TestFitRejectsTinyDatasetFirst: both fits reject n < 2 before they
+// build anything, so the error is the size error even for a bad subspace.
+func TestFitRejectsTinyDatasetFirst(t *testing.T) {
+	ds := dataset.MustNew(nil, [][]float64{{1}})
+	if _, _, err := Fit(ds, []int{5}, 3, neighbors.KindKDTree); err == nil || !strings.Contains(err.Error(), "at least 2 objects") {
+		t.Errorf("Fit on one object = %v, want the size error", err)
+	}
+	if _, _, err := FitKNN(ds, []int{5}, 3, neighbors.KindKDTree); err == nil || !strings.Contains(err.Error(), "at least 2 objects") {
+		t.Errorf("FitKNN on one object = %v, want the size error", err)
 	}
 }
 

@@ -95,12 +95,6 @@ func (b *Brute) scan(exclude, k int, sc *Scratch, out []Neighbor) ([]Neighbor, f
 	return neighbors, math.Sqrt(kth)
 }
 
-// KNNAll implements Index.
-func (b *Brute) KNNAll(k int) ([][]Neighbor, []float64) {
-	nbs, kdists, _ := knnAll(context.Background(), b, k, 0)
-	return nbs, kdists
-}
-
 // KNNAllContext implements Index.
 func (b *Brute) KNNAllContext(ctx context.Context, k, workers int) ([][]Neighbor, []float64, error) {
 	return knnAll(ctx, b, k, workers)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"hics/internal/parallel"
 )
 
 // KDTree is the space-partitioning backend: a median-split k-d tree stored
@@ -35,14 +37,53 @@ type KDTree struct {
 // from 6 to 24 measure the same.
 const leafSize = 12
 
-func newKDTree(cols [][]float64, n int) *KDTree {
+// parallelBuildMin is the smallest subtree the build hands to a goroutine
+// of its own; below it the goroutine costs more than it saves.
+const parallelBuildMin = 4096
+
+// segment is a subtree under construction: ids[lo:hi) at the given depth.
+type segment struct{ lo, hi, depth int }
+
+// newKDTree builds the tree on up to workers goroutines (<= 0 means one
+// per CPU). It median-splits the top levels serially until there are at
+// least as many disjoint subtrees as workers, each of at least about
+// parallelBuildMin ids, then builds those subtrees concurrently. Each
+// nthElement call reads and reorders only its own segment, so the
+// resulting permutation, and hence the tree, is the serial build's.
+func newKDTree(cols [][]float64, n, workers int) *KDTree {
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
 	}
 	t := &KDTree{cols: cols, n: n, ids: ids}
-	t.buildRange(0, n, 0)
+	workers = parallel.WorkerCount(workers, n)
+	segs := []segment{{0, n, 0}}
+	for len(segs) < workers && n/len(segs) >= 2*parallelBuildMin {
+		next := make([]segment, 0, 2*len(segs))
+		for _, s := range segs {
+			mid := t.split(s)
+			next = append(next, segment{s.lo, mid, s.depth + 1}, segment{mid + 1, s.hi, s.depth + 1})
+		}
+		segs = next
+	}
+	if len(segs) == 1 {
+		t.buildRange(0, n, 0)
+		return t
+	}
+	_ = parallel.ForEach(context.Background(), len(segs), workers, 1, func(_, i int) error {
+		t.buildRange(segs[i].lo, segs[i].hi, segs[i].depth)
+		return nil
+	})
 	return t
+}
+
+// split places the median of segment s (by its depth's axis) at the
+// segment's midpoint, with the lower half before it, and returns the
+// midpoint.
+func (t *KDTree) split(s segment) int {
+	mid := (s.lo + s.hi) / 2
+	nthElement(t.ids, s.lo, s.hi, mid, t.cols[s.depth%len(t.cols)])
+	return mid
 }
 
 // buildRange recursively median-splits ids[lo:hi) on the depth-cycled axis.
@@ -50,9 +91,7 @@ func (t *KDTree) buildRange(lo, hi, depth int) {
 	if hi-lo <= leafSize {
 		return
 	}
-	mid := (lo + hi) / 2
-	axis := depth % len(t.cols)
-	nthElement(t.ids, lo, hi, mid, t.cols[axis])
+	mid := t.split(segment{lo, hi, depth})
 	next := depth + 1
 	t.buildRange(lo, mid, next)
 	t.buildRange(mid+1, hi, next)
@@ -125,12 +164,6 @@ func (t *KDTree) knnQuery(exclude, k int, sc *Scratch, out []Neighbor) ([]Neighb
 		neighbors = append(neighbors, Neighbor{ID: c.id, Dist: math.Sqrt(c.d2)})
 	}
 	return neighbors, math.Sqrt(tau)
-}
-
-// KNNAll implements Index.
-func (t *KDTree) KNNAll(k int) ([][]Neighbor, []float64) {
-	nbs, kdists, _ := knnAll(context.Background(), t, k, 0)
-	return nbs, kdists
 }
 
 // KNNAllContext implements Index.

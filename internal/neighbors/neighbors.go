@@ -12,7 +12,10 @@
 //     queries in the low-dimensional subspaces the HiCS search actually
 //     selects, turning the O(N²) ranking hot path into O(N log N) in
 //     practice. Each query is a single best-first pass that allocates
-//     nothing once its Scratch is warm.
+//     nothing once its Scratch is warm. Large trees are built on several
+//     goroutines: the top levels are split serially, then the disjoint
+//     subtrees below them concurrently, which yields the same tree as a
+//     serial build.
 //
 // The two backends are bit-for-bit equivalent: they accumulate
 // squared distances column by column in subspace order, so every distance,
@@ -23,12 +26,20 @@
 // prunes against a bound that never drops below the final k-distance, so
 // ties at the k-distance are never lost.
 //
+// The fit-time all-kNN pass (every object's own k-neighborhood) goes
+// through one driver, ForEachKNN, which streams each answer to a callback
+// instead of keeping it. On a KDTree it answers the queries in leaf order,
+// so consecutive queries are spatial neighbors that walk the same, already
+// cached tree path. KNNAllContext is the driver's materializing consumer:
+// all neighborhoods in one n·k slab.
+//
 // KindAuto picks the backend per (N, |S|) — callers that do not care get
 // the fast path automatically, and callers that must preserve the paper's
 // quadratic ranking-step complexity (the shape its runtime figures Fig. 5
 // and Fig. 6 are calibrated against) can pin KindBrute. Note that batch
-// queries (KNNAll) are parallelized across CPUs on every backend, so
-// absolute wall-clock scales with the core count either way.
+// queries (ForEachKNN, KNNAllContext) are parallelized across CPUs on
+// every backend, so absolute wall-clock scales with the core count either
+// way.
 package neighbors
 
 import (
@@ -120,13 +131,13 @@ type Index interface {
 	// object-id order, and all backends are bit-for-bit equivalent.
 	// k is clamped to N; k ≤ 0 yields an empty neighborhood.
 	KNNPoint(q []float64, k int, sc *Scratch, out []Neighbor) (neighbors []Neighbor, kdist float64)
-	// KNNAll answers KNN for every object, parallelized over the CPUs.
-	// nbs[q] and kdists[q] are what KNN(q, k, ...) would return.
-	KNNAll(k int) (nbs [][]Neighbor, kdists []float64)
-	// KNNAllContext is KNNAll with cooperative cancellation and a bound
-	// on the fan-out (workers <= 0 means one per CPU): a cancelled ctx
+	// KNNAllContext answers KNN for every object through ForEachKNN:
+	// nbs[q] and kdists[q] are what KNN(q, k, ...) would return. The
+	// neighborhoods share one n·k slab; each row's capacity is its length,
+	// so appending to a row never overwrites the next one. A cancelled ctx
 	// stops the batch within one chunk of queries per worker and returns
-	// ctx.Err(). Results are bit-for-bit independent of the worker count.
+	// ctx.Err(); workers <= 0 means one per CPU. Results are bit-for-bit
+	// independent of the worker count.
 	KNNAllContext(ctx context.Context, k, workers int) (nbs [][]Neighbor, kdists []float64, err error)
 }
 
@@ -148,7 +159,15 @@ type candidate struct {
 // New builds an index over the given subspace dimensions of ds. KindAuto
 // resolves to KindKDTree when the subspace has at most AutoMaxDim
 // dimensions and the dataset at least AutoMinN objects, else KindBrute.
+// A k-d tree is built with one worker per CPU.
 func New(ds *dataset.Dataset, dims []int, kind Kind) (Index, error) {
+	return NewWorkers(ds, dims, kind, 0)
+}
+
+// NewWorkers is New with a bound on the goroutines that build a k-d tree
+// (workers <= 0 means one per CPU, 1 builds on the calling goroutine).
+// The index is identical for every worker count.
+func NewWorkers(ds *dataset.Dataset, dims []int, kind Kind, workers int) (Index, error) {
 	cols, err := selectCols(ds, dims)
 	if err != nil {
 		return nil, err
@@ -165,7 +184,7 @@ func New(ds *dataset.Dataset, dims []int, kind Kind) (Index, error) {
 	case KindBrute:
 		return &Brute{cols: cols, n: n}, nil
 	case KindKDTree:
-		return newKDTree(cols, n), nil
+		return newKDTree(cols, n, workers), nil
 	}
 	return nil, fmt.Errorf("neighbors: invalid index kind %d", kind)
 }
@@ -195,36 +214,69 @@ func dist(cols [][]float64, i, j int) float64 {
 	return math.Sqrt(sum)
 }
 
-// knnAll fans KNN queries for all objects out over the shared parallel
-// primitive, bounded by the given worker count (<= 0 means one per CPU)
-// and observing ctx between chunks. Each worker owns a scratch and a
-// reusable neighbor buffer; results are written to disjoint slots, so no
-// locking. Results are bit-for-bit independent of the worker count.
-func knnAll(ctx context.Context, ix Index, k, workers int) ([][]Neighbor, []float64, error) {
+// ForEachKNN answers KNN(q, k) for every object q of ix and hands the
+// answer to fn(q, nb, kdist). The queries fan out over the shared parallel
+// primitive, bounded by workers (<= 0 means one per CPU), so fn runs
+// concurrently for distinct q and must not keep nb: the slice is the
+// worker's reusable buffer. A cancelled ctx stops the pass within one
+// chunk of queries per worker and returns ctx.Err().
+//
+// A KDTree's queries run in leaf order (the order of its id permutation),
+// so consecutive queries are spatial neighbors that walk the same, already
+// cached tree path and read nearby coordinates. Brute keeps id order. The
+// order never changes an answer: each query is independent.
+func ForEachKNN(ctx context.Context, ix Index, k, workers int, fn func(q int, nb []Neighbor, kdist float64)) error {
 	n := ix.N()
-	nbs := make([][]Neighbor, n)
-	kdists := make([]float64, n)
+	var order []int
+	if t, ok := ix.(*KDTree); ok {
+		order = t.ids
+	}
 	workers = parallel.WorkerCount(workers, n)
 	type state struct {
 		sc  *Scratch
 		buf []Neighbor
 	}
-	states := make([]*state, workers)
+	states := make([]*state, workers) // one allocation each: no false sharing
 	// A single KNN query is already O(N) on the brute backend, so claim
 	// work in small chunks: the atomic claim counter stays cold while a
 	// cancellation is observed within a few queries instead of n/4.
 	const chunk = 8
-	err := parallel.ForEach(ctx, n, workers, chunk, func(w, q int) error {
+	return parallel.ForEach(ctx, n, workers, chunk, func(w, i int) error {
 		st := states[w]
 		if st == nil {
 			st = &state{sc: ix.NewScratch()}
 			states[w] = st
 		}
+		q := i
+		if order != nil {
+			q = order[i]
+		}
 		nb, kd := ix.KNN(q, k, st.sc, st.buf)
-		nbs[q] = append([]Neighbor(nil), nb...)
-		kdists[q] = kd
+		fn(q, nb, kd)
 		st.buf = nb[:0]
 		return nil
+	})
+}
+
+// knnAll materializes ForEachKNN into one n·k slab: row q is the
+// cap-limited slab[q*k : q*k+len(nb)], so an append to it reallocates
+// instead of overwriting row q+1. Only a row extended past k by ties at
+// the k-distance gets its own slice.
+func knnAll(ctx context.Context, ix Index, k, workers int) ([][]Neighbor, []float64, error) {
+	n := ix.N()
+	k = max(min(k, n-1), 0) // KNN's own clamp: a row exceeds k only by ties
+	nbs := make([][]Neighbor, n)
+	kdists := make([]float64, n)
+	slab := make([]Neighbor, n*k)
+	err := ForEachKNN(ctx, ix, k, workers, func(q int, nb []Neighbor, kd float64) {
+		kdists[q] = kd
+		if len(nb) > k {
+			nbs[q] = append([]Neighbor(nil), nb...)
+			return
+		}
+		lo, hi := q*k, q*k+len(nb)
+		nbs[q] = slab[lo:hi:hi]
+		copy(nbs[q], nb)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -1,9 +1,13 @@
 package neighbors
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -341,29 +345,212 @@ func TestKNNPointEdgeCases(t *testing.T) {
 	}
 }
 
+// duplicateRowsDataset is n×2 where every row appears three times, so
+// most neighborhoods are tie-extended past k at distance zero.
+func duplicateRowsDataset(seed uint64, n int) *dataset.Dataset {
+	base := randomDataset(seed, (n+2)/3, 2, 0)
+	cols := [][]float64{make([]float64, n), make([]float64, n)}
+	for i := 0; i < n; i++ {
+		cols[0][i], cols[1][i] = base.Col(0)[i/3], base.Col(1)[i/3]
+	}
+	return dataset.MustNew(nil, cols)
+}
+
+// knnAllDatasets are the shapes the batch pass must answer exactly: random,
+// tie-heavy, constant-column and duplicate-row data of the given sizes.
+func knnAllDatasets(sizes ...int) map[string]*dataset.Dataset {
+	sets := map[string]*dataset.Dataset{}
+	for _, n := range sizes {
+		sets[fmt.Sprintf("random/n=%d", n)] = randomDataset(uint64(n), n, 3, 0)
+		sets[fmt.Sprintf("ties/n=%d", n)] = randomDataset(uint64(n)+1, n, 2, 4)
+		sets[fmt.Sprintf("constant/n=%d", n)] = constantColumnDataset(uint64(n)+2, n)
+		sets[fmt.Sprintf("duplicates/n=%d", n)] = duplicateRowsDataset(uint64(n)+3, n)
+	}
+	return sets
+}
+
+// TestKNNAllMatchesKNN pins the batch pass to per-query KNN, bit for bit,
+// on both backends and at several worker counts: same k-distance, same
+// neighbor ids and distances, same neighborhood sizes. Sizes span leafSize
+// and, for the tree (the only backend the size changes), the smallest tree
+// whose build runs on two workers.
 func TestKNNAllMatchesKNN(t *testing.T) {
-	ds := randomDataset(7, 150, 3, 0)
-	dims := allDims(3)
+	const k = 7
+	sets := knnAllDatasets(leafSize, leafSize+1, 3*leafSize+2, 150)
+	if !testing.Short() {
+		for name, ds := range knnAllDatasets(2*parallelBuildMin + 1) {
+			sets["tree-only/"+name] = ds
+		}
+	}
+	for name, ds := range sets {
+		for _, kind := range []Kind{KindBrute, KindKDTree} {
+			if kind == KindBrute && strings.HasPrefix(name, "tree-only/") {
+				continue
+			}
+			ix, err := New(ds, allDims(ds.D()), kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := ix.NewScratch()
+			wantNbs := make([][]Neighbor, ds.N())
+			wantKd := make([]float64, ds.N())
+			for q := range wantNbs {
+				wantNbs[q], wantKd[q] = ix.KNN(q, k, sc, nil)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				nbs, kdists, err := ix.KNNAllContext(context.Background(), k, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(nbs) != ds.N() || len(kdists) != ds.N() {
+					t.Fatalf("%s %v workers=%d: %d neighborhoods, %d k-distances for %d objects",
+						name, kind, workers, len(nbs), len(kdists), ds.N())
+				}
+				for q, nb := range wantNbs {
+					if math.Float64bits(wantKd[q]) != math.Float64bits(kdists[q]) {
+						t.Fatalf("%s %v workers=%d: kdist[%d] = %v, KNN = %v", name, kind, workers, q, kdists[q], wantKd[q])
+					}
+					if len(nb) != len(nbs[q]) {
+						t.Fatalf("%s %v workers=%d: nbs[%d] len %d, KNN %d", name, kind, workers, q, len(nbs[q]), len(nb))
+					}
+					for i := range nb {
+						got := nbs[q][i]
+						if got.ID != nb[i].ID || math.Float64bits(got.Dist) != math.Float64bits(nb[i].Dist) {
+							t.Fatalf("%s %v workers=%d: nbs[%d][%d] = %v, KNN = %v", name, kind, workers, q, i, got, nb[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKNNAllContextRowsAreCapLimited pins the slab layout: appending to a
+// returned neighborhood must not overwrite the next object's.
+func TestKNNAllContextRowsAreCapLimited(t *testing.T) {
+	for _, ds := range []*dataset.Dataset{randomDataset(51, 300, 2, 0), duplicateRowsDataset(52, 300)} {
+		for _, kind := range []Kind{KindBrute, KindKDTree} {
+			ix, err := New(ds, allDims(2), kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nbs, _, err := ix.KNNAllContext(context.Background(), 5, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]Neighbor, len(nbs))
+			for q, nb := range nbs {
+				want[q] = append([]Neighbor(nil), nb...)
+			}
+			for q := range nbs {
+				_ = append(nbs[q], Neighbor{ID: -1, Dist: -1})
+			}
+			for q, nb := range nbs {
+				if len(nb) != len(want[q]) {
+					t.Fatalf("%v: row %d changed length", kind, q)
+				}
+				for i := range nb {
+					if nb[i] != want[q][i] {
+						t.Fatalf("%v: appending to row %d overwrote row %d: %v, want %v", kind, q-1, q, nb[i], want[q][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKNNAllContextCancel: a cancelled context stops the batch pass and
+// returns ctx.Err() on both backends.
+func TestKNNAllContextCancel(t *testing.T) {
+	ds := randomDataset(53, 500, 2, 0)
 	for _, kind := range []Kind{KindBrute, KindKDTree} {
-		ix, err := New(ds, dims, kind)
+		ix, err := New(ds, allDims(2), kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nbs, kdists := ix.KNNAll(7)
-		sc := ix.NewScratch()
-		for q := 0; q < ds.N(); q++ {
-			nb, kd := ix.KNN(q, 7, sc, nil)
-			if kd != kdists[q] {
-				t.Fatalf("%v: KNNAll kdist[%d] = %v, KNN = %v", kind, q, kdists[q], kd)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, workers := range []int{1, 2} {
+			if _, _, err := ix.KNNAllContext(ctx, 5, workers); !errors.Is(err, context.Canceled) {
+				t.Errorf("%v workers=%d: KNNAllContext on a cancelled ctx = %v, want %v", kind, workers, err, context.Canceled)
 			}
-			if len(nb) != len(nbs[q]) {
-				t.Fatalf("%v: KNNAll nbs[%d] len %d, KNN %d", kind, q, len(nbs[q]), len(nb))
+			calls := 0
+			err := ForEachKNN(ctx, ix, 5, workers, func(int, []Neighbor, float64) { calls++ })
+			if !errors.Is(err, context.Canceled) || calls != 0 {
+				t.Errorf("%v workers=%d: ForEachKNN on a cancelled ctx = %v after %d calls", kind, workers, err, calls)
 			}
-			for i := range nb {
-				if nb[i] != nbs[q][i] {
-					t.Fatalf("%v: KNNAll nbs[%d][%d] = %v, KNN = %v", kind, q, i, nbs[q][i], nb[i])
+		}
+	}
+}
+
+// TestForEachKNNLeafOrder: on a k-d tree the driver visits the objects in
+// the order of the tree's id permutation, each exactly once.
+func TestForEachKNNLeafOrder(t *testing.T) {
+	ds := randomDataset(54, 1000, 2, 0)
+	ix, err := New(ds, allDims(2), KindKDTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	if err := ForEachKNN(context.Background(), ix, 5, 1, func(q int, _ []Neighbor, _ float64) {
+		order = append(order, q)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, ix.(*KDTree).ids) {
+		t.Fatal("single-worker ForEachKNN does not visit the k-d tree's objects in leaf order")
+	}
+}
+
+// TestParallelBuildMatchesSerial: building the disjoint subtrees
+// concurrently yields the serial build's id permutation.
+func TestParallelBuildMatchesSerial(t *testing.T) {
+	n := 4*2*parallelBuildMin + 5
+	for name, ds := range map[string]*dataset.Dataset{
+		"random":   randomDataset(55, n, 3, 0),
+		"ties":     randomDataset(56, n, 2, 4),
+		"constant": constantColumnDataset(57, n),
+	} {
+		cols, err := selectCols(ds, allDims(ds.D()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := newKDTree(cols, n, 1)
+		for workers := 1; workers <= 4; workers++ {
+			if got := newKDTree(cols, n, workers); !slices.Equal(got.ids, serial.ids) {
+				t.Errorf("%s: build with %d workers differs from the serial build", name, workers)
+			}
+		}
+	}
+}
+
+// TestKNNAllContextAllocs: the batch pass allocates a fixed number of
+// slices, not one per object. Tie-free data keeps every row in the slab.
+// One worker: AllocsPerRun measures at GOMAXPROCS 1, where a second
+// worker may or may not be scheduled (and warm a scratch) before the
+// first one finishes a small pass.
+func TestKNNAllContextAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race; the pin runs in non-race builds")
+	}
+	for _, c := range []struct {
+		kind         Kind
+		small, large int // brute is quadratic, so it gets smaller sizes
+	}{{KindKDTree, 5000, 40000}, {KindBrute, 2000, 8000}} {
+		allocs := func(n int) float64 {
+			ix, err := New(randomDataset(58, n, 2, 0), allDims(2), c.kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(2, func() {
+				if _, _, err := ix.KNNAllContext(context.Background(), 10, 1); err != nil {
+					t.Fatal(err)
 				}
-			}
+			})
+		}
+		if small, large := allocs(c.small), allocs(c.large); large > small+2 {
+			t.Errorf("%v: KNNAllContext allocates %.0f times at n=%d, %.0f at n=%d",
+				c.kind, large, c.large, small, c.small)
 		}
 	}
 }
@@ -652,5 +839,50 @@ func BenchmarkKNN(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkKNNAll times the fit-time all-kNN pass on one worker at k=10:
+// KNNAllContext materializes every neighborhood into its slab, ForEachKNN
+// streams them (a no-op consumer, as a distance-sum scorer would use it).
+func BenchmarkKNNAll(b *testing.B) {
+	for _, d := range []int{2, 3} {
+		ix, err := New(randomDataset(1, 100000, d, 0), allDims(d), KindKDTree)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("100000x%d/kdtree", d)
+		b.Run(name+"/KNNAllContext", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ix.KNNAllContext(context.Background(), 10, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/ForEachKNN", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := ForEachKNN(context.Background(), ix, 10, 1, func(int, []Neighbor, float64) {}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkKDTreeBuild times a 100,000-object tree build on one and on two
+// workers; both build the same tree.
+func BenchmarkKDTreeBuild(b *testing.B) {
+	ds := randomDataset(1, 100000, 3, 0)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("100000x3/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewWorkers(ds, allDims(3), KindKDTree, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
