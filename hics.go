@@ -90,15 +90,8 @@ type Options struct {
 	UseKNNScore bool
 	// Aggregation selects how per-subspace scores combine: "average"
 	// (default, the paper's choice), "max", or "product" (the
-	// OUTRES-style aggregation). The empty string defers to
-	// MaxAggregation.
+	// OUTRES-style aggregation). The empty string means "average".
 	Aggregation string
-	// MaxAggregation aggregates per-subspace scores with max instead of
-	// the paper's average.
-	//
-	// Deprecated: use Aggregation = "max". Kept for compatibility; it is
-	// an error to combine it with a conflicting Aggregation value.
-	MaxAggregation bool
 	// Workers bounds the goroutines of both pipeline steps — the subspace
 	// contrast evaluations and the batch neighborhood passes of the
 	// LOF/kNN scorers; 0 means one per CPU. Negative values are rejected.
@@ -251,25 +244,6 @@ func (o Options) coreParams() (core.Params, error) {
 	return p, nil
 }
 
-// aggregation resolves the Aggregation string and the legacy
-// MaxAggregation bool into the ranking-level value.
-func (o Options) aggregation() (ranking.Aggregation, error) {
-	if o.Aggregation == "" {
-		if o.MaxAggregation {
-			return ranking.Max, nil
-		}
-		return ranking.Average, nil
-	}
-	agg, err := ranking.ParseAggregation(o.Aggregation)
-	if err != nil {
-		return 0, err
-	}
-	if o.MaxAggregation && agg != ranking.Max {
-		return 0, fmt.Errorf("hics: Aggregation %q conflicts with MaxAggregation", o.Aggregation)
-	}
-	return agg, nil
-}
-
 // pipeline assembles the two-step ranking pipeline Rank and Fit share,
 // resolving the Search/Scorer registry names.
 func (o Options) pipeline() (ranking.Pipeline, error) {
@@ -281,7 +255,7 @@ func (o Options) pipeline() (ranking.Pipeline, error) {
 	if err != nil {
 		return ranking.Pipeline{}, err
 	}
-	agg, err := o.aggregation()
+	agg, err := ranking.ParseAggregation(o.Aggregation)
 	if err != nil {
 		return ranking.Pipeline{}, err
 	}

@@ -87,7 +87,7 @@ func TestRankFlagsPlantedOutlier(t *testing.T) {
 
 func TestRankWithKNNAndMax(t *testing.T) {
 	rows := demoRows(3, 200, 4)
-	res, err := Rank(rows, Options{M: 20, Seed: 3, UseKNNScore: true, MaxAggregation: true})
+	res, err := Rank(rows, Options{M: 20, Seed: 3, UseKNNScore: true, Aggregation: "max"})
 	if err != nil {
 		t.Fatal(err)
 	}

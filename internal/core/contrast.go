@@ -140,49 +140,60 @@ func (p Params) withDefaults() Params {
 }
 
 // Evaluator computes subspace contrasts for one dataset. It precomputes,
-// once, the one-dimensional structures every Monte Carlo slice reads
-// (Sec. IV-A): per attribute the sorted value array (the KS, MW and CvM
-// marginal), the marginal moments (the Welch marginal) and, when
+// once, the one-dimensional structures the configured Monte Carlo slices
+// read (Sec. IV-A), and only those: per attribute the marginal moments
+// (the Welch marginal), the sorted value array when the test compares
+// against the whole marginal distribution (KS, MW and CvM), and, when
 // estimates run on all rows, rank[a][id], the position of object id in
 // dataset.SortedIndex(a). A rank turns "is id inside this condition's
 // index block" into one comparison, so the Monte Carlo loop finds a
 // conditional sample by filtering one block through the other conditions
-// (see ContrastContext).
+// (see ContrastContext). A subsampled Welch estimate sorts its own sample
+// and reads neither, so it never builds the dataset's sorted indexes.
 // An Evaluator is safe for concurrent Contrast calls as long as each call
 // uses its own *rng.RNG and scratch (see NewScratch).
 type Evaluator struct {
 	ds     *dataset.Dataset
 	params Params
 
-	sortedVals [][]float64 // per attribute, ascending
+	sortedVals [][]float64 // per attribute, ascending; nil for Welch's test
 	margMean   []float64
 	margVar    []float64
 	rank       [][]int32 // per attribute; nil when estimates are subsampled
 }
 
-// NewEvaluator prepares contrast evaluation for ds.
+// NewEvaluator prepares contrast evaluation for ds. It builds the
+// dataset's sorted index of an attribute only when the evaluator reads it:
+// for the full-data ranks or the KS/MW/CvM marginal.
 func NewEvaluator(ds *dataset.Dataset, p Params) *Evaluator {
 	p = p.withDefaults()
 	d := ds.D()
 	e := &Evaluator{
-		ds:         ds,
-		params:     p,
-		sortedVals: make([][]float64, d),
-		margMean:   make([]float64, d),
-		margVar:    make([]float64, d),
+		ds:       ds,
+		params:   p,
+		margMean: make([]float64, d),
+		margVar:  make([]float64, d),
+	}
+	if p.Test != WelchT {
+		e.sortedVals = make([][]float64, d)
 	}
 	if !e.subsampled() {
 		e.rank = make([][]int32, d)
 	}
 	for j := 0; j < d; j++ {
-		idx := ds.SortedIndex(j)
 		col := ds.Col(j)
-		sv := make([]float64, len(idx))
-		for i, id := range idx {
-			sv[i] = col[id]
-		}
-		e.sortedVals[j] = sv
 		e.margMean[j], e.margVar[j] = stats.MeanVar(col)
+		if e.sortedVals == nil && e.rank == nil {
+			continue
+		}
+		idx := ds.SortedIndex(j)
+		if e.sortedVals != nil {
+			sv := make([]float64, len(idx))
+			for i, id := range idx {
+				sv[i] = col[id]
+			}
+			e.sortedVals[j] = sv
+		}
 		if e.rank != nil {
 			e.rank[j] = make([]int32, len(idx))
 			setRanks(e.rank[j], idx)

@@ -53,7 +53,6 @@ func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*SearchR
 	if ds.D() < 2 {
 		return nil, fmt.Errorf("core: search needs at least 2 attributes, have %d", ds.D())
 	}
-	ds.EnsureIndexes()
 	eval := NewEvaluator(ds, p)
 	base := rng.New(p.Seed)
 

@@ -7,10 +7,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"hics/internal/dataset"
@@ -50,12 +50,11 @@ type Model struct {
 
 	subspaces   []Subspace
 	trainScores []float64
-	// lookup maps the exact bit pattern of a training row to its index, so
-	// scoring a training row reproduces its batch score: the query is
-	// treated as that object (leave-one-out), not as an extra point that
-	// would shadow itself at distance zero.
-	lookup map[string]int
-	keyBuf sync.Pool // *[]byte, per-query lookup-key scratch
+	// train finds a training row by its exact bit pattern, so scoring a
+	// training row reproduces its batch score: the query is treated as
+	// that object (leave-one-out), not as an extra point that would
+	// shadow itself at distance zero.
+	train rowTable
 }
 
 // Fit runs the subspace search selected by opts.Search once on row-major
@@ -118,30 +117,80 @@ func FitContext(ctx context.Context, rows [][]float64, opts Options) (*Model, er
 	for i, sc := range fp.Subspaces {
 		m.subspaces[i] = Subspace{Dims: append([]int(nil), sc.S...), Contrast: sc.Score}
 	}
-	m.buildLookup()
+	m.train = newRowTable(ds)
 	return m, nil
 }
 
-// buildLookup indexes the training rows by their exact bit pattern.
-// The first of several identical rows wins; identical rows receive equal
-// batch scores (up to summation order), so the choice is immaterial.
-func (m *Model) buildLookup() {
-	m.lookup = make(map[string]int, m.ds.N())
-	buf := make([]float64, 0, m.ds.D())
-	var key []byte
-	for i := m.ds.N() - 1; i >= 0; i-- {
-		buf = m.ds.Row(i, buf)
-		key = appendRowKey(key[:0], buf)
-		m.lookup[string(key)] = i
+// rowTable is an open-addressing hash table over a dataset's rows, keyed
+// by their exact float64 bit patterns, so NaN payloads match exactly and
+// −0 does not match +0. A slot holds row id + 1 (0 marks an empty slot),
+// and there are at least twice as many slots as rows, so a probe ends at
+// an empty slot. The rows themselves stay in the dataset: a probe compares
+// the candidate row's bits there. The hash is seeded per table, so crafted
+// rows cannot force collisions. Row ids must fit an int32.
+type rowTable struct {
+	ds    *dataset.Dataset
+	seed  maphash.Seed
+	slots []int32
+}
+
+// newRowTable indexes the rows of ds. Rows are inserted in ascending order
+// and an exact duplicate of an earlier row is skipped, so the first of
+// several identical rows wins; identical rows receive equal batch scores
+// (up to summation order), so the choice is immaterial.
+func newRowTable(ds *dataset.Dataset) rowTable {
+	size := 2
+	for size < 2*ds.N() {
+		size <<= 1
+	}
+	t := rowTable{ds: ds, seed: maphash.MakeSeed(), slots: make([]int32, size)}
+	buf := make([]float64, 0, ds.D())
+	for i := 0; i < ds.N(); i++ {
+		buf = ds.Row(i, buf)
+		if s, found := t.probe(buf); !found {
+			t.slots[s] = int32(i + 1)
+		}
+	}
+	return t
+}
+
+// find returns the index of the first training row whose bits equal
+// point's. It allocates nothing.
+func (t *rowTable) find(point []float64) (int, bool) {
+	s, found := t.probe(point)
+	return int(t.slots[s]) - 1, found
+}
+
+// probe returns the slot holding the row equal to p, or the empty slot
+// where p would be inserted.
+func (t *rowTable) probe(p []float64) (slot int, found bool) {
+	var h maphash.Hash
+	h.SetSeed(t.seed)
+	var b [8]byte
+	for _, v := range p {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	mask := uint64(len(t.slots) - 1)
+	for s := h.Sum64() & mask; ; s = (s + 1) & mask {
+		id := int(t.slots[s]) - 1
+		if id < 0 {
+			return int(s), false
+		}
+		if t.rowEquals(id, p) {
+			return int(s), true
+		}
 	}
 }
 
-// appendRowKey serializes a point's float64 bit patterns onto b.
-func appendRowKey(b []byte, p []float64) []byte {
-	for _, v := range p {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+// rowEquals reports whether row id of the dataset has exactly p's bits.
+func (t *rowTable) rowEquals(id int, p []float64) bool {
+	for j, v := range p {
+		if math.Float64bits(t.ds.Value(id, j)) != math.Float64bits(v) {
+			return false
+		}
 	}
-	return b
+	return true
 }
 
 // D returns the number of attributes the model was fitted on; Score
@@ -200,7 +249,7 @@ func (m *Model) Score(point []float64) (float64, error) {
 	// their batch scores whatever their values — models loaded from files
 	// written before the boundary rejected non-finite training data may
 	// still carry such rows.
-	if i, ok := m.trainIndex(point); ok {
+	if i, ok := m.train.find(point); ok {
 		return m.trainScores[i], nil
 	}
 	for j, v := range point {
@@ -212,21 +261,6 @@ func (m *Model) Score(point []float64) (float64, error) {
 		}
 	}
 	return m.fp.ScorePoint(point)
-}
-
-// trainIndex probes the training-row lookup without allocating: the key
-// is serialized into a pooled buffer, and the map index with an inline
-// []byte-to-string conversion is allocation-elided by the compiler.
-func (m *Model) trainIndex(point []float64) (int, bool) {
-	bufp, _ := m.keyBuf.Get().(*[]byte)
-	if bufp == nil {
-		bufp = new([]byte)
-	}
-	b := appendRowKey((*bufp)[:0], point)
-	i, ok := m.lookup[string(b)]
-	*bufp = b
-	m.keyBuf.Put(bufp)
-	return i, ok
 }
 
 // ScoreBatch scores every row, parallelized over at most SetWorkers
@@ -258,7 +292,7 @@ func (m *Model) ScoreBatchContext(ctx context.Context, rows [][]float64) ([]floa
 				// leave-one-out semantics (legacy models may carry
 				// non-finite training rows); everything else is rejected
 				// up front with the row named, before any scoring work.
-				if _, ok := m.trainIndex(row); ok {
+				if _, ok := m.train.find(row); ok {
 					break
 				}
 				return nil, fmt.Errorf("hics: row %d attribute %d is %v, want a finite value", i, j, v)
@@ -521,6 +555,6 @@ func assembleModel(mf modelFileV2, version uint32) (*Model, error) {
 		fp.Subspaces[i] = subspace.Scored{S: subspace.New(sv.Dims...), Score: sv.Contrast}
 		m.subspaces[i] = Subspace{Dims: append([]int(nil), sv.Dims...), Contrast: sv.Contrast}
 	}
-	m.buildLookup()
+	m.train = newRowTable(ds)
 	return m, nil
 }

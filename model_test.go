@@ -464,33 +464,15 @@ func TestLoadModelRejectsUnbuildablePair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := func(mutate func(*modelFileV2)) []byte {
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		raw := buf.Bytes()
-		var mf modelFileV2
-		if err := gob.NewDecoder(bytes.NewReader(raw[len(modelMagic)+4:])).Decode(&mf); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&mf)
-		var out bytes.Buffer
-		out.Write(raw[:len(modelMagic)+4])
-		if err := gob.NewEncoder(&out).Encode(&mf); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
-	}
 
-	badScorer := corrupt(func(mf *modelFileV2) { mf.Scorer = "outres" })
+	badScorer := rewriteModelFile(t, m, func(mf *modelFileV2) { mf.Scorer = "outres" })
 	if _, err := LoadModel(bytes.NewReader(badScorer)); err == nil {
 		t.Error("scorer without a fitted form should be rejected")
 	} else if !strings.Contains(err.Error(), "outres") || !strings.Contains(err.Error(), "lof") {
 		t.Errorf("error %q should name the offender and the supported scorers", err)
 	}
 
-	badSearch := corrupt(func(mf *modelFileV2) { mf.Search = "quantum" })
+	badSearch := rewriteModelFile(t, m, func(mf *modelFileV2) { mf.Search = "quantum" })
 	if _, err := LoadModel(bytes.NewReader(badSearch)); err == nil {
 		t.Error("unknown searcher should be rejected")
 	} else if !strings.Contains(err.Error(), "quantum") || !strings.Contains(err.Error(), "hics") {
@@ -499,7 +481,7 @@ func TestLoadModelRejectsUnbuildablePair(t *testing.T) {
 
 	// A model fitted on the removed approximate index must not be rebuilt
 	// on an exact one, which would silently change its scores.
-	lshIndex := corrupt(func(mf *modelFileV2) {
+	lshIndex := rewriteModelFile(t, m, func(mf *modelFileV2) {
 		for i := range mf.Subspaces {
 			mf.Subspaces[i].IndexKind = "lsh"
 		}
@@ -511,29 +493,32 @@ func TestLoadModelRejectsUnbuildablePair(t *testing.T) {
 	}
 }
 
-// TestAggregationOptionCompat pins the Options.Aggregation / legacy
-// MaxAggregation interplay.
+// rewriteModelFile saves m, applies mutate to the decoded payload and
+// returns the re-encoded file.
+func rewriteModelFile(t *testing.T, m *Model, mutate func(*modelFileV2)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	var mf modelFileV2
+	if err := gob.NewDecoder(bytes.NewReader(raw[len(modelMagic)+4:])).Decode(&mf); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&mf)
+	var out bytes.Buffer
+	out.Write(raw[:len(modelMagic)+4])
+	if err := gob.NewEncoder(&out).Encode(&mf); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestAggregationOptionCompat pins the Options.Aggregation values:
+// product is reachable and differs from average on real data.
 func TestAggregationOptionCompat(t *testing.T) {
 	rows := demoRows(28, 200, 4)
-	legacy, err := Rank(rows, Options{M: 20, Seed: 28, MaxAggregation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	named, err := Rank(rows, Options{M: 20, Seed: 28, Aggregation: "max"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	both, err := Rank(rows, Options{M: 20, Seed: 28, Aggregation: "max", MaxAggregation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range legacy.Scores {
-		if legacy.Scores[i] != named.Scores[i] || legacy.Scores[i] != both.Scores[i] {
-			t.Fatalf("score[%d]: MaxAggregation %v, Aggregation=max %v, both %v",
-				i, legacy.Scores[i], named.Scores[i], both.Scores[i])
-		}
-	}
-	// Product is reachable and differs from average on real data.
 	avg, err := Rank(rows, Options{M: 20, Seed: 28})
 	if err != nil {
 		t.Fatal(err)
@@ -552,8 +537,82 @@ func TestAggregationOptionCompat(t *testing.T) {
 	if same {
 		t.Error("product aggregation returned the average scores")
 	}
-	// Conflicting settings fail loudly.
-	if _, err := Rank(rows, Options{M: 20, Seed: 28, Aggregation: "average", MaxAggregation: true}); err == nil {
-		t.Error("conflicting aggregation settings should fail")
+}
+
+// TestModelTrainingRowTable pins the training-row table: a query is a
+// training row only when every bit matches, NaN payloads and the sign of
+// zero included, and among duplicate training rows the first wins.
+func TestModelTrainingRowTable(t *testing.T) {
+	rows := demoRows(71, 120, 4)
+	rows[5] = append([]float64(nil), rows[3]...) // bit-identical duplicate
+	rows[7][0] = 0
+	rows[8] = append([]float64(nil), rows[7]...)
+	rows[8][0] = math.Copysign(0, -1) // differs from row 7 only in the sign of zero
+	rows[11][0] = 0
+	m, err := Fit(rows, Options{M: 10, Seed: 71})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A legacy model file may carry non-finite training values; those rows
+	// must still find their training scores after a round trip.
+	nan := math.Float64frombits(0x7ff8000000000123)
+	file := rewriteModelFile(t, m, func(mf *modelFileV2) {
+		mf.Cols[1][12] = nan
+		mf.Cols[2][13] = math.Inf(1)
+	})
+	loaded, err := LoadModel(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	with := func(row []float64, j int, v float64) []float64 {
+		q := append([]float64(nil), row...)
+		q[j] = v
+		return q
+	}
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name  string
+		m     *Model
+		query []float64
+		want  int // training row found, or -1
+	}{
+		{"duplicate rows: the first wins", m, rows[5], 3},
+		{"last attribute differs", m, with(rows[10], 3, math.Nextafter(rows[10][3], 2)), -1},
+		{"+0 row", m, rows[7], 7},
+		{"-0 row", m, rows[8], 8},
+		{"-0 against a +0 row", m, with(rows[11], 0, negZero), -1},
+		{"loaded: NaN row", loaded, with(rows[12], 1, nan), 12},
+		{"loaded: NaN with another payload", loaded, with(rows[12], 1, math.NaN()), -1},
+		{"loaded: +Inf row", loaded, with(rows[13], 2, math.Inf(1)), 13},
+		{"loaded: finite row", loaded, rows[14], 14},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			i, ok := tc.m.train.find(tc.query)
+			if !ok {
+				i = -1
+			}
+			if i != tc.want {
+				t.Fatalf("training row %d, want %d", i, tc.want)
+			}
+			s, err := tc.m.Score(tc.query)
+			if tc.want < 0 {
+				finite := true
+				for _, v := range tc.query {
+					finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+				}
+				if finite != (err == nil) {
+					t.Fatalf("out-of-sample Score error %v for a query finite=%v", err, finite)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tc.m.trainScores[tc.want]; math.Float64bits(s) != math.Float64bits(want) {
+				t.Fatalf("Score = %v, want training score %v", s, want)
+			}
+		})
 	}
 }
