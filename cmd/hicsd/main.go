@@ -74,7 +74,6 @@
 //	                  counters and durations, worker-pool saturation,
 //	                  per-model metadata gauges, shard routing state on
 //	                  fronts (see docs/metrics.md)
-//	GET  /debug/vars  legacy expvar view over the same registry
 //	GET  /debug/traces  recently completed distributed traces as JSON,
 //	                  newest first; ?min_ms= filters by duration,
 //	                  ?limit= bounds the count (see docs/operations.md)
@@ -483,7 +482,7 @@ func runServe(ctx context.Context, opt serveOptions) error {
 		}
 	}
 	readTimeout := writeTimeout
-	handler := serve.NewServer(serve.Config{
+	handler := serve.New(serve.Config{
 		Fleet:            fl,
 		AdminToken:       opt.adminToken,
 		RequestTimeout:   opt.reqTimeout,

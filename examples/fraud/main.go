@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	knnOpts := opts
-	knnOpts.UseKNNScore = true
+	knnOpts.Scorer = "knn"
 	resKNN, err := hics.Rank(data, knnOpts)
 	if err != nil {
 		log.Fatal(err)

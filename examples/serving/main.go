@@ -91,7 +91,7 @@ func main() {
 
 	// 4. Serve. httptest stands in for `hicsd -model <file>`; the handler
 	// is the daemon's.
-	srv := httptest.NewServer(serve.NewHandler(loaded))
+	srv := httptest.NewServer(serve.New(serve.Config{Model: loaded}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")

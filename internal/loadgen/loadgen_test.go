@@ -53,7 +53,7 @@ func newTarget(t *testing.T, maxStreams int) *httptest.Server {
 	if err := fl.Restore(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(serve.NewServer(serve.Config{Fleet: fl}))
+	ts := httptest.NewServer(serve.New(serve.Config{Fleet: fl}))
 	t.Cleanup(ts.Close)
 	return ts
 }

@@ -213,8 +213,8 @@ func (v *CounterVec) With(values ...string) *Counter { return &Counter{s: v.f.ge
 // a subsequent With recreates it at zero.
 func (v *CounterVec) Delete(values ...string) { v.f.delete(values...) }
 
-// Total sums the family across all label values — the expvar
-// compatibility view aggregates per-endpoint counters this way.
+// Total sums the family across all label values; tests take deltas
+// of it around the traffic they drive.
 func (v *CounterVec) Total() int64 {
 	v.f.mu.Lock()
 	defer v.f.mu.Unlock()
@@ -271,8 +271,8 @@ func (v *GaugeVec) With(values ...string) *Gauge { return &Gauge{s: v.f.get(valu
 // a subsequent With recreates it at zero.
 func (v *GaugeVec) Delete(values ...string) { v.f.delete(values...) }
 
-// Total sums the family across all label values — the expvar
-// compatibility view aggregates per-model gauges this way.
+// Total sums the family across all label values; tests take deltas
+// of it around the traffic they drive.
 func (v *GaugeVec) Total() float64 {
 	v.f.mu.Lock()
 	defer v.f.mu.Unlock()

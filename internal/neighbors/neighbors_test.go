@@ -556,32 +556,42 @@ func TestKNNAllContextAllocs(t *testing.T) {
 }
 
 func TestKNNEdgeCases(t *testing.T) {
-	ds := randomDataset(8, 5, 2, 0)
-	for _, kind := range []Kind{KindBrute, KindKDTree} {
-		ix, err := New(ds, []int{0, 1}, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := ix.NewScratch()
-		if nb, kd := ix.KNN(0, 0, sc, nil); len(nb) != 0 || kd != 0 {
-			t.Errorf("%v: k=0 gave %v, %v", kind, nb, kd)
-		}
-		if nb, kd := ix.KNN(0, -3, sc, nil); len(nb) != 0 || kd != 0 {
-			t.Errorf("%v: k<0 gave %v, %v", kind, nb, kd)
-		}
-		if nb, _ := ix.KNN(0, 100, sc, nil); len(nb) != 4 {
-			t.Errorf("%v: k clamp gave %d neighbors, want 4", kind, len(nb))
-		}
+	// Five points on a line plus one far away: from point 2, points 1 and
+	// 3 lie at distance 1 and points 0 and 4 at distance 2.
+	line := dataset.MustNew(nil, [][]float64{{0, 1, 2, 3, 4, 100}})
+	cases := []struct {
+		name   string
+		ds     *dataset.Dataset
+		q, k   int
+		want   []int
+		wantKd float64
+	}{
+		{"k=0", line, 0, 0, nil, 0},
+		{"k<0", line, 0, -3, nil, 0},
+		{"nearest two", line, 0, 2, []int{1, 2}, 2},
+		{"k clamped to N-1", line, 0, 100, []int{1, 2, 3, 4, 5}, 100},
+		// The 3rd nearest lies at distance 2, shared by points 0 and 4:
+		// the LOF neighborhood keeps every object tied at the k-distance.
+		{"ties at the k-distance expand", line, 2, 3, []int{0, 1, 3, 4}, 2},
+		// A duplicate of q is its nearest neighbor at distance 0; q itself
+		// is never its own neighbor.
+		{"duplicate excludes self", dataset.MustNew(nil, [][]float64{{1, 1, 5}}), 0, 1, []int{1}, 0},
+		{"singleton has no neighbors", dataset.MustNew(nil, [][]float64{{1}, {2}}), 0, 1, nil, 0},
 	}
-	// A dataset of one object has no neighbors at any k.
-	one := dataset.MustNew(nil, [][]float64{{1}, {2}})
-	for _, kind := range []Kind{KindBrute, KindKDTree} {
-		ix, err := New(one, []int{0, 1}, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nb, kd := ix.KNN(0, 1, ix.NewScratch(), nil); len(nb) != 0 || kd != 0 {
-			t.Errorf("%v: singleton gave %v, %v", kind, nb, kd)
+	for _, tc := range cases {
+		for _, kind := range []Kind{KindBrute, KindKDTree} {
+			ix, err := New(tc.ds, allDims(tc.ds.D()), kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb, kd := ix.KNN(tc.q, tc.k, ix.NewScratch(), nil)
+			ids := make([]int, len(nb))
+			for i, x := range nb {
+				ids[i] = x.ID
+			}
+			if !slices.Equal(ids, tc.want) || kd != tc.wantKd {
+				t.Errorf("%s/%v: got ids %v kdist %v, want %v kdist %v", tc.name, kind, ids, kd, tc.want, tc.wantKd)
+			}
 		}
 	}
 }
@@ -600,6 +610,22 @@ func TestDistMatchesAcrossBackends(t *testing.T) {
 	}
 	if d := brute.Dist(0, 0); d != 0 {
 		t.Errorf("self distance = %v", d)
+	}
+	// (0,0)–(3,4) is 5 apart in the plane and 3 apart on the first axis.
+	pts := dataset.MustNew(nil, [][]float64{{0, 3}, {0, 4}})
+	for _, kind := range []Kind{KindBrute, KindKDTree} {
+		for _, c := range []struct {
+			dims []int
+			want float64
+		}{{[]int{0, 1}, 5}, {[]int{0}, 3}} {
+			ix, err := New(pts, c.dims, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := ix.Dist(0, 1); d != c.want {
+				t.Errorf("%v: Dist over %v = %v, want %v", kind, c.dims, d, c.want)
+			}
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"math"
 
 	"hics/internal/dataset"
-	"hics/internal/knn"
 	"hics/internal/neighbors"
 	"hics/internal/stats"
 )
@@ -42,7 +41,7 @@ type Scorer struct {
 func (s Scorer) Score(ds *dataset.Dataset, dims []int) ([]float64, error) {
 	// Pin the brute backend: OUTRES only takes pairwise distances (Dist),
 	// so a k-d tree would be built per subspace and never queried.
-	searcher, err := knn.NewWithKind(ds, dims, neighbors.KindBrute)
+	idx, err := neighbors.New(ds, dims, neighbors.KindBrute)
 	if err != nil {
 		return nil, fmt.Errorf("outres: %w", err)
 	}
@@ -65,12 +64,12 @@ func (s Scorer) Score(ds *dataset.Dataset, dims []int) ([]float64, error) {
 	for i := 0; i < n; i++ {
 		var nb []int32
 		sum := 0.0
-		// CountWithin-style scan, but accumulating the kernel.
+		// Range scan, accumulating the kernel.
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
 			}
-			dist := searcher.Dist(i, j)
+			dist := idx.Dist(i, j)
 			if dist < h {
 				u := dist / h
 				sum += 1 - u*u // Epanechnikov kernel (unnormalized)

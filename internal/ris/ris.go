@@ -22,8 +22,6 @@ import (
 	"math"
 
 	"hics/internal/dataset"
-	"hics/internal/knn"
-	"hics/internal/neighbors"
 	"hics/internal/subspace"
 )
 
@@ -70,17 +68,21 @@ func (p Params) withDefaults() Params {
 // clipped to the unit cube. It returns 0 when no core object exists.
 func Quality(ds *dataset.Dataset, s subspace.Subspace, p Params) (quality float64, coreObjects int, err error) {
 	p = p.withDefaults()
-	// Pin the brute backend: RIS only range-counts (CountWithin), so a
-	// k-d tree would be built per candidate subspace and never queried.
-	searcher, err := knn.NewWithKind(ds, s, neighbors.KindBrute)
-	if err != nil {
-		return 0, 0, fmt.Errorf("ris: %w", err)
+	if len(s) == 0 {
+		return 0, 0, fmt.Errorf("ris: empty subspace")
 	}
-	sc := searcher.NewScratch()
+	cols := make([][]float64, len(s))
+	for k, d := range s {
+		if d < 0 || d >= ds.D() {
+			return 0, 0, fmt.Errorf("ris: dimension %d out of range [0,%d)", d, ds.D())
+		}
+		cols[k] = ds.Col(d)
+	}
 	n := ds.N()
+	dists := make([]float64, n)
 	total := 0
 	for i := 0; i < n; i++ {
-		c := searcher.CountWithin(i, p.Eps, sc)
+		c := countWithin(cols, i, p.Eps, dists)
 		if c >= p.MinPts {
 			coreObjects++
 			total += c
@@ -95,6 +97,28 @@ func Quality(ds *dataset.Dataset, s subspace.Subspace, p Params) (quality float6
 	}
 	mean := float64(total) / float64(coreObjects)
 	return mean / expected, coreObjects, nil
+}
+
+// countWithin returns how many objects other than q lie within eps of q
+// (boundary inclusive) in the space spanned by cols, one column per
+// subspace attribute. dists is N-sized scratch, overwritten.
+func countWithin(cols [][]float64, q int, eps float64, dists []float64) int {
+	clear(dists)
+	for _, col := range cols {
+		cq := col[q]
+		for i, v := range col {
+			d := v - cq
+			dists[i] += d * d
+		}
+	}
+	eps2 := eps * eps
+	count := 0
+	for i, d := range dists {
+		if i != q && d <= eps2 {
+			count++
+		}
+	}
+	return count
 }
 
 // ballVolume returns the volume of a d-dimensional Euclidean ε-ball,

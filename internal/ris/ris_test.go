@@ -67,6 +67,30 @@ func TestBallVolume(t *testing.T) {
 	}
 }
 
+func TestCountWithin(t *testing.T) {
+	// Five points on a line plus one far away.
+	cols := [][]float64{{0, 1, 2, 3, 4, 100}}
+	dists := make([]float64, 6)
+	if got := countWithin(cols, 2, 1.5, dists); got != 2 {
+		t.Errorf("countWithin = %d, want 2", got)
+	}
+	// The radius boundary is inclusive: points 0 and 4 lie at exactly 2.
+	if got := countWithin(cols, 2, 2, dists); got != 4 {
+		t.Errorf("countWithin inclusive = %d, want 4", got)
+	}
+	if got := countWithin(cols, 5, 1, dists); got != 0 {
+		t.Errorf("isolated point countWithin = %d, want 0", got)
+	}
+	// A second column adds to the distance: (0,0)–(3,4) is 5 apart.
+	plane := [][]float64{{0, 3}, {0, 4}}
+	if got := countWithin(plane, 0, 5, dists[:2]); got != 1 {
+		t.Errorf("2-d countWithin at r=5 = %d, want 1", got)
+	}
+	if got := countWithin(plane, 0, 4.99, dists[:2]); got != 0 {
+		t.Errorf("2-d countWithin at r=4.99 = %d, want 0", got)
+	}
+}
+
 func TestQualityClusteredAboveUniform(t *testing.T) {
 	clus := clusteredPair(1, 600, 2)
 	unif := uniformData(2, 600, 2)
@@ -110,6 +134,9 @@ func TestQualityBadSubspace(t *testing.T) {
 	ds := uniformData(4, 50, 2)
 	if _, _, err := Quality(ds, subspace.New(0, 9), Params{}); err == nil {
 		t.Error("out-of-range subspace should fail")
+	}
+	if _, _, err := Quality(ds, subspace.Subspace{}, Params{}); err == nil {
+		t.Error("empty subspace should fail")
 	}
 }
 

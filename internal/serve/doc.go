@@ -23,9 +23,6 @@
 //	                  instrumentation, worker-pool saturation, model
 //	                  metadata gauges — every series is documented in
 //	                  docs/metrics.md
-//	GET  /debug/vars  the legacy expvar page, with the "hicsd" map
-//	                  re-derived from the metrics registry so the two
-//	                  surfaces can never disagree
 //
 // # Observability
 //

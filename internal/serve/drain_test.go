@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hics"
 )
 
 // TestStreamDrainMidSession: Drain on a server with an open /stream
@@ -17,7 +19,7 @@ import (
 // into a 503 "draining", and refuses new sessions with Retry-After.
 func TestStreamDrainMidSession(t *testing.T) {
 	m := fitModel(t)
-	srv := NewServer(Config{Model: m, RequestTimeout: time.Minute})
+	srv := New(Config{Model: m, RequestTimeout: time.Minute})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -74,7 +76,7 @@ func TestStreamDrainMidSession(t *testing.T) {
 		if !ok {
 			t.Fatalf("stream closed after %d records, want %d", i, scored)
 		}
-		var rec StreamRecord
+		var rec hics.StreamResult
 		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Index != i {
 			t.Fatalf("record %d: %q (err %v)", i, line, err)
 		}

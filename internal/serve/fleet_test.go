@@ -520,7 +520,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 				var first float64
 				n := 0
 				for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-					var rec StreamRecord
+					var rec hics.StreamResult
 					if err := json.Unmarshal([]byte(line), &rec); err != nil || strings.Contains(line, `"error"`) {
 						report("streamer %d: bad line %q", w, line)
 						return

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"strconv"
+
+	"hics"
 )
 
 // This file is the allocation-free row path of /stream: a line-oriented
@@ -283,14 +285,14 @@ var pow10 = [...]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// appendStreamRecord appends one encoded StreamRecord line (trailing
+// appendStreamRecord appends one encoded /stream record line (trailing
 // newline included) to buf. The float formatting replicates
 // encoding/json exactly — shortest representation, 'f' form unless the
 // magnitude calls for 'e' form with json's exponent cleanup — so the
 // wire bytes are indistinguishable from json.Marshal's. A
 // non-representable score reports the same error text json.Marshal
 // would.
-func appendStreamRecord(buf []byte, rec StreamRecord) ([]byte, error) {
+func appendStreamRecord(buf []byte, rec hics.StreamResult) ([]byte, error) {
 	buf = append(buf, `{"index":`...)
 	buf = strconv.AppendInt(buf, int64(rec.Index), 10)
 	buf = append(buf, `,"score":`...)

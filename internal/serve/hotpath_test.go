@@ -158,7 +158,7 @@ func TestAppendStreamRecordMatchesMarshal(t *testing.T) {
 	}
 	var buf []byte
 	for i, s := range scores {
-		rec := StreamRecord{Index: i, Score: s, Refits: i % 3}
+		rec := hics.StreamResult{Index: i, Score: s, Refits: i % 3}
 		want, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -173,8 +173,8 @@ func TestAppendStreamRecordMatchesMarshal(t *testing.T) {
 	}
 	// Non-representable scores report json.Marshal's error text.
 	for _, s := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		_, gotErr := appendStreamRecord(nil, StreamRecord{Score: s})
-		_, wantErr := json.Marshal(StreamRecord{Score: s})
+		_, gotErr := appendStreamRecord(nil, hics.StreamResult{Score: s})
+		_, wantErr := json.Marshal(hics.StreamResult{Score: s})
 		if gotErr == nil || wantErr == nil || !strings.Contains(wantErr.Error(), gotErr.Error()) {
 			t.Fatalf("score %v: error %q, want json.Marshal's %q", s, gotErr, wantErr)
 		}
@@ -231,7 +231,7 @@ func runHotPathAllocs(t *testing.T, ctx context.Context) {
 			t.Fatal(err)
 		}
 		for _, res := range results {
-			if encBuf, err = appendStreamRecord(encBuf[:0], StreamRecord{Index: res.Index, Score: res.Score, Refits: res.Refits}); err != nil {
+			if encBuf, err = appendStreamRecord(encBuf[:0], res); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -244,7 +244,7 @@ func runHotPathAllocs(t *testing.T, ctx context.Context) {
 		}
 		encBuf = encBuf[:0]
 		for _, res := range results {
-			encBuf, _ = appendStreamRecord(encBuf, StreamRecord{Index: res.Index, Score: res.Score, Refits: res.Refits})
+			encBuf, _ = appendStreamRecord(encBuf, res)
 		}
 	})
 	if allocs > 0 {
@@ -321,7 +321,7 @@ func BenchmarkStreamServe(b *testing.B) {
 // reused-buffer parser + append encoder.
 func BenchmarkStreamRowCodec(b *testing.B) {
 	line := []byte("[0.312345,0.291234,0.557654,0.443210]\n")
-	rec := StreamRecord{Index: 123456, Score: 1.0481924561236412, Refits: 3}
+	rec := hics.StreamResult{Index: 123456, Score: 1.0481924561236412, Refits: 3}
 	b.Run("hot", func(b *testing.B) {
 		b.ReportAllocs()
 		var (

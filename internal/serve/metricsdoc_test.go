@@ -29,9 +29,8 @@ var docRowRe = regexp.MustCompile("^\\|\\s*`([a-zA-Z_:][a-zA-Z0-9_:]*)`\\s*\\|([
 var labelRe = regexp.MustCompile("`([a-zA-Z_][a-zA-Z0-9_]*)`")
 
 // parseMetricsDoc reads the Series table of docs/metrics.md into a
-// name -> row map. Rows outside the Series section (e.g. the
-// /debug/vars compatibility table) are excluded by requiring the type
-// cell to be a known metric kind.
+// name -> row map. Other backticked table rows are excluded by
+// requiring the type cell to be a known metric kind.
 func parseMetricsDoc(t *testing.T) map[string]docRow {
 	t.Helper()
 	raw, err := os.ReadFile("../../docs/metrics.md")

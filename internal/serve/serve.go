@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -27,12 +26,10 @@ import (
 
 // Instrumentation, registered once into the process-wide metrics
 // registry and served by GET /metrics in Prometheus text format. The
-// series are process-global (like the expvar counters they supersede),
-// so multiple handlers share them; tests assert on deltas. Families
-// touching a model carry its fleet name in the "model" label (empty for
-// traffic that never resolved one — 404s, /metrics itself). GET
-// /debug/vars stays available as a thin compatibility view over the
-// same registry — see debugVars.
+// series are process-global, so multiple handlers share them; tests
+// assert on deltas. Families touching a model carry its fleet name in
+// the "model" label (empty for traffic that never resolved one — 404s,
+// /metrics itself).
 var (
 	mRequests = metrics.Default.NewCounterVec("hicsd_http_requests_total",
 		"Completed HTTP requests by endpoint, status code and resolved model (empty when the request did not resolve one).",
@@ -65,7 +62,6 @@ var endpoints = map[string]string{
 	"/stream":       "stream",
 	"/models":       "models",
 	"/metrics":      "metrics",
-	"/debug/vars":   "debug_vars",
 	"/debug/traces": "debug_traces",
 }
 
@@ -83,8 +79,7 @@ func endpointLabel(path string) string {
 // per-request execution policy.
 type Config struct {
 	// Fleet is the named-model store behind every endpoint. When nil, an
-	// in-memory single-model fleet is built around Model — the pre-fleet
-	// configuration surface keeps working unchanged.
+	// in-memory single-model fleet is built around Model.
 	Fleet *fleet.Fleet
 	// Model seeds the fleet under the default name when Fleet is nil.
 	Model *hics.Model
@@ -393,15 +388,6 @@ type ModelsResponse struct {
 	Models  []fleet.ModelStatus `json:"models"`
 }
 
-// StreamRecord is one /stream response line: the arrival index of the
-// scored row, its outlier score, and the number of model refits completed
-// when it was scored.
-type StreamRecord struct {
-	Index  int     `json:"index"`
-	Score  float64 `json:"score"`
-	Refits int     `json:"refits"`
-}
-
 // ServerVersion is the /info server identification string.
 const ServerVersion = "hicsd/" + hics.Version
 
@@ -416,13 +402,6 @@ type errorResponse struct {
 // limit.
 const maxRequestBytes = 64 << 20
 
-// NewHandler returns the hicsd HTTP handler serving the given model with
-// the default execution policy: no server-side deadline, unbounded
-// ranking parallelism.
-func NewHandler(m *hics.Model) http.Handler {
-	return New(Config{Model: m})
-}
-
 // server binds the configuration to its resolved fleet, plus the drain
 // state shared by every open stream session.
 type server struct {
@@ -435,8 +414,7 @@ type server struct {
 }
 
 // Server is the hicsd handler with its lifecycle control surface: Drain
-// moves it into draining mode ahead of shutdown. It serves exactly what
-// New serves.
+// moves it into draining mode ahead of shutdown.
 type Server struct {
 	http.Handler
 	s *server
@@ -484,16 +462,13 @@ func (s *server) removeSession(rc *http.ResponseController) {
 	s.sessMu.Unlock()
 }
 
-// New returns the hicsd HTTP handler for the given configuration.
-func New(cfg Config) http.Handler { return NewServer(cfg) }
-
-// NewServer returns the hicsd handler together with its drain control.
-func NewServer(cfg Config) *Server {
+// New returns the hicsd HTTP handler for the given configuration,
+// together with its drain control.
+func New(cfg Config) *Server {
 	fl := cfg.Fleet
 	if fl == nil {
-		// Pre-fleet surface: a single in-memory model under the default
-		// name. Restore of an in-memory fleet is instant and marks it
-		// ready.
+		// A single in-memory model under the default name. Restore of an
+		// in-memory fleet is instant and marks it ready.
 		fl = fleet.New(fleet.Config{Logger: cfg.Logger})
 		_ = fl.Restore(context.Background())
 		if cfg.Model != nil {
@@ -515,7 +490,6 @@ func NewServer(cfg Config) *Server {
 	mux.HandleFunc("PUT /models/{name}", s.handleModelPut)
 	mux.HandleFunc("DELETE /models/{name}", s.handleModelDelete)
 	mux.Handle("/metrics", metrics.Default.Handler())
-	mux.HandleFunc("/debug/vars", debugVars)
 	mux.Handle("GET /debug/traces", cfg.tracer().Handler())
 
 	// Observability middleware wraps the whole mux so every endpoint —
@@ -915,38 +889,6 @@ func quotaParams(r *http.Request) (fleet.Quota, bool, error) {
 	return q, makeDefault, nil
 }
 
-// debugVars is the /debug/vars compatibility view: the standard expvar
-// page (cmdline, memstats and anything else published) with the legacy
-// "hicsd" map re-derived from the metrics registry, so the two surfaces
-// can never disagree. The map keys and units are unchanged from the
-// expvar era: requests, errors, active_streams, refits,
-// last_score_latency_ms — model-labelled families are summed across
-// models.
-func debugVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	first := true
-	writeVar := func(key, value string) {
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", key, value)
-	}
-	hicsd, _ := json.Marshal(map[string]any{
-		"requests":              mRequests.Total(),
-		"errors":                mErrors.Value(),
-		"active_streams":        int64(mActiveStreams.Total()),
-		"refits":                mRefits.Total(),
-		"last_score_latency_ms": mLastScoreLat.Value() * 1e3,
-	})
-	writeVar("hicsd", string(hicsd))
-	expvar.Do(func(kv expvar.KeyValue) {
-		writeVar(kv.Key, kv.Value.String())
-	})
-	fmt.Fprintf(w, "\n}\n")
-}
-
 // DrainingStreamError is the terminal NDJSON error record text a
 // draining server ends open stream sessions with. The shard front
 // matches it to attach routing advice for the client.
@@ -1012,7 +954,7 @@ func (s *server) streamOptions(r *http.Request, m *hics.Model, workers int) (hic
 }
 
 // handleStream is POST /stream: NDJSON in (one JSON array of numbers per
-// line), NDJSON out (one StreamRecord per scored row, flushed per line).
+// line), NDJSON out (one hics.StreamResult per scored row, flushed per line).
 // The stream wraps the routed model warm — rows score immediately — and
 // optionally refits over its sliding window per the resolved options.
 // The session holds its model handle until it closes, so a hot swap or
@@ -1134,7 +1076,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		encBuf = encBuf[:0]
 		for _, res := range results {
-			encBuf, err = appendStreamRecord(encBuf, StreamRecord{Index: res.Index, Score: res.Score, Refits: res.Refits})
+			encBuf, err = appendStreamRecord(encBuf, res)
 			if err != nil {
 				// A non-representable score (LOF can be +Inf on degenerate
 				// windows) terminates the stream with an error record, after

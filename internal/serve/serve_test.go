@@ -50,7 +50,7 @@ func postScore(t *testing.T, srv *httptest.Server, body string) (*http.Response,
 
 func TestInfo(t *testing.T) {
 	m := fitModel(t)
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(New(Config{Model: m}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/info")
 	if err != nil {
@@ -92,7 +92,7 @@ func TestInfo(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	m := fitModel(t)
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(New(Config{Model: m}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -113,7 +113,7 @@ func TestHealthz(t *testing.T) {
 
 func TestScoreSinglePoint(t *testing.T) {
 	m := fitModel(t)
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(New(Config{Model: m}))
 	defer srv.Close()
 	resp, sr, body := postScore(t, srv, `{"point": [0.3, 0.7, 0.5, 0.5]}`)
 	if resp.StatusCode != http.StatusOK {
@@ -133,7 +133,7 @@ func TestScoreSinglePoint(t *testing.T) {
 
 func TestScoreBatch(t *testing.T) {
 	m := fitModel(t)
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(New(Config{Model: m}))
 	defer srv.Close()
 	resp, sr, body := postScore(t, srv, `{"points": [[0.3, 0.7, 0.5, 0.5], [0.7, 0.7, 0.5, 0.5]]}`)
 	if resp.StatusCode != http.StatusOK {
@@ -155,7 +155,7 @@ func TestScoreBatch(t *testing.T) {
 
 func TestScoreEmptyBatch(t *testing.T) {
 	m := fitModel(t)
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(New(Config{Model: m}))
 	defer srv.Close()
 	resp, _, body := postScore(t, srv, `{"points": []}`)
 	if resp.StatusCode != http.StatusOK {
@@ -169,7 +169,7 @@ func TestScoreEmptyBatch(t *testing.T) {
 
 func TestScoreBadRequests(t *testing.T) {
 	m := fitModel(t)
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(New(Config{Model: m}))
 	defer srv.Close()
 	cases := []string{
 		``,                                   // empty body
@@ -204,7 +204,7 @@ func TestScoreBadRequests(t *testing.T) {
 // detector guards the model's scratch pooling.
 func TestScoreConcurrent(t *testing.T) {
 	m := fitModel(t)
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(New(Config{Model: m}))
 	defer srv.Close()
 	want, err := m.Score([]float64{0.5, 0.5, 0.5, 0.5})
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hics"
 	"hics/internal/rng"
 )
 
@@ -30,7 +31,7 @@ func ndjsonRows(t *testing.T, rows [][]float64) string {
 
 // postStream posts an NDJSON body to /stream and returns the status and
 // the decoded response lines (records and raw lines).
-func postStream(t *testing.T, srv *httptest.Server, path, body string) (*http.Response, []StreamRecord, []string) {
+func postStream(t *testing.T, srv *httptest.Server, path, body string) (*http.Response, []hics.StreamResult, []string) {
 	t.Helper()
 	resp, err := http.Post(srv.URL+path, "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
@@ -38,7 +39,7 @@ func postStream(t *testing.T, srv *httptest.Server, path, body string) (*http.Re
 	}
 	defer resp.Body.Close()
 	var (
-		records []StreamRecord
+		records []hics.StreamResult
 		lines   []string
 	)
 	sc := bufio.NewScanner(resp.Body)
@@ -48,7 +49,7 @@ func postStream(t *testing.T, srv *httptest.Server, path, body string) (*http.Re
 			continue
 		}
 		lines = append(lines, line)
-		var rec StreamRecord
+		var rec hics.StreamResult
 		if err := json.Unmarshal([]byte(line), &rec); err == nil && !strings.Contains(line, `"error"`) {
 			records = append(records, rec)
 		}
@@ -234,7 +235,7 @@ func TestStreamEndpointFlushesPerRow(t *testing.T) {
 			return ""
 		}
 	}
-	var first StreamRecord
+	var first hics.StreamResult
 	if err := json.Unmarshal([]byte(readLine()), &first); err != nil || first.Index != 0 {
 		t.Fatalf("first streamed line: %v (err %v)", first, err)
 	}
@@ -243,7 +244,7 @@ func TestStreamEndpointFlushesPerRow(t *testing.T) {
 	if _, err := io.WriteString(pw, "[0.1,0.9,0.5,0.5]\n"); err != nil {
 		t.Fatal(err)
 	}
-	var second StreamRecord
+	var second hics.StreamResult
 	if err := json.Unmarshal([]byte(readLine()), &second); err != nil || second.Index != 1 {
 		t.Fatalf("second streamed line: %v (err %v)", second, err)
 	}
@@ -309,8 +310,7 @@ func TestStreamEndpointClientDisconnect(t *testing.T) {
 	}
 }
 
-// TestMetricsCounters: the registry instrumentation moves with traffic
-// and /debug/vars serves the legacy view consistently with it.
+// TestMetricsCounters: the registry instrumentation moves with traffic.
 func TestMetricsCounters(t *testing.T) {
 	m := fitModel(t)
 	srv := httptest.NewServer(New(Config{Model: m, RequestTimeout: time.Minute}))
@@ -363,53 +363,14 @@ func TestMetricsCounters(t *testing.T) {
 		t.Errorf(`requests{stream,200} = %d, want >= 1`, n)
 	}
 
-	// /debug/vars is a thin view over the same registry: the legacy hicsd
-	// map keys exist and agree with the registry values read around the
-	// request (no other traffic hits the server between the two reads).
-	wantReq, wantErr, wantRefits := mRequests.Total(), mErrors.Value(), mRefits.Total()
+	// The registry is the one view: the old expvar page is gone.
 	dv, err := http.Get(srv.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dv.Body.Close()
-	if dv.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", dv.StatusCode)
-	}
-	var vars struct {
-		Hicsd map[string]json.Number `json:"hicsd"`
-		// The standard expvar pages survive the compatibility rewrite.
-		Cmdline  json.RawMessage `json:"cmdline"`
-		Memstats json.RawMessage `json:"memstats"`
-	}
-	if err := json.NewDecoder(dv.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"requests", "errors", "active_streams", "refits", "last_score_latency_ms"} {
-		if _, ok := vars.Hicsd[key]; !ok {
-			t.Errorf("/debug/vars hicsd map missing %q", key)
-		}
-	}
-	if vars.Cmdline == nil || vars.Memstats == nil {
-		t.Error("/debug/vars lost the standard expvar pages (cmdline, memstats)")
-	}
-	got := func(key string) int64 {
-		n, err := vars.Hicsd[key].Int64()
-		if err != nil {
-			t.Fatalf("hicsd.%s: %v", key, err)
-		}
-		return n
-	}
-	if n := got("requests"); n != wantReq {
-		t.Errorf("/debug/vars requests = %d, registry says %d", n, wantReq)
-	}
-	if n := got("errors"); n != wantErr {
-		t.Errorf("/debug/vars errors = %d, registry says %d", n, wantErr)
-	}
-	if n := got("refits"); n != wantRefits {
-		t.Errorf("/debug/vars refits = %d, registry says %d", n, wantRefits)
-	}
-	if ms, _ := vars.Hicsd["last_score_latency_ms"].Float64(); ms < 0 || ms != mLastScoreLat.Value()*1e3 {
-		t.Errorf("/debug/vars last_score_latency_ms = %v, registry gauge (s) = %v", ms, mLastScoreLat.Value())
+	dv.Body.Close()
+	if dv.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars status %d, want 404", dv.StatusCode)
 	}
 }
 

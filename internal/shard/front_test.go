@@ -59,7 +59,7 @@ type backend struct {
 func newBackend(t *testing.T, m *hics.Model) *backend {
 	t.Helper()
 	b := &backend{}
-	b.srv = serve.NewServer(serve.Config{Model: m, RequestTimeout: time.Minute})
+	b.srv = serve.New(serve.Config{Model: m, RequestTimeout: time.Minute})
 	count := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		b.mu.Lock()
 		if r.URL.Path == "/stream" {
@@ -105,7 +105,7 @@ func newFront(t *testing.T, backends ...*backend) (*Front, *Router, *httptest.Se
 
 // streamRows posts rows as one NDJSON session and returns the scored
 // records plus any error-record strings, in arrival order.
-func streamRows(t *testing.T, base, query string, rows int) ([]serve.StreamRecord, []string) {
+func streamRows(t *testing.T, base, query string, rows int) ([]hics.StreamResult, []string) {
 	t.Helper()
 	var body strings.Builder
 	for i := 0; i < rows; i++ {
@@ -123,10 +123,10 @@ func streamRows(t *testing.T, base, query string, rows int) ([]serve.StreamRecor
 	return readSession(t, resp.Body)
 }
 
-func readSession(t *testing.T, r io.Reader) ([]serve.StreamRecord, []string) {
+func readSession(t *testing.T, r io.Reader) ([]hics.StreamResult, []string) {
 	t.Helper()
 	var (
-		records []serve.StreamRecord
+		records []hics.StreamResult
 		errs    []string
 	)
 	sc := bufio.NewScanner(r)
@@ -139,7 +139,7 @@ func readSession(t *testing.T, r io.Reader) ([]serve.StreamRecord, []string) {
 			errs = append(errs, line)
 			continue
 		}
-		var rec serve.StreamRecord
+		var rec hics.StreamResult
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("bad line %q: %v", line, err)
 		}
@@ -306,7 +306,7 @@ func TestFrontDrainMidStream(t *testing.T) {
 		return ""
 	}
 	for i := 0; i < scored; i++ {
-		var rec serve.StreamRecord
+		var rec hics.StreamResult
 		if err := json.Unmarshal([]byte(readLine()), &rec); err != nil || rec.Index != i {
 			t.Fatalf("proxied record %d: %v (err %v)", i, rec, err)
 		}
@@ -405,7 +405,7 @@ func TestFrontHammer(t *testing.T) {
 	)
 	type result struct {
 		key     string
-		records []serve.StreamRecord
+		records []hics.StreamResult
 		errs    []string
 		fail    string
 	}

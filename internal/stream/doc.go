@@ -25,8 +25,8 @@
 //
 // # Concurrency
 //
-// Push is single-producer: a stream is an ordered sequence, so calls must
-// not be concurrent (the async refit goroutine is coordinated
+// PushAppend is single-producer: a stream is an ordered sequence, so
+// calls must not be concurrent (the async refit goroutine is coordinated
 // internally). Close aborts any in-flight refit and must only be called
 // once pushing has stopped.
 //

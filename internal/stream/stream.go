@@ -34,11 +34,14 @@ var (
 )
 
 // Model is the frozen scoring state a detector scores arrivals against.
-// *hics.Model satisfies it; tests substitute fakes.
+// *hics.Model satisfies it; tests substitute fakes. Both methods score
+// out of sample, must agree bit for bit on a row, and must be safe for
+// concurrent use.
 type Model interface {
-	// ScoreBatchContext scores the rows out of sample against the frozen
-	// state; it must be safe for concurrent use with itself.
+	// ScoreBatchContext scores a cold detector's whole first window.
 	ScoreBatchContext(ctx context.Context, rows [][]float64) ([]float64, error)
+	// Score scores one warm arrival.
+	Score(point []float64) (float64, error)
 }
 
 // RefitFunc fits a replacement model on a window snapshot, oldest row
@@ -89,7 +92,7 @@ type Result struct {
 }
 
 // Detector is the sliding-window online outlier detector. Construct with
-// New; Push rows from one goroutine; Close when done.
+// New; push rows with PushAppend from one goroutine; Close when done.
 type Detector struct {
 	window     int
 	refitEvery int
@@ -101,7 +104,7 @@ type Detector struct {
 	model  atomic.Pointer[Model]
 	refits atomic.Int64 // completed model replacements
 
-	// Single-pusher state: owned by the Push goroutine.
+	// Single-pusher state: owned by the pushing goroutine.
 	count    int         // total arrivals
 	sinceFit int         // arrivals since the last refit trigger
 	buf      [][]float64 // ring buffer, grows to window then wraps
@@ -193,36 +196,23 @@ func (d *Detector) timedRefit(ctx context.Context, mode string, window [][]float
 	return m, nil
 }
 
-// pointScorer is the optional single-row fast path of a Model:
-// *hics.Model implements it, so a warm detector scores one arrival
-// without building the per-call slice headers and worker-pool machinery
-// of a batch scoring pass. Batch and point scores are identical — the
-// batch path calls the same per-point function.
-type pointScorer interface {
-	Score(point []float64) (float64, error)
-}
-
-// Push feeds one arriving row. The row is validated (width and
-// finiteness, errors naming the arrival and attribute), scored against
-// the current model, appended to the window, and — every RefitEvery
-// arrivals on a full window — the model is refitted.
+// PushAppend feeds one arriving row and appends its scored results to
+// out, returning the extended slice; serving hot paths pass the same
+// backing slice on every call and allocate nothing. The row is
+// validated (width and finiteness, errors naming the arrival and
+// attribute), scored against the current model, appended to the window,
+// and — every RefitEvery arrivals on a full window — the model is
+// refitted.
 //
-// The returned slice holds zero results (cold detector still warming
-// up), one result (the common case), or a whole window of results (the
-// flush after a cold detector's initial fit). The row slice is copied;
-// callers may reuse it.
+// A call appends zero results (cold detector still warming up), one
+// result (the common case), or a whole window of results (the flush
+// after a cold detector's initial fit). The row slice is copied; callers
+// may reuse it.
 //
-// On error the arrival is still consumed (it counts and stays in the
-// window), so a stream can recover from a deadlined refit by pushing on
-// with a fresh context. Push must not be called concurrently.
-func (d *Detector) Push(ctx context.Context, row []float64) ([]Result, error) {
-	return d.PushAppend(ctx, row, nil)
-}
-
-// PushAppend is Push appending the scored results to out and returning
-// the extended slice — the allocation-free form for serving hot paths,
-// which pass the same backing slice on every call. Semantics are
-// otherwise identical to Push.
+// On error out is returned as passed in, and the arrival is still
+// consumed (it counts and stays in the window), so a stream can recover
+// from a deadlined refit by pushing on with a fresh context. PushAppend
+// must not be called concurrently.
 func (d *Detector) PushAppend(ctx context.Context, row []float64, out []Result) ([]Result, error) {
 	d.mu.Lock()
 	closed, sticky := d.closed, d.err
@@ -292,21 +282,9 @@ func (d *Detector) PushAppend(ctx context.Context, row []float64, out []Result) 
 	// stays in the window.
 	d.append(row)
 	base := len(out)
-	var score float64
-	if ps, ok := (*cur).(pointScorer); ok {
-		// Single-point fast path: same per-point scoring function as the
-		// batch pass, minus its slice allocations and fan-out bookkeeping.
-		s, err := ps.Score(row)
-		if err != nil {
-			return out, err
-		}
-		score = s
-	} else {
-		scores, err := (*cur).ScoreBatchContext(ctx, [][]float64{row})
-		if err != nil {
-			return out, err
-		}
-		score = scores[0]
+	score, err := (*cur).Score(row)
+	if err != nil {
+		return out, err
 	}
 	out = append(out, Result{Index: idx, Score: score, Refits: int(d.refits.Load())})
 	d.sinceFit++
@@ -317,8 +295,8 @@ func (d *Detector) PushAppend(ctx context.Context, row []float64, out []Result) 
 		if d.async {
 			d.tryAsyncRefit(ctx)
 		} else if err := d.syncRefit(ctx); err != nil {
-			// The arrival is consumed but its result is withheld, exactly
-			// like Push: the caller sees the slice it passed in.
+			// The arrival is consumed but its result is withheld: the
+			// caller sees the slice it passed in.
 			return out[:base], err
 		}
 	}
@@ -400,7 +378,7 @@ func (d *Detector) tryAsyncRefit(ctx context.Context) {
 		if err != nil {
 			// A refit aborted by Close is the expected shutdown path, not
 			// a stream failure; any other error poisons the stream and
-			// surfaces on the next Push (or Drain/Close).
+			// surfaces on the next PushAppend (or Drain/Close).
 			if d.baseCtx.Err() == nil && d.err == nil {
 				d.err = err
 			}
@@ -413,8 +391,8 @@ func (d *Detector) tryAsyncRefit(ctx context.Context) {
 
 // Drain waits until no refit is in flight (a no-op for synchronous
 // detectors) and reports any sticky refit failure. After a Drain the next
-// Push scores against the newest model, so an async stream drained after
-// every push reproduces the synchronous score sequence exactly.
+// PushAppend scores against the newest model, so an async stream drained
+// after every push reproduces the synchronous score sequence exactly.
 func (d *Detector) Drain(ctx context.Context) error {
 	d.mu.Lock()
 	done, inflight, sticky := d.done, d.inflight, d.err
@@ -438,7 +416,7 @@ func (d *Detector) Drain(ctx context.Context) error {
 
 // Close aborts any in-flight refit, waits for the background goroutine to
 // exit, and reports any sticky refit failure. Idempotent; must not be
-// called concurrently with Push.
+// called concurrently with PushAppend.
 func (d *Detector) Close() error {
 	d.mu.Lock()
 	if d.closed {

@@ -18,14 +18,18 @@ type fakeModel struct {
 	gen float64
 }
 
+func (f fakeModel) Score(point []float64) (float64, error) {
+	s := f.gen
+	for _, v := range point {
+		s += v
+	}
+	return s, nil
+}
+
 func (f fakeModel) ScoreBatchContext(_ context.Context, rows [][]float64) ([]float64, error) {
 	out := make([]float64, len(rows))
 	for i, r := range rows {
-		s := f.gen
-		for _, v := range r {
-			s += v
-		}
-		out[i] = s
+		out[i], _ = f.Score(r)
 	}
 	return out, nil
 }
@@ -81,7 +85,7 @@ func TestWarmPushScoresAndSlides(t *testing.T) {
 	defer d.Close()
 	ctx := context.Background()
 	for i := 0; i < 7; i++ {
-		res, err := d.Push(ctx, row(float64(i)))
+		res, err := d.PushAppend(ctx, row(float64(i)), nil)
 		if err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
@@ -113,7 +117,7 @@ func TestWarmPushScoresAndSlides(t *testing.T) {
 		t.Errorf("Refits=%d Seen=%d WindowLen=%d", d.Refits(), d.Seen(), d.WindowLen())
 	}
 	// Scores after the third refit carry its generation stamp.
-	res, err := d.Push(ctx, row(0))
+	res, err := d.PushAppend(ctx, row(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestColdWarmupFlush(t *testing.T) {
 	defer d.Close()
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		res, err := d.Push(ctx, row(float64(i)))
+		res, err := d.PushAppend(ctx, row(float64(i)), nil)
 		if err != nil || len(res) != 0 {
 			t.Fatalf("warmup push %d: res %v err %v, want none", i, res, err)
 		}
@@ -141,7 +145,7 @@ func TestColdWarmupFlush(t *testing.T) {
 			t.Fatalf("detector warm after %d of 3 rows", i+1)
 		}
 	}
-	res, err := d.Push(ctx, row(2))
+	res, err := d.PushAppend(ctx, row(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,25 +173,25 @@ func TestPushValidation(t *testing.T) {
 	}
 	defer d.Close()
 	ctx := context.Background()
-	if _, err := d.Push(ctx, nil); err == nil || !strings.Contains(err.Error(), "empty") {
+	if _, err := d.PushAppend(ctx, nil, nil); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Errorf("empty row: %v", err)
 	}
-	if _, err := d.Push(ctx, []float64{1}); err == nil || !strings.Contains(err.Error(), "attributes") {
+	if _, err := d.PushAppend(ctx, []float64{1}, nil); err == nil || !strings.Contains(err.Error(), "attributes") {
 		t.Errorf("short row: %v", err)
 	}
 	// Rejected rows never enter the stream, so they do not consume an
 	// arrival index: this is still row 0.
-	if _, err := d.Push(ctx, []float64{1, math.NaN()}); err == nil ||
+	if _, err := d.PushAppend(ctx, []float64{1, math.NaN()}, nil); err == nil ||
 		!strings.Contains(err.Error(), "row 0") || !strings.Contains(err.Error(), "attribute 1") {
 		t.Errorf("NaN row: err = %v, want row/attribute named", err)
 	}
-	if _, err := d.Push(ctx, []float64{math.Inf(-1), 1}); err == nil || !strings.Contains(err.Error(), "attribute 0") {
+	if _, err := d.PushAppend(ctx, []float64{math.Inf(-1), 1}, nil); err == nil || !strings.Contains(err.Error(), "attribute 0") {
 		t.Errorf("Inf row: %v", err)
 	}
 	// A cancelled context never scores.
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := d.Push(cctx, row(1)); !errors.Is(err, context.Canceled) {
+	if _, err := d.PushAppend(cctx, row(1), nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled push: %v", err)
 	}
 }
@@ -204,7 +208,7 @@ func TestRowCopied(t *testing.T) {
 	buf := []float64{1, 1}
 	for i := 0; i < 2; i++ {
 		buf[0], buf[1] = float64(i), float64(i)
-		if _, err := d.Push(context.Background(), buf); err != nil {
+		if _, err := d.PushAppend(context.Background(), buf, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +221,7 @@ func TestRowCopied(t *testing.T) {
 }
 
 // TestSyncRefitCancellation: a refit that observes its context must
-// surface ctx.Err() from Push, and pushing on with a fresh context
+// surface ctx.Err() from PushAppend, and pushing on with a fresh context
 // recovers.
 func TestSyncRefitCancellation(t *testing.T) {
 	blockRefit := func(ctx context.Context, _ [][]float64) (Model, error) {
@@ -231,15 +235,15 @@ func TestSyncRefitCancellation(t *testing.T) {
 	defer d.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := d.Push(ctx, row(0)); err != nil {
+	if _, err := d.PushAppend(ctx, row(0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Push(ctx, row(1)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := d.PushAppend(ctx, row(1), nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("refit-triggering push: err = %v, want deadline exceeded", err)
 	}
 	// The failed sync refit is not sticky: sinceFit was reset at the
 	// trigger, so the next push scores normally with a fresh context.
-	if _, err := d.Push(context.Background(), row(2)); err != nil {
+	if _, err := d.PushAppend(context.Background(), row(2), nil); err != nil {
 		t.Fatalf("push after deadlined refit: %v", err)
 	}
 }
@@ -260,18 +264,18 @@ func TestSyncRefitRecovers(t *testing.T) {
 	}
 	defer d.Close()
 	ctx := context.Background()
-	if _, err := d.Push(ctx, row(0)); err != nil {
+	if _, err := d.PushAppend(ctx, row(0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Push(ctx, row(1)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := d.PushAppend(ctx, row(1), nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want deadline error from refit, got %v", err)
 	}
 	fail = false
 	// sinceFit was reset at the trigger; two more arrivals re-trigger.
-	if _, err := d.Push(ctx, row(2)); err != nil {
+	if _, err := d.PushAppend(ctx, row(2), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Push(ctx, row(3)); err != nil {
+	if _, err := d.PushAppend(ctx, row(3), nil); err != nil {
 		t.Fatal(err)
 	}
 	if d.Refits() != 1 {
@@ -303,7 +307,7 @@ func TestAsyncRefitKeepsScoring(t *testing.T) {
 	// arrivals 2..5 keep scoring on generation 0 (two more triggers
 	// coalesce into the in-flight refit).
 	for i := 0; i < 6; i++ {
-		res, err := d.Push(ctx, row(float64(i)))
+		res, err := d.PushAppend(ctx, row(float64(i)), nil)
 		if err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
@@ -323,7 +327,7 @@ func TestAsyncRefitKeepsScoring(t *testing.T) {
 	if err := d.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Push(ctx, row(0))
+	res, err := d.PushAppend(ctx, row(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +337,7 @@ func TestAsyncRefitKeepsScoring(t *testing.T) {
 }
 
 // TestAsyncRefitErrorPoisons: a failed async refit surfaces on the next
-// Push and on Close.
+// PushAppend and on Close.
 func TestAsyncRefitErrorPoisons(t *testing.T) {
 	boom := errors.New("refit exploded")
 	refit := func(context.Context, [][]float64) (Model, error) { return nil, boom }
@@ -342,17 +346,17 @@ func TestAsyncRefitErrorPoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := d.Push(ctx, row(0)); err != nil {
+	if _, err := d.PushAppend(ctx, row(0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Push(ctx, row(1)); err != nil { // triggers the failing refit
+	if _, err := d.PushAppend(ctx, row(1), nil); err != nil { // triggers the failing refit
 		t.Fatal(err)
 	}
 	if err := d.Drain(ctx); !errors.Is(err, boom) {
 		t.Fatalf("Drain = %v, want the refit error", err)
 	}
-	if _, err := d.Push(ctx, row(2)); !errors.Is(err, boom) {
-		t.Fatalf("Push after failed refit = %v, want the refit error", err)
+	if _, err := d.PushAppend(ctx, row(2), nil); !errors.Is(err, boom) {
+		t.Fatalf("PushAppend after failed refit = %v, want the refit error", err)
 	}
 	if err := d.Close(); !errors.Is(err, boom) {
 		t.Fatalf("Close = %v, want the refit error", err)
@@ -373,10 +377,10 @@ func TestCloseAbortsInflightRefit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := d.Push(ctx, row(0)); err != nil {
+	if _, err := d.PushAppend(ctx, row(0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Push(ctx, row(1)); err != nil { // blocked refit in flight
+	if _, err := d.PushAppend(ctx, row(1), nil); err != nil { // blocked refit in flight
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -389,8 +393,8 @@ func TestCloseAbortsInflightRefit(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return; the refit was not cancelled")
 	}
-	if _, err := d.Push(ctx, row(2)); err == nil || !strings.Contains(err.Error(), "closed") {
-		t.Errorf("Push after Close = %v, want closed error", err)
+	if _, err := d.PushAppend(ctx, row(2), nil); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Errorf("PushAppend after Close = %v, want closed error", err)
 	}
 	if err := d.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
@@ -420,7 +424,7 @@ func TestAsyncDrainedMatchesSync(t *testing.T) {
 		defer d.Close()
 		var scores []float64
 		for _, r := range input {
-			res, err := d.Push(context.Background(), r)
+			res, err := d.PushAppend(context.Background(), r, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -454,10 +458,10 @@ func TestDimsInferredFromFirstRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.Push(context.Background(), []float64{1, 2, 3}); err != nil {
+	if _, err := d.PushAppend(context.Background(), []float64{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Push(context.Background(), []float64{1}); err == nil || !strings.Contains(err.Error(), "want 3") {
+	if _, err := d.PushAppend(context.Background(), []float64{1}, nil); err == nil || !strings.Contains(err.Error(), "want 3") {
 		t.Errorf("width mismatch after inference: %v", err)
 	}
 }
@@ -479,7 +483,7 @@ func TestZeroRowStream(t *testing.T) {
 func ExampleDetector() {
 	d, _ := New(Config{Model: fakeModel{}, Window: 4})
 	defer d.Close()
-	res, _ := d.Push(context.Background(), []float64{1, 2})
+	res, _ := d.PushAppend(context.Background(), []float64{1, 2}, nil)
 	fmt.Println(res[0].Index, res[0].Score)
 	// Output: 0 3
 }

@@ -18,7 +18,7 @@ import (
 	"fmt"
 
 	"hics/internal/dataset"
-	"hics/internal/knn"
+	"hics/internal/neighbors"
 	"hics/internal/subspace"
 )
 
@@ -59,7 +59,7 @@ func (p Params) withDefaults() Params {
 // perfectly uniform distances, larger for structured subspaces.
 func Quality(ds *dataset.Dataset, s subspace.Subspace, p Params) (float64, error) {
 	p = p.withDefaults()
-	searcher, err := knn.New(ds, s)
+	idx, err := neighbors.New(ds, s, neighbors.KindAuto)
 	if err != nil {
 		return 0, fmt.Errorf("surfing: %w", err)
 	}
@@ -67,12 +67,12 @@ func Quality(ds *dataset.Dataset, s subspace.Subspace, p Params) (float64, error
 	if n < p.K+1 {
 		return 0, fmt.Errorf("surfing: need more than k=%d objects, have %d", p.K, n)
 	}
-	sc := searcher.NewScratch()
+	sc := idx.NewScratch()
 	kdists := make([]float64, n)
-	var buf []knn.Neighbor
+	var buf []neighbors.Neighbor
 	mean := 0.0
 	for i := 0; i < n; i++ {
-		nb, kd := searcher.Neighborhood(i, p.K, sc, buf)
+		nb, kd := idx.KNN(i, p.K, sc, buf)
 		buf = nb
 		kdists[i] = kd
 		mean += kd

@@ -197,15 +197,7 @@ func refitFunc(opts Options) stream.RefitFunc {
 // synchronous refit aborted this way is retried at the next refit
 // trigger, so the stream survives a deadline and keeps scoring.
 func (s *Stream) Push(ctx context.Context, row []float64) ([]StreamResult, error) {
-	rs, err := s.det.Push(ctx, row)
-	if err != nil || len(rs) == 0 {
-		return nil, err
-	}
-	out := make([]StreamResult, len(rs))
-	for i, r := range rs {
-		out[i] = StreamResult{Index: r.Index, Score: r.Score, Refits: r.Refits}
-	}
-	return out, nil
+	return s.PushAppend(ctx, row, nil)
 }
 
 // PushAppend is the allocation-free form of Push for serving hot paths:
