@@ -1,3 +1,7 @@
+// Package knn holds only tests: the subspace k-nearest-neighbor contract
+// that the SURFING and OUTRES competitors rely on, checked through
+// internal/neighbors the way they call it (neighbors.New over a subspace
+// projection, then Index.KNN or Index.Dist).
 package knn
 
 import (
@@ -19,37 +23,41 @@ func grid2D() *dataset.Dataset {
 	})
 }
 
+// newIndex builds an index over the subspace dims of ds with the backend
+// chosen automatically, as SURFING does.
+func newIndex(t testing.TB, ds *dataset.Dataset, dims []int) neighbors.Index {
+	t.Helper()
+	ix, err := neighbors.New(ds, dims, neighbors.KindAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 func TestNewValidation(t *testing.T) {
 	ds := grid2D()
-	if _, err := New(ds, nil); err == nil {
+	if _, err := neighbors.New(ds, nil, neighbors.KindAuto); err == nil {
 		t.Error("empty subspace should fail")
 	}
-	if _, err := New(ds, []int{5}); err == nil {
+	if _, err := neighbors.New(ds, []int{5}, neighbors.KindAuto); err == nil {
 		t.Error("out-of-range dim should fail")
 	}
 }
 
 func TestDist(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{0, 3}, {0, 4}})
-	s, err := New(ds, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := s.Dist(0, 1); d != 5 {
+	if d := newIndex(t, ds, []int{0, 1}).Dist(0, 1); d != 5 {
 		t.Errorf("Dist = %v, want 5", d)
 	}
 	// Subspace restriction: only first dim.
-	s1, _ := New(ds, []int{0})
-	if d := s1.Dist(0, 1); d != 3 {
+	if d := newIndex(t, ds, []int{0}).Dist(0, 1); d != 3 {
 		t.Errorf("subspace Dist = %v, want 3", d)
 	}
 }
 
 func TestNeighborhoodBasic(t *testing.T) {
-	ds := grid2D()
-	s, _ := New(ds, []int{0, 1})
-	sc := s.NewScratch()
-	nb, kd := s.Neighborhood(0, 2, sc, nil)
+	ix := newIndex(t, grid2D(), []int{0, 1})
+	nb, kd := ix.KNN(0, 2, ix.NewScratch(), nil)
 	// Two nearest of point 0 are points 1 (d=1) and 2 (d=2).
 	if kd != 2 {
 		t.Errorf("kdist = %v, want 2", kd)
@@ -64,10 +72,8 @@ func TestNeighborhoodBasic(t *testing.T) {
 
 func TestNeighborhoodTies(t *testing.T) {
 	// Point 2 has points 1 and 3 at distance 1, 0 and 4 at distance 2.
-	ds := grid2D()
-	s, _ := New(ds, []int{0})
-	sc := s.NewScratch()
-	nb, kd := s.Neighborhood(2, 3, sc, nil)
+	ix := newIndex(t, grid2D(), []int{0})
+	nb, kd := ix.KNN(2, 3, ix.NewScratch(), nil)
 	// 3rd nearest is at distance 2, and the tie at distance 2 (both point 0
 	// and 4) must be included per the LOF neighborhood definition.
 	if kd != 2 {
@@ -80,9 +86,8 @@ func TestNeighborhoodTies(t *testing.T) {
 
 func TestNeighborhoodExcludesSelf(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1, 1, 5}}) // duplicate points
-	s, _ := New(ds, []int{0})
-	sc := s.NewScratch()
-	nb, kd := s.Neighborhood(0, 1, sc, nil)
+	ix := newIndex(t, ds, []int{0})
+	nb, kd := ix.KNN(0, 1, ix.NewScratch(), nil)
 	if kd != 0 {
 		t.Errorf("kdist with duplicate = %v, want 0", kd)
 	}
@@ -92,32 +97,16 @@ func TestNeighborhoodExcludesSelf(t *testing.T) {
 }
 
 func TestNeighborhoodKClamp(t *testing.T) {
-	ds := dataset.MustNew(nil, [][]float64{{0, 1, 2}})
-	s, _ := New(ds, []int{0})
-	sc := s.NewScratch()
-	nb, _ := s.Neighborhood(0, 10, sc, nil)
+	ix := newIndex(t, dataset.MustNew(nil, [][]float64{{0, 1, 2}}), []int{0})
+	nb, _ := ix.KNN(0, 10, ix.NewScratch(), nil)
 	if len(nb) != 2 {
 		t.Errorf("clamped neighborhood = %v", nb)
 	}
 }
 
-func TestCountWithin(t *testing.T) {
-	ds := grid2D()
-	s, _ := New(ds, []int{0})
-	sc := s.NewScratch()
-	if got := s.CountWithin(2, 1.5, sc); got != 2 {
-		t.Errorf("CountWithin = %d, want 2", got)
-	}
-	if got := s.CountWithin(2, 2, sc); got != 4 {
-		t.Errorf("CountWithin inclusive = %d, want 4", got)
-	}
-	if got := s.CountWithin(5, 1, sc); got != 0 {
-		t.Errorf("isolated point CountWithin = %d", got)
-	}
-}
-
 func TestNewWithKindEquivalence(t *testing.T) {
-	// Pinned backends must agree bit-for-bit through the adapter.
+	// The backend SURFING gets (automatic) and the one OUTRES pins (brute)
+	// must agree bit for bit with the k-d tree on a tie-heavy subspace.
 	r := rng.New(5)
 	n := 300
 	cols := [][]float64{make([]float64, n), make([]float64, n)}
@@ -126,27 +115,31 @@ func TestNewWithKindEquivalence(t *testing.T) {
 		cols[1][i] = r.Float64()
 	}
 	ds := dataset.MustNew(nil, cols)
-	brute, err := NewWithKind(ds, []int{0, 1}, neighbors.KindBrute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := NewWithKind(ds, []int{0, 1}, neighbors.KindKDTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if brute.Index().Kind() != neighbors.KindBrute || tree.Index().Kind() != neighbors.KindKDTree {
-		t.Fatal("NewWithKind did not pin the backend")
-	}
-	scB, scT := brute.NewScratch(), tree.NewScratch()
-	for q := 0; q < n; q++ {
-		nbB, kdB := brute.Neighborhood(q, 10, scB, nil)
-		nbT, kdT := tree.Neighborhood(q, 10, scT, nil)
-		if kdB != kdT || len(nbB) != len(nbT) {
-			t.Fatalf("q=%d: backends disagree (%d/%v vs %d/%v)", q, len(nbB), kdB, len(nbT), kdT)
+	var ixs []neighbors.Index
+	for _, kind := range []neighbors.Kind{neighbors.KindBrute, neighbors.KindKDTree, neighbors.KindAuto} {
+		ix, err := neighbors.New(ds, []int{0, 1}, kind)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range nbB {
-			if nbB[i] != nbT[i] {
-				t.Fatalf("q=%d neighbor %d: %v vs %v", q, i, nbB[i], nbT[i])
+		if kind != neighbors.KindAuto && ix.Kind() != kind {
+			t.Fatalf("New(%v) built a %v index", kind, ix.Kind())
+		}
+		ixs = append(ixs, ix)
+	}
+	brute := ixs[0]
+	scB := brute.NewScratch()
+	for _, other := range ixs[1:] {
+		scO := other.NewScratch()
+		for q := 0; q < n; q++ {
+			nbB, kdB := brute.KNN(q, 10, scB, nil)
+			nbO, kdO := other.KNN(q, 10, scO, nil)
+			if kdB != kdO || len(nbB) != len(nbO) {
+				t.Fatalf("%v q=%d: backends disagree (%d/%v vs %d/%v)", other.Kind(), q, len(nbB), kdB, len(nbO), kdO)
+			}
+			for i := range nbB {
+				if nbB[i] != nbO[i] {
+					t.Fatalf("%v q=%d neighbor %d: %v vs %v", other.Kind(), q, i, nbB[i], nbO[i])
+				}
 			}
 		}
 	}
@@ -166,10 +159,9 @@ func TestQuickNeighborhoodDefinition(t *testing.T) {
 			col2[i] = math.Floor(r.Float64() * 5)
 		}
 		ds := dataset.MustNew(nil, [][]float64{col1, col2})
-		s, _ := New(ds, []int{0, 1})
-		sc := s.NewScratch()
+		ix := newIndex(t, ds, []int{0, 1})
 		q := r.Intn(n)
-		nb, kd := s.Neighborhood(q, k, sc, nil)
+		nb, kd := ix.KNN(q, k, ix.NewScratch(), nil)
 
 		// Reference: sort all distances.
 		type pair struct {
@@ -179,7 +171,7 @@ func TestQuickNeighborhoodDefinition(t *testing.T) {
 		var all []pair
 		for i := 0; i < n; i++ {
 			if i != q {
-				all = append(all, pair{i, s.Dist(q, i)})
+				all = append(all, pair{i, ix.Dist(q, i)})
 			}
 		}
 		sort.Slice(all, func(a, b int) bool { return all[a].d < all[b].d })
@@ -205,25 +197,5 @@ func TestQuickNeighborhoodDefinition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkNeighborhood(b *testing.B) {
-	r := rng.New(1)
-	const n = 1000
-	cols := make([][]float64, 3)
-	for j := range cols {
-		cols[j] = make([]float64, n)
-		for i := range cols[j] {
-			cols[j][i] = r.Float64()
-		}
-	}
-	ds := dataset.MustNew(nil, cols)
-	s, _ := New(ds, []int{0, 1, 2})
-	sc := s.NewScratch()
-	var nb []Neighbor
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nb, _ = s.Neighborhood(i%n, 10, sc, nb)
 	}
 }
