@@ -70,8 +70,8 @@
 //	DELETE /models/{name}  unload: new requests 404 immediately, in-flight
 //	                  ones drain, then the persisted file is removed
 //	GET  /metrics     Prometheus text exposition: per-endpoint request
-//	                  counters and latency histograms, stream/refit
-//	                  counters and durations, worker-pool saturation,
+//	                  counters, per-phase span timings, stream/refit
+//	                  counters, worker-pool saturation,
 //	                  per-model metadata gauges, shard routing state on
 //	                  fronts (see docs/metrics.md)
 //	GET  /debug/traces  recently completed distributed traces as JSON,

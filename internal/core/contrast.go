@@ -96,7 +96,7 @@ type Params struct {
 	Alpha float64
 	// Cutoff bounds the number of candidates retained per Apriori level.
 	Cutoff int
-	// TopK bounds the final number of subspaces returned by Search.
+	// TopK bounds the final number of subspaces returned by SearchContext.
 	// Set to -1 to return all.
 	TopK int
 	// Test selects HiCS_WT (default) or HiCS_KS.
@@ -105,7 +105,7 @@ type Params struct {
 	// keyed by subspace, so results are independent of evaluation order.
 	Seed uint64
 	// Workers bounds the number of concurrent contrast evaluations during
-	// Search; 0 means one per available CPU.
+	// SearchContext; 0 means one per available CPU.
 	Workers int
 	// MaxDim optionally caps the dimensionality of generated candidates;
 	// 0 means unbounded (the Apriori loop stops by itself).

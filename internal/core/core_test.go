@@ -90,11 +90,11 @@ func TestContrastDeterministicAcrossWorkers(t *testing.T) {
 	p1.Workers = 1
 	p4 := p
 	p4.Workers = 4
-	r1, err := Search(ds, p1)
+	r1, err := SearchContext(context.Background(), ds, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := Search(ds, p4)
+	r4, err := SearchContext(context.Background(), ds, p4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestContrastDeterministicAcrossWorkers(t *testing.T) {
 func TestSearchFindsPlantedSubspace(t *testing.T) {
 	// Attributes 0-1 strongly correlated, 2-5 noise: {0,1} must rank first.
 	ds := correlatedPair(6, 500, 6)
-	res, err := Search(ds, Params{M: 50, Seed: 3})
+	res, err := SearchContext(context.Background(), ds, Params{M: 50, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSearchFindsPlantedSubspace(t *testing.T) {
 
 func TestSearchCutoffLimitsLevels(t *testing.T) {
 	ds := uncorrelated(8, 200, 10)
-	res, err := Search(ds, Params{M: 10, Seed: 4, Cutoff: 5, TopK: -1})
+	res, err := SearchContext(context.Background(), ds, Params{M: 10, Seed: 4, Cutoff: 5, TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSearchCutoffLimitsLevels(t *testing.T) {
 
 func TestSearchMaxDim(t *testing.T) {
 	ds := correlatedPair(9, 300, 5)
-	res, err := Search(ds, Params{M: 10, Seed: 5, MaxDim: 2, TopK: -1})
+	res, err := SearchContext(context.Background(), ds, Params{M: 10, Seed: 5, MaxDim: 2, TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSearchMaxDim(t *testing.T) {
 
 func TestSearchTopK(t *testing.T) {
 	ds := uncorrelated(10, 150, 8)
-	res, err := Search(ds, Params{M: 5, Seed: 6, TopK: 3})
+	res, err := SearchContext(context.Background(), ds, Params{M: 5, Seed: 6, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSearchTopK(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1, 2, 3}})
-	if _, err := Search(ds, Params{}); err == nil {
+	if _, err := SearchContext(context.Background(), ds, Params{}); err == nil {
 		t.Error("single-attribute search should fail")
 	}
 }
@@ -241,11 +241,11 @@ func TestParseTest(t *testing.T) {
 
 func TestPruningAblation(t *testing.T) {
 	ds := correlatedPair(13, 300, 5)
-	with, err := Search(ds, Params{M: 20, Seed: 9, TopK: -1})
+	with, err := SearchContext(context.Background(), ds, Params{M: 20, Seed: 9, TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Search(ds, Params{M: 20, Seed: 9, TopK: -1, DisablePruning: true})
+	without, err := SearchContext(context.Background(), ds, Params{M: 20, Seed: 9, TopK: -1, DisablePruning: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +297,8 @@ func TestQuickSearchDeterministic(t *testing.T) {
 	f := func(seed uint64) bool {
 		ds := correlatedPair(seed, 120, 4)
 		p := Params{M: 8, Seed: seed, TopK: 5}
-		a, err1 := Search(ds, p)
-		b, err2 := Search(ds, p)
+		a, err1 := SearchContext(context.Background(), ds, p)
+		b, err2 := SearchContext(context.Background(), ds, p)
 		if err1 != nil || err2 != nil || len(a.Subspaces) != len(b.Subspaces) {
 			return false
 		}

@@ -25,7 +25,7 @@ type SearchResult struct {
 	MCIterations int
 }
 
-// Search runs the full HiCS subspace framework (Sec. IV-B) on ds:
+// SearchContext runs the full HiCS subspace framework (Sec. IV-B) on ds:
 //
 //  1. score every 2-dimensional subspace,
 //  2. keep the top Cutoff candidates of the current level,
@@ -38,16 +38,13 @@ type SearchResult struct {
 // Contrast evaluations are spread over Params.Workers goroutines; results
 // are nevertheless deterministic because every subspace draws from a
 // stream keyed by (Seed, subspace).
-func Search(ds *dataset.Dataset, p Params) (*SearchResult, error) {
-	return SearchContext(context.Background(), ds, p)
-}
-
-// SearchContext is Search with cooperative cancellation: the Monte Carlo
-// workers check ctx between iterations and the level loop checks it
-// between Apriori levels, so a cancelled context surfaces ctx.Err()
-// within one Monte Carlo chunk of work per worker. Cancellation checks
-// never touch the per-subspace random streams, so an uncancelled run is
-// bit-for-bit identical to Search.
+//
+// Cancellation is cooperative: the Monte Carlo workers check ctx between
+// iterations and the level loop checks it between Apriori levels, so a
+// cancelled context surfaces ctx.Err() within one Monte Carlo chunk of
+// work per worker. Cancellation checks never touch the per-subspace
+// random streams, so an uncancelled run is bit-for-bit identical under
+// any context.
 func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*SearchResult, error) {
 	p = p.withDefaults()
 	if ds.D() < 2 {
@@ -141,7 +138,7 @@ func scoreAll(ctx context.Context, eval *Evaluator, base *rng.RNG, candidates []
 	return scored, nil
 }
 
-// Searcher adapts Search to the ranking pipeline's SubspaceSearcher
+// Searcher adapts SearchContext to the ranking pipeline's SubspaceSearcher
 // interface: a reusable configuration whose Search method returns the
 // ranked subspace list.
 type Searcher struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestSubsampleParentStreamUntouched(t *testing.T) {
 func TestAdaptiveWithSubsampleSearch(t *testing.T) {
 	ds := correlatedPair(25, 2000, 8)
 	p := Params{M: 60, Seed: 26, Cutoff: 6, TopK: 5, MaxDim: 2, AdaptiveM: true, MaxSampleRows: 500}
-	res, err := Search(ds, p)
+	res, err := SearchContext(context.Background(), ds, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,14 @@
 // the plain variants use automatic selection. Backends are bit-for-bit
 // equivalent, so the choice only affects speed.
 //
-// Beyond the batch scorers the package supports a fit/score split: Fit
-// (resp. FitKNN) freezes the per-subspace state a query needs — the
-// neighbor index plus, for LOF, the training k-distances and local
-// reachability densities — and ScoreQuery scores an out-of-sample point
-// against that state without refitting, following the standard
-// generalization of LOF to query points (the query participates only in
-// its own neighborhood, never in the training statistics).
+// Beyond the batch scorers the package supports a fit/score split:
+// FitContext (resp. FitKNNContext) freezes the per-subspace state a
+// query needs — the neighbor index plus, for LOF, the training
+// k-distances and local reachability densities — and ScoreQuery scores
+// an out-of-sample point against that state without refitting,
+// following the standard generalization of LOF to query points (the
+// query participates only in its own neighborhood, never in the
+// training statistics).
 package lof
 
 import (
@@ -50,8 +51,7 @@ func Scores(ds *dataset.Dataset, dims []int, minPts int) ([]float64, error) {
 // whose neighborhood has zero reachability distance gets an infinite local
 // reachability density, and ratios ∞/∞ resolve to 1.
 func ScoresWith(ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind) ([]float64, error) {
-	_, scores, err := Fit(ds, dims, minPts, kind)
-	return scores, err
+	return ScoresContext(context.Background(), ds, dims, minPts, kind, 0)
 }
 
 // ScoresContext is ScoresWith with cooperative cancellation and a bound
@@ -81,8 +81,8 @@ func buildIndex(ctx context.Context, ds *dataset.Dataset, dims []int, kind neigh
 // Fitted is the frozen state of a LOF fit on one subspace: the neighbor
 // index over the training objects plus their k-distances and local
 // reachability densities. It scores out-of-sample points via ScoreQuery
-// and is safe for concurrent queries. Training scores are returned by Fit
-// but not retained — query scoring only needs kdist and lrd.
+// and is safe for concurrent queries. Training scores are returned by
+// FitContext but not retained — query scoring only needs kdist and lrd.
 type Fitted struct {
 	idx    neighbors.Index
 	minPts int
@@ -98,19 +98,14 @@ type queryScratch struct {
 	proj []float64
 }
 
-// Fit runs the batch LOF passes on the given subspace and freezes the
-// state an out-of-sample query needs, returning it together with the
-// training LOF scores — bit-for-bit the ScoresWith result (ScoresWith is
-// implemented on top of Fit).
-func Fit(ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind) (*Fitted, []float64, error) {
-	return FitContext(context.Background(), ds, dims, minPts, kind, 0)
-}
-
-// FitContext is Fit with cooperative cancellation and a bound on the
-// parallelism of the index build and the batch pass (workers <= 0 means
-// one per CPU, 1 runs both on the calling goroutine). The dominant
-// neighborhood pass observes ctx between query chunks; the linear
-// follow-up passes run to completion.
+// FitContext runs the batch LOF passes on the given subspace and freezes
+// the state an out-of-sample query needs, returning it together with the
+// training LOF scores — bit-for-bit the ScoresWith result (the Scores
+// functions are implemented on top of FitContext). workers bounds the
+// parallelism of the index build and the batch pass (<= 0 means one per
+// CPU, 1 runs both on the calling goroutine). The dominant neighborhood
+// pass observes ctx between query chunks; the linear follow-up passes
+// run to completion.
 func FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind, workers int) (*Fitted, []float64, error) {
 	if minPts < 1 {
 		minPts = DefaultMinPts
@@ -271,8 +266,7 @@ func KNNScores(ds *dataset.Dataset, dims []int, k int) ([]float64, error) {
 // that is monotone in "outlierness" like LOF but cheaper and non-local —
 // using the requested neighbor-index backend.
 func KNNScoresWith(ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind) ([]float64, error) {
-	_, scores, err := FitKNN(ds, dims, k, kind)
-	return scores, err
+	return KNNScoresContext(context.Background(), ds, dims, k, kind, 0)
 }
 
 // KNNScoresContext is KNNScoresWith with cooperative cancellation and a
@@ -292,15 +286,11 @@ type FittedKNN struct {
 	scratch sync.Pool // *queryScratch
 }
 
-// FitKNN freezes the neighbor index for out-of-sample queries and returns
-// it together with the batch average-kNN-distance training scores —
-// bit-for-bit the KNNScoresWith result.
-func FitKNN(ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind) (*FittedKNN, []float64, error) {
-	return FitKNNContext(context.Background(), ds, dims, k, kind, 0)
-}
-
-// FitKNNContext is FitKNN with cooperative cancellation and a bound on
-// the batch-pass parallelism, mirroring FitContext.
+// FitKNNContext freezes the neighbor index for out-of-sample queries and
+// returns it together with the batch average-kNN-distance training
+// scores — bit-for-bit the KNNScoresWith result — with cooperative
+// cancellation and a bound on the batch-pass parallelism, mirroring
+// FitContext.
 func FitKNNContext(ctx context.Context, ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind, workers int) (*FittedKNN, []float64, error) {
 	if k < 1 {
 		k = DefaultMinPts

@@ -302,13 +302,13 @@ func TestFitScoresMatchBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, scores, err := Fit(ds, []int{0, 1}, 10, kind)
+		f, scores, err := FitContext(context.Background(), ds, []int{0, 1}, 10, kind, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range batch {
 			if scores[i] != batch[i] {
-				t.Fatalf("%v: Fit score[%d] = %v, batch = %v", kind, i, scores[i], batch[i])
+				t.Fatalf("%v: FitContext score[%d] = %v, batch = %v", kind, i, scores[i], batch[i])
 			}
 		}
 		if f.MinPts() != 10 || f.N() != ds.N() {
@@ -319,7 +319,7 @@ func TestFitScoresMatchBatch(t *testing.T) {
 
 func TestScoreQueryFlagsOutlierPoint(t *testing.T) {
 	ds := clusterWithOutlier(8, 100)
-	f, _, err := Fit(ds, []int{0, 1}, 10, neighbors.KindAuto)
+	f, _, err := FitContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,19 +341,19 @@ func TestScoreQueryFlagsOutlierPoint(t *testing.T) {
 // fit must agree bit for bit.
 func TestScoreQueryIndexEquivalence(t *testing.T) {
 	ds := clusterWithOutlier(9, 400)
-	brute, _, err := Fit(ds, []int{0, 1}, 10, neighbors.KindBrute)
+	brute, _, err := FitContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, _, err := Fit(ds, []int{0, 1}, 10, neighbors.KindKDTree)
+	tree, _, err := FitContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindKDTree, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bruteK, _, err := FitKNN(ds, []int{0, 1}, 10, neighbors.KindBrute)
+	bruteK, _, err := FitKNNContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	treeK, _, err := FitKNN(ds, []int{0, 1}, 10, neighbors.KindKDTree)
+	treeK, _, err := FitKNNContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindKDTree, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestScoreQueryIndexEquivalence(t *testing.T) {
 // race detector.
 func TestScoreQueryConcurrent(t *testing.T) {
 	ds := clusterWithOutlier(10, 200)
-	f, _, err := Fit(ds, []int{0, 1}, 10, neighbors.KindKDTree)
+	f, _, err := FitContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindKDTree, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,13 +402,13 @@ func TestFitKNNMatchesBatchAndQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, scores, err := FitKNN(ds, []int{0, 1}, 10, neighbors.KindBrute)
+	f, scores, err := FitKNNContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range batch {
 		if scores[i] != batch[i] {
-			t.Fatalf("FitKNN score[%d] = %v, batch = %v", i, scores[i], batch[i])
+			t.Fatalf("FitKNNContext score[%d] = %v, batch = %v", i, scores[i], batch[i])
 		}
 	}
 	if far, near := f.ScoreQuery([]float64{9, 9}), f.ScoreQuery([]float64{0, 0}); far <= near {
@@ -529,11 +529,11 @@ func TestFitKNNAllocs(t *testing.T) {
 // build anything, so the error is the size error even for a bad subspace.
 func TestFitRejectsTinyDatasetFirst(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1}})
-	if _, _, err := Fit(ds, []int{5}, 3, neighbors.KindKDTree); err == nil || !strings.Contains(err.Error(), "at least 2 objects") {
-		t.Errorf("Fit on one object = %v, want the size error", err)
+	if _, _, err := FitContext(context.Background(), ds, []int{5}, 3, neighbors.KindKDTree, 0); err == nil || !strings.Contains(err.Error(), "at least 2 objects") {
+		t.Errorf("FitContext on one object = %v, want the size error", err)
 	}
-	if _, _, err := FitKNN(ds, []int{5}, 3, neighbors.KindKDTree); err == nil || !strings.Contains(err.Error(), "at least 2 objects") {
-		t.Errorf("FitKNN on one object = %v, want the size error", err)
+	if _, _, err := FitKNNContext(context.Background(), ds, []int{5}, 3, neighbors.KindKDTree, 0); err == nil || !strings.Contains(err.Error(), "at least 2 objects") {
+		t.Errorf("FitKNNContext on one object = %v, want the size error", err)
 	}
 }
 
@@ -554,7 +554,7 @@ func TestNewFittedValidation(t *testing.T) {
 		t.Error("k<1 should fail")
 	}
 	// A correctly reassembled state answers queries like the original fit.
-	orig, _, err := Fit(ds, []int{0, 1}, 5, neighbors.KindBrute)
+	orig, _, err := FitContext(context.Background(), ds, []int{0, 1}, 5, neighbors.KindBrute, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 //   - Gauge: a float64 that goes up and down (active streams, model
 //     metadata).
 //   - Histogram / HistogramVec: cumulative fixed buckets plus _sum and
-//     _count, for request and refit latencies.
+//     _count, for span phase timings and client-side row latency.
 //
 // Every constructor registers into the given Registry and panics on a
 // duplicate or malformed name — registration is init-time programmer

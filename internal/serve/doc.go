@@ -19,7 +19,7 @@
 //	                  flushed as each row is scored
 //	GET  /metrics     Prometheus text exposition (format 0.0.4) of the
 //	                  process metrics registry: per-endpoint request
-//	                  counters and latency histograms, stream and refit
+//	                  counters, per-phase span timings, stream and refit
 //	                  instrumentation, worker-pool saturation, model
 //	                  metadata gauges — every series is documented in
 //	                  docs/metrics.md
@@ -28,9 +28,10 @@
 //
 // A middleware wraps every endpoint: each request gets a random 16-hex
 // request ID (RequestID reads it from the context), a request-scoped
-// slog.Logger carrying that ID, and — on completion — a per-endpoint
-// counter increment, a latency histogram observation, and one
-// structured log record. /stream sessions hand the request-scoped
+// slog.Logger carrying that ID, a root span named serve.<endpoint> (its
+// End is the request's hics_phase_seconds observation), and — on
+// completion — a per-endpoint counter increment and one structured log
+// record. /stream sessions hand the request-scoped
 // logger to their detector, so refit events (including ones emitted by
 // a background async-refit goroutine after the triggering push
 // returned) remain attributable to the session's request ID.

@@ -82,24 +82,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	after := scrapeMetrics(t, srv)
 	delta := func(series string) float64 { return after[series] - before[series] }
 
-	// Per-endpoint request counters and latency histograms moved for both
-	// driven endpoints.
+	// Per-endpoint request counters and root-span phase timings moved
+	// for both driven endpoints.
 	if d := delta(`hicsd_http_requests_total{endpoint="score",code="200",model="default"}`); d < 1 {
 		t.Errorf("score request counter moved by %v, want >= 1", d)
 	}
 	if d := delta(`hicsd_http_requests_total{endpoint="stream",code="200",model="default"}`); d < 1 {
 		t.Errorf("stream request counter moved by %v, want >= 1", d)
 	}
-	for _, endpoint := range []string{"score", "stream"} {
-		if d := delta(`hicsd_http_request_duration_seconds_count{endpoint="` + endpoint + `"}`); d < 1 {
-			t.Errorf("%s duration histogram count moved by %v, want >= 1", endpoint, d)
+	for _, phase := range []string{"serve.score", "serve.stream"} {
+		if d := delta(`hics_phase_seconds_count{phase="` + phase + `"}`); d < 1 {
+			t.Errorf("%s phase count moved by %v, want >= 1", phase, d)
 		}
-		if d := delta(`hicsd_http_request_duration_seconds_sum{endpoint="` + endpoint + `"}`); d <= 0 {
-			t.Errorf("%s duration histogram sum moved by %v, want > 0", endpoint, d)
+		if d := delta(`hics_phase_seconds_sum{phase="` + phase + `"}`); d <= 0 {
+			t.Errorf("%s phase sum moved by %v, want > 0", phase, d)
 		}
-		bucket := `hicsd_http_request_duration_seconds_bucket{endpoint="` + endpoint + `",le="+Inf"}`
+		bucket := `hics_phase_seconds_bucket{phase="` + phase + `",le="+Inf"}`
 		if d := delta(bucket); d < 1 {
-			t.Errorf("%s +Inf bucket moved by %v, want >= 1", endpoint, d)
+			t.Errorf("%s +Inf bucket moved by %v, want >= 1", phase, d)
 		}
 	}
 
@@ -112,8 +112,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if d := delta(`hics_stream_refits_total{mode="sync"}`); d < 1 {
 		t.Errorf("sync refit counter moved by %v, want >= 1", d)
 	}
-	if d := delta("hics_stream_refit_duration_seconds_count"); d < 1 {
-		t.Errorf("refit duration count moved by %v, want >= 1", d)
+	if d := delta(`hics_phase_seconds_count{phase="stream.refit"}`); d < 1 {
+		t.Errorf("stream.refit phase count moved by %v, want >= 1", d)
 	}
 	if d := delta("hics_stream_rows_total"); d < float64(len(rows)) {
 		t.Errorf("stream rows moved by %v, want >= %d", d, len(rows))
@@ -135,11 +135,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("hicsd_model_format_version = %v, want %v", got, want)
 	}
 
-	// Latency gauge carries the last scoring call in seconds: positive,
-	// and well under the minute budget.
-	if lat := after["hicsd_last_score_latency_seconds"]; lat <= 0 || lat > 60 {
-		t.Errorf("hicsd_last_score_latency_seconds = %v, want (0, 60]", lat)
-	}
 }
 
 // TestRequestIDThreading: every log record of a request — the middleware

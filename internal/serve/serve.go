@@ -34,9 +34,6 @@ var (
 	mRequests = metrics.Default.NewCounterVec("hicsd_http_requests_total",
 		"Completed HTTP requests by endpoint, status code and resolved model (empty when the request did not resolve one).",
 		"endpoint", "code", "model")
-	mDuration = metrics.Default.NewHistogramVec("hicsd_http_request_duration_seconds",
-		"Wall time of completed HTTP requests by endpoint (a /stream session counts once, at close).",
-		nil, "endpoint")
 	mErrors = metrics.Default.NewCounter("hicsd_http_errors_total",
 		"Error responses (status >= 400) plus terminal NDJSON stream error records.")
 	mActiveStreams = metrics.Default.NewGaugeVec("hicsd_streams_active",
@@ -47,33 +44,7 @@ var (
 	mRejected = metrics.Default.NewCounterVec("hicsd_admission_rejected_total",
 		"Requests rejected with 429 by a model's admission quota, by model and quota dimension (request or stream).",
 		"model", "kind")
-	mLastScoreLat = metrics.Default.NewGauge("hicsd_last_score_latency_seconds",
-		"Wall time of the latest scoring call (/score request or /stream row).")
 )
-
-// endpoints maps request paths onto the bounded endpoint label set; any
-// unknown path (404 traffic) collapses into "other" so scrape
-// cardinality cannot grow with abuse.
-var endpoints = map[string]string{
-	"/healthz":      "healthz",
-	"/info":         "info",
-	"/score":        "score",
-	"/rank":         "rank",
-	"/stream":       "stream",
-	"/models":       "models",
-	"/metrics":      "metrics",
-	"/debug/traces": "debug_traces",
-}
-
-func endpointLabel(path string) string {
-	if e, ok := endpoints[path]; ok {
-		return e
-	}
-	if strings.HasPrefix(path, "/models/") {
-		return "models"
-	}
-	return "other"
-}
 
 // Config wires the handler: the model fleet behind it plus the
 // per-request execution policy.
@@ -493,8 +464,9 @@ func New(cfg Config) *Server {
 	mux.Handle("GET /debug/traces", cfg.tracer().Handler())
 
 	// Observability middleware wraps the whole mux so every endpoint —
-	// including 404s — is counted, timed, logged and traced. Each
-	// request gets an ID (an inbound X-Request-Id is honored so hops
+	// including 404s — is counted, logged and traced; the root span's
+	// End times the request as phase serve.<endpoint>. Each request
+	// gets an ID (an inbound X-Request-Id is honored so hops
 	// correlate; otherwise minted), carried in the context (RequestID)
 	// and on the request-scoped logger, so endpoint events — including
 	// async refit goroutines outliving their /stream push — stay
@@ -507,7 +479,7 @@ func New(cfg Config) *Server {
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := requestID(r)
-		endpoint := endpointLabel(r.URL.Path)
+		endpoint := trace.Endpoint(r.URL.Path)
 		remote, _ := trace.Extract(r.Header)
 		ctx, span := cfg.tracer().StartRoot(r.Context(), "serve."+endpoint, remote, trace.TraceIDFromString(id))
 		log := cfg.logger().With("request_id", id,
@@ -537,7 +509,6 @@ func New(cfg Config) *Server {
 		}
 		span.End()
 		mRequests.With(endpoint, strconv.Itoa(status), ri.model).Inc()
-		mDuration.With(endpoint).Observe(elapsed.Seconds())
 		log.Info("request",
 			"method", r.Method, "path", r.URL.Path, "endpoint", endpoint,
 			"status", status, "duration", elapsed, "model", ri.model)
@@ -675,24 +646,20 @@ func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 	case req.Point != nil && req.Points != nil:
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: `set exactly one of "point" and "points"`})
 	case req.Point != nil:
-		start := time.Now()
 		s, err := m.Score(req.Point)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
-		mLastScoreLat.Set(time.Since(start).Seconds())
 		writeJSON(w, http.StatusOK, pointResponse{Score: s})
 	case req.Points != nil:
 		ctx, cancel := s.cfg.requestContext(r)
 		defer cancel()
-		start := time.Now()
 		scores, err := m.ScoreBatchContext(ctx, req.Points)
 		if err != nil {
 			writeComputeError(w, err)
 			return
 		}
-		mLastScoreLat.Set(time.Since(start).Seconds())
 		if scores == nil {
 			scores = []float64{}
 		}
@@ -1063,13 +1030,11 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			writeStreamError(w, rc, fmt.Errorf("invalid row: %v (want one JSON array of %d numbers per line)", err, m.D()))
 			return
 		}
-		start := time.Now()
 		results, err = st.PushAppend(ctx, row, results[:0])
 		if err != nil {
 			writeStreamError(w, rc, err)
 			return
 		}
-		mLastScoreLat.Set(time.Since(start).Seconds())
 		if n := st.Refits(); n > refitsSeen {
 			mRefits.With(model).Add(int64(n - refitsSeen))
 			refitsSeen = n

@@ -348,9 +348,6 @@ func TestMetricsCounters(t *testing.T) {
 	if d := mRefits.Total() - refits0; d < 1 {
 		t.Errorf("refits moved by %d, want >= 1", d)
 	}
-	if mLastScoreLat.Value() < 0 {
-		t.Errorf("last_score_latency_seconds = %v", mLastScoreLat.Value())
-	}
 	// Per-endpoint series moved too: a 200 /score, a 400 /score, a 200
 	// /stream.
 	if n := mRequests.With("score", "200", "default").Value(); n < 1 {

@@ -143,7 +143,8 @@ func (w *frontStatusWriter) Flush() {
 
 // ServeHTTP is the front's observability middleware: every request gets
 // an ID (an inbound X-Request-Id is honored, otherwise minted), a root
-// span (continuing an inbound traceparent when a caller sent one, else
+// span named "front.<endpoint>" over the bounded trace.Endpoint set
+// (continuing an inbound traceparent when a caller sent one, else
 // reusing the request ID as trace ID) and a request-scoped logger
 // carrying all three IDs — so a front log line and the owning shard's
 // log line for the same request share one trace_id.
@@ -151,7 +152,7 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id := frontRequestID(r)
 	remote, _ := trace.Extract(r.Header)
-	ctx, span := f.tracer.StartRoot(r.Context(), "front."+strings.TrimPrefix(r.URL.Path, "/"), remote, trace.TraceIDFromString(id))
+	ctx, span := f.tracer.StartRoot(r.Context(), "front."+trace.Endpoint(r.URL.Path), remote, trace.TraceIDFromString(id))
 	log := f.log.With("request_id", id,
 		"trace_id", span.TraceIDString(), "span_id", span.SpanIDString())
 	ctx = context.WithValue(ctx, frontRequestIDKey, id)

@@ -234,6 +234,45 @@ func TestFrontUnaryProxy(t *testing.T) {
 	}
 }
 
+// TestFrontUnknownPathPhase: a front request to a path it does not route
+// is timed under the bounded phase front.other, never under a phase
+// named after the client's path.
+func TestFrontUnknownPathPhase(t *testing.T) {
+	_, _, ts := newFront(t, newBackend(t, testModel(t)))
+	const other = `hics_phase_seconds_count{phase="front.other"}`
+	count := func() (n float64, body string) {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, line := range strings.Split(string(b), "\n") {
+			if v, ok := strings.CutPrefix(line, other+" "); ok {
+				fmt.Sscan(v, &n)
+			}
+		}
+		return n, string(b)
+	}
+	before, _ := count()
+	resp, err := http.Get(ts.URL + "/no/such/path")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/no/such/path status %d, want 404", resp.StatusCode)
+	}
+	after, body := count()
+	if after-before != 1 {
+		t.Errorf("%s moved by %v, want 1", other, after-before)
+	}
+	if strings.Contains(body, "no/such") || strings.Contains(body, "front.no") {
+		t.Error("/metrics carries a phase named after the unknown path")
+	}
+}
+
 // TestFrontDrainMidStream: draining the owning shard mid-session
 // delivers every already-scored record plus the shard's terminal
 // draining error record through the front, the front's health view

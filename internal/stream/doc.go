@@ -34,9 +34,10 @@
 //
 // Every detector reports into the process metrics registry
 // (internal/metrics): active-detector and accepted-row counts, completed
-// refits by mode (initial cold fit, inline sync, background async),
-// refit failures and refit wall-time histograms — see docs/metrics.md
-// for the full series reference. Config.Logger (optional) receives one
+// refits by mode (initial cold fit, inline sync, background async) and
+// refit failures — see docs/metrics.md for the full series reference.
+// Each refit runs under a stream.refit span, so inside a served request
+// its wall time lands on hics_phase_seconds{phase="stream.refit"}. Config.Logger (optional) receives one
 // structured record per refit; callers that serve requests pass a logger
 // annotated with the request ID so events from async refit goroutines
 // stay attributable to the session that spawned them.

@@ -29,8 +29,6 @@ var (
 		"mode")
 	mRefitFailures = metrics.Default.NewCounter("hics_stream_refit_failures_total",
 		"Streaming model fits that returned an error (cancelled async refits during Close excluded).")
-	mRefitDuration = metrics.Default.NewHistogram("hics_stream_refit_duration_seconds",
-		"Wall time of completed streaming model fits.", nil)
 )
 
 // Model is the frozen scoring state a detector scores arrivals against.
@@ -165,8 +163,9 @@ func New(cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// timedRefit runs the refit function with duration instrumentation and
-// structured logging; mode labels the metric and log record.
+// timedRefit runs the refit function under a stream.refit span (whose
+// End times it on hics_phase_seconds) with structured logging; mode
+// labels the refit counter, the span and the log record.
 func (d *Detector) timedRefit(ctx context.Context, mode string, window [][]float64) (Model, error) {
 	// One span per refit — never per row — so a traced /stream session
 	// shows its refits as children without touching the zero-alloc row
@@ -190,7 +189,6 @@ func (d *Detector) timedRefit(ctx context.Context, mode string, window [][]float
 		return nil, err
 	}
 	mRefits.With(mode).Inc()
-	mRefitDuration.Observe(elapsed.Seconds())
 	d.log.Debug("stream refit complete", "mode", mode, "window", len(window),
 		"duration", elapsed)
 	return m, nil

@@ -2,14 +2,16 @@ package trace
 
 import "hics/internal/metrics"
 
-// The hicsd_trace_* families quantify the tracing layer itself: how
-// many spans were opened, what was lost to caps and eviction, how full
-// the /debug/traces ring is, and whether the NDJSON export is healthy.
+// hics_phase_seconds is the one in-process phase timer, fed by
+// Span.End. The hicsd_trace_* families quantify the tracing layer
+// itself: what was lost to caps and eviction, how full the
+// /debug/traces ring is, and whether the NDJSON export is healthy.
 // Registered on the process default registry like every other family;
 // docs/metrics.md documents them and TestMetricsDocInSync enforces it.
 var (
-	mSpansStarted = metrics.Default.NewCounter("hicsd_trace_spans_started_total",
-		"Spans opened (roots and children) across all traced requests.")
+	mPhase = metrics.Default.NewHistogramVec("hics_phase_seconds",
+		"Wall time of ended spans by phase (the span name), whether or not the trace is kept.",
+		nil, "phase")
 	mSpansDropped = metrics.Default.NewCounterVec("hicsd_trace_spans_dropped_total",
 		"Spans lost before serving, by reason.", "reason")
 	mTracesKept = metrics.Default.NewCounter("hicsd_trace_traces_kept_total",

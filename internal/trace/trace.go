@@ -19,6 +19,12 @@
 // dropped it (tail keep). What "kept" means: the assembled trace enters
 // the ring buffer (GET /debug/traces) and, when configured, its spans
 // are appended to the NDJSON export writer.
+//
+// Span.End is also the process's one phase timer: every ended span adds
+// its duration to hics_phase_seconds{phase=<span name>}, kept or not, so
+// /metrics and /debug/traces time the same work from the same clock
+// reads. Span names are therefore a bounded set; root spans name their
+// request path through Endpoint.
 package trace
 
 import (
@@ -32,6 +38,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,14 +168,6 @@ type Attr struct {
 	Value any
 }
 
-// EventData is one timestamped point event inside a span, in the JSON
-// shape served by /debug/traces and the NDJSON export.
-type EventData struct {
-	Name string `json:"name"`
-	// OffsetMS is milliseconds since the span started.
-	OffsetMS float64 `json:"offset_ms"`
-}
-
 // SpanData is one completed span in its externally served JSON shape.
 type SpanData struct {
 	SpanID   string `json:"span_id"`
@@ -180,7 +179,6 @@ type SpanData struct {
 	StartMS    float64        `json:"start_ms"`
 	DurationMS float64        `json:"duration_ms"`
 	Attrs      map[string]any `json:"attrs,omitempty"`
-	Events     []EventData    `json:"events,omitempty"`
 	Error      string         `json:"error,omitempty"`
 }
 
@@ -206,8 +204,7 @@ type TraceData struct {
 
 // Config parameterizes a Tracer. The zero value is fully usable: it
 // head-samples every trace, keeps errored traces and traces slower
-// than DefaultSlowThreshold, retains DefaultRingSize traces, and does
-// not export.
+// than DefaultSlowThreshold, and does not export.
 type Config struct {
 	// Sample is the head-sampling probability in [0, 1]. 0 means the
 	// default (sample everything); pass a negative value to head-sample
@@ -219,12 +216,6 @@ type Config struct {
 	// this long, regardless of the sampling decision. 0 means the
 	// default (DefaultSlowThreshold); negative disables the slow keep.
 	SlowThreshold time.Duration
-	// RingSize bounds the completed traces retained for /debug/traces;
-	// the oldest trace is evicted first. 0 means DefaultRingSize.
-	RingSize int
-	// MaxSpans caps recorded spans per trace; spans beyond the cap are
-	// counted as dropped, not recorded. 0 means DefaultMaxSpans.
-	MaxSpans int
 	// Export, when non-nil, receives one JSON object per kept span,
 	// newline-terminated (NDJSON), as each trace completes. Writes are
 	// serialized by the tracer; write errors are counted on
@@ -232,7 +223,10 @@ type Config struct {
 	Export io.Writer
 }
 
-// Defaults applied by New and Configure for zero Config fields.
+// DefaultSlowThreshold replaces a zero Config.SlowThreshold.
+// DefaultRingSize bounds the completed traces retained for
+// /debug/traces (the oldest is evicted first), and DefaultMaxSpans caps
+// the spans recorded per trace (the rest are counted as dropped).
 const (
 	DefaultSlowThreshold = 500 * time.Millisecond
 	DefaultRingSize      = 256
@@ -256,7 +250,7 @@ type Tracer struct {
 
 // New returns a Tracer with cfg's zero fields replaced by defaults.
 func New(cfg Config) *Tracer {
-	t := &Tracer{}
+	t := &Tracer{ring: make([]TraceData, DefaultRingSize)}
 	t.seed()
 	t.Configure(cfg)
 	return t
@@ -275,8 +269,8 @@ func (t *Tracer) seed() {
 }
 
 // Configure replaces the tracer's parameters, normalizing zero fields
-// to the package defaults. The ring is resized (retaining nothing) when
-// RingSize changes. Safe for concurrent use, but intended for startup.
+// to the package defaults. Safe for concurrent use, but intended for
+// startup.
 func (t *Tracer) Configure(cfg Config) {
 	if cfg.Sample == 0 {
 		cfg.Sample = 1
@@ -290,19 +284,8 @@ func (t *Tracer) Configure(cfg Config) {
 	if cfg.SlowThreshold == 0 {
 		cfg.SlowThreshold = DefaultSlowThreshold
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = DefaultMaxSpans
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.ring) != cfg.RingSize {
-		t.ring = make([]TraceData, cfg.RingSize)
-		t.next, t.full = 0, false
-		mRingTraces.Set(0)
-	}
 	t.cfg = cfg
 }
 
@@ -372,9 +355,9 @@ type traceRec struct {
 
 // Span is one timed operation. A nil *Span is the valid no-op span: all
 // methods are nil-safe, so callers annotate unconditionally. Attribute
-// and event methods may be called from multiple goroutines (fan-out
-// workers sharing the request context); End must be called exactly once
-// by the goroutine that owns the operation.
+// methods may be called from multiple goroutines (fan-out workers
+// sharing the request context); End must be called exactly once by the
+// goroutine that owns the operation.
 type Span struct {
 	rec    *traceRec
 	sc     SpanContext
@@ -386,11 +369,10 @@ type Span struct {
 	name  string
 	start time.Time
 
-	mu     sync.Mutex
-	attrs  []Attr
-	events []EventData
-	err    error
-	ended  bool
+	mu    sync.Mutex
+	attrs []Attr
+	err   error
+	ended bool
 }
 
 // Context returns the span's propagated identity, for injection into an
@@ -435,17 +417,6 @@ func (s *Span) SetAttr(key string, value any) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// AddEvent records a point-in-time event at the current offset.
-func (s *Span) AddEvent(name string) {
-	if s == nil {
-		return
-	}
-	off := durationMS(time.Since(s.start))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events = append(s.events, EventData{Name: name, OffsetMS: off})
-}
-
 // SetError marks the span failed; a trace containing any errored span
 // is always kept. A nil err is ignored.
 func (s *Span) SetError(err error) {
@@ -457,10 +428,12 @@ func (s *Span) SetError(err error) {
 	s.err = err
 }
 
-// End finishes the span with monotonic timing and hands it to the trace
-// record. Ending the root span finalizes the trace: the keep decision
-// runs and the assembled trace enters the ring and the export. End is
-// idempotent; extra calls are ignored.
+// End finishes the span with monotonic timing, observes the duration
+// on hics_phase_seconds under the span's name, and hands the span to
+// the trace record. Ending the root span finalizes the trace: the keep
+// decision runs and the assembled trace enters the ring and the export.
+// The observation does not depend on that decision, nor on the span
+// cap. End is idempotent; extra calls are ignored.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -476,7 +449,6 @@ func (s *Span) End() {
 		SpanID:     s.sc.SpanID.String(),
 		Name:       s.name,
 		DurationMS: durationMS(end),
-		Events:     s.events,
 	}
 	if !s.parent.IsZero() {
 		data.ParentID = s.parent.String()
@@ -493,6 +465,7 @@ func (s *Span) End() {
 		errored = true
 	}
 	s.mu.Unlock()
+	mPhase.With(s.name).Observe(end.Seconds())
 	s.rec.finish(s, data, errored)
 }
 
@@ -515,7 +488,7 @@ func (r *traceRec) finish(s *Span, data SpanData, errored bool) {
 		r.mu.Unlock()
 		mSpansDropped.With("late").Inc()
 		return
-	case !isRoot && len(r.spans) >= r.tracer.maxSpans():
+	case !isRoot && len(r.spans) >= DefaultMaxSpans:
 		r.dropped++
 		r.mu.Unlock()
 		mSpansDropped.With("cap").Inc()
@@ -556,13 +529,6 @@ func (r *traceRec) finish(s *Span, data SpanData, errored bool) {
 		return
 	}
 	tr.keep(td)
-}
-
-// maxSpans reads the per-trace span cap under the config lock.
-func (t *Tracer) maxSpans() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cfg.MaxSpans
 }
 
 // slowThreshold reads the tail-keep threshold under the config lock.
@@ -688,8 +654,34 @@ func (t *Tracer) StartRoot(ctx context.Context, name string, remote SpanContext,
 		name:   name,
 		start:  rec.rootStart,
 	}
-	mSpansStarted.Inc()
 	return ContextWithSpan(ctx, sp), sp
+}
+
+// endpoints maps request paths onto the bounded endpoint set.
+var endpoints = map[string]string{
+	"/healthz":      "healthz",
+	"/info":         "info",
+	"/score":        "score",
+	"/rank":         "rank",
+	"/stream":       "stream",
+	"/models":       "models",
+	"/metrics":      "metrics",
+	"/debug/traces": "debug_traces",
+}
+
+// Endpoint maps a request path onto the bounded endpoint set the
+// serving middlewares name their root spans by ("serve.<endpoint>",
+// "front.<endpoint>") and label their request counters with. Any
+// unknown path collapses into "other", so neither the phase label nor
+// the scrape can grow with client input.
+func Endpoint(path string) string {
+	if e, ok := endpoints[path]; ok {
+		return e
+	}
+	if strings.HasPrefix(path, "/models/") {
+		return "models"
+	}
+	return "other"
 }
 
 // ctxKey is the unexported context key type for the span.
@@ -728,7 +720,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		name:   name,
 		start:  time.Now(),
 	}
-	mSpansStarted.Inc()
 	return ContextWithSpan(ctx, sp), sp
 }
 

@@ -118,21 +118,22 @@ func TestTraceIDFromString(t *testing.T) {
 	}
 }
 
-// TestRingEvictionOrder fills a 3-slot ring with 5 traces and requires
-// the two oldest evicted and the rest served newest-first.
+// TestRingEvictionOrder overfills the ring by one trace and requires
+// the oldest evicted and the rest served newest-first.
 func TestRingEvictionOrder(t *testing.T) {
-	tr := New(Config{RingSize: 3})
-	for i := 0; i < 5; i++ {
+	tr := New(Config{})
+	const n = DefaultRingSize + 1
+	for i := 0; i < n; i++ {
 		_, sp := tr.StartRoot(context.Background(), fmt.Sprintf("t%d", i), SpanContext{}, TraceID{})
 		sp.End()
 	}
 	got := tr.Traces(0, 0)
-	if len(got) != 3 {
-		t.Fatalf("ring holds %d traces, want 3", len(got))
+	if len(got) != DefaultRingSize {
+		t.Fatalf("ring holds %d traces, want %d", len(got), DefaultRingSize)
 	}
-	for i, want := range []string{"t4", "t3", "t2"} {
-		if got[i].Root != want {
-			t.Fatalf("Traces()[%d].Root = %q, want %q (newest first)", i, got[i].Root, want)
+	for i := range got {
+		if want := fmt.Sprintf("t%d", n-1-i); got[i].Root != want {
+			t.Fatalf("Traces()[%d].Root = %q, want %q (newest first, t0 evicted)", i, got[i].Root, want)
 		}
 	}
 }
@@ -202,15 +203,14 @@ func TestRemoteParentInherited(t *testing.T) {
 	}
 }
 
-// TestSpanAttrsEventsAndMinMS covers attributes (last write wins),
-// events, the min_ms filter and the HTTP handler's JSON shape.
+// TestSpanAttrsEventsAndMinMS covers attributes (last write wins), the
+// min_ms filter and the HTTP handler's JSON shape.
 func TestSpanAttrsEventsAndMinMS(t *testing.T) {
 	tr := New(Config{})
 	ctx, root := tr.StartRoot(context.Background(), "req", SpanContext{}, TraceIDFromString("req-1"))
 	_, sp := StartSpan(ctx, "search")
 	sp.SetAttr("candidates", 41)
 	sp.SetAttr("candidates", 42)
-	sp.AddEvent("level done")
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
 	root.End()
@@ -246,9 +246,6 @@ func TestSpanAttrsEventsAndMinMS(t *testing.T) {
 	}
 	if v, ok := search.Attrs["candidates"].(float64); !ok || v != 42 {
 		t.Fatalf("attr candidates = %v, want 42 (last write wins)", search.Attrs["candidates"])
-	}
-	if len(search.Events) != 1 || search.Events[0].Name != "level done" {
-		t.Fatalf("events %+v", search.Events)
 	}
 	if search.DurationMS <= 0 {
 		t.Fatalf("span duration %v not positive", search.DurationMS)
@@ -292,10 +289,10 @@ func TestExportNDJSON(t *testing.T) {
 // TestMaxSpansCap: spans beyond the cap are dropped and counted on the
 // trace, while the root always records.
 func TestMaxSpansCap(t *testing.T) {
-	tr := New(Config{MaxSpans: 2})
+	tr := New(Config{})
 	ctx, root := tr.StartRoot(context.Background(), "req", SpanContext{}, TraceID{})
-	for i := 0; i < 5; i++ {
-		_, sp := StartSpan(ctx, fmt.Sprintf("c%d", i))
+	for i := 0; i < DefaultMaxSpans+1; i++ {
+		_, sp := StartSpan(ctx, "child")
 		sp.End()
 	}
 	root.End()
@@ -303,9 +300,72 @@ func TestMaxSpansCap(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("ring %d", len(got))
 	}
-	// Cap 2 admits two children; the root is exempt → 3 recorded spans.
-	if len(got[0].Spans) != 3 || got[0].DroppedSpans != 3 {
-		t.Fatalf("spans=%d dropped=%d, want 3/3", len(got[0].Spans), got[0].DroppedSpans)
+	// The cap admits 512 children and drops the 513th; the root is
+	// exempt → 513 recorded spans.
+	if len(got[0].Spans) != DefaultMaxSpans+1 || got[0].DroppedSpans != 1 {
+		t.Fatalf("spans=%d dropped=%d, want %d/1", len(got[0].Spans), got[0].DroppedSpans, DefaultMaxSpans+1)
+	}
+}
+
+// TestPhaseHistogramObservesEverySpan: each ended span adds exactly one
+// observation of its own duration to hics_phase_seconds under its name —
+// in a sampled-out trace, past the span cap, and after the root ended —
+// while a repeated End and a nil span add nothing.
+func TestPhaseHistogramObservesEverySpan(t *testing.T) {
+	const rootPhase, childPhase, latePhase = "test.phase_root", "test.phase_child", "test.phase_late"
+	count := func(phase string) int64 { return mPhase.With(phase).Count() }
+	root0, child0, late0 := count(rootPhase), count(childPhase), count(latePhase)
+	childSum0 := mPhase.With(childPhase).Sum()
+
+	tr := New(Config{Sample: -1, SlowThreshold: -1}) // keep nothing
+	ctx, root := tr.StartRoot(context.Background(), rootPhase, SpanContext{}, TraceID{})
+	for i := 0; i < DefaultMaxSpans+3; i++ {
+		_, sp := StartSpan(ctx, childPhase)
+		sp.End()
+		sp.End()
+	}
+	_, late := StartSpan(ctx, latePhase)
+	root.End()
+	late.End()
+	var nilSpan *Span
+	nilSpan.End()
+
+	if n := len(tr.Traces(0, 0)); n != 0 {
+		t.Fatalf("sampled-out trace kept (%d in ring)", n)
+	}
+	if d := count(rootPhase) - root0; d != 1 {
+		t.Errorf("root phase count moved by %d, want 1", d)
+	}
+	if d := count(childPhase) - child0; d != DefaultMaxSpans+3 {
+		t.Errorf("child phase count moved by %d, want %d (capped spans count too)", d, DefaultMaxSpans+3)
+	}
+	if d := count(latePhase) - late0; d != 1 {
+		t.Errorf("late phase count moved by %d, want 1", d)
+	}
+	if d := mPhase.With(childPhase).Sum() - childSum0; d <= 0 {
+		t.Errorf("child phase sum moved by %v, want > 0", d)
+	}
+}
+
+// TestEndpoint: request paths map onto the bounded endpoint set, and
+// every unknown path collapses into "other".
+func TestEndpoint(t *testing.T) {
+	for path, want := range map[string]string{
+		"/healthz":       "healthz",
+		"/score":         "score",
+		"/stream":        "stream",
+		"/models":        "models",
+		"/models/alpha":  "models",
+		"/debug/traces":  "debug_traces",
+		"/":              "other",
+		"/no/such/path":  "other",
+		"/score/extra":   "other",
+		"/debug/pprof/":  "other",
+		"/models-shadow": "other",
+	} {
+		if got := Endpoint(path); got != want {
+			t.Errorf("Endpoint(%q) = %q, want %q", path, got, want)
+		}
 	}
 }
 
@@ -332,7 +392,6 @@ func TestNilSpanSafe(t *testing.T) {
 		t.Fatal("StartSpan without a root must be free")
 	}
 	sp.SetAttr("k", 1)
-	sp.AddEvent("e")
 	sp.SetError(errors.New("x"))
 	sp.End()
 	if got := sp.TraceIDString(); got != "" {
@@ -376,7 +435,6 @@ func TestForEachPropagation(t *testing.T) {
 			return errors.New("span lost crossing into worker")
 		}
 		sp.SetAttr("last_index", i)
-		sp.AddEvent("item")
 		mu.Lock()
 		seen[sp.TraceIDString()] = true
 		mu.Unlock()
@@ -400,8 +458,11 @@ func TestForEachPropagation(t *testing.T) {
 			sd = &got[0].Spans[i]
 		}
 	}
-	if sd == nil || len(sd.Events) != 64 {
-		t.Fatalf("search span events %+v, want 64 item events", sd)
+	if sd == nil {
+		t.Fatal("search span missing from the trace")
+	}
+	if v, ok := sd.Attrs["last_index"].(int); !ok || v < 0 || v >= 64 {
+		t.Fatalf("search span last_index = %v, want a worker's item index in [0, 64)", sd.Attrs["last_index"])
 	}
 }
 

@@ -11,24 +11,15 @@ import (
 	"io"
 	"math"
 	"strings"
-	"time"
 
 	"hics/internal/dataset"
 	"hics/internal/lof"
-	"hics/internal/metrics"
 	"hics/internal/neighbors"
 	"hics/internal/parallel"
 	"hics/internal/ranking"
 	"hics/internal/registry"
 	"hics/internal/subspace"
 )
-
-// mFitDuration observes the wall time of completed model fits (Fit and
-// FitContext, including the fits behind Rank-free production training);
-// paired with the hics_fit_* counters it shows what the contrast
-// subsampling knob buys on a live process.
-var mFitDuration = metrics.Default.NewHistogram("hics_fit_duration_seconds",
-	"Wall time of completed model fits (Fit/FitContext).", nil)
 
 // Model is a trained HiCS outlier detector: the outcome of running the
 // Monte Carlo subspace search once and freezing the per-subspace scoring
@@ -96,12 +87,10 @@ func FitContext(ctx context.Context, rows [][]float64, opts Options) (*Model, er
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	fp, err := pipe.FitContext(ctx, ds)
 	if err != nil {
 		return nil, err
 	}
-	mFitDuration.Observe(time.Since(start).Seconds())
 	m := &Model{
 		fp:          fp,
 		ds:          ds,
