@@ -442,8 +442,8 @@ func Rank(rows [][]float64, opts Options) (*Result, error) {
 }
 
 // RankContext is Rank with cooperative cancellation: the Monte Carlo
-// subspace search checks ctx between iterations and the scoring step
-// checks it between subspaces, so a cancelled or deadlined context makes
+// subspace search checks ctx between groups of iterations and the
+// scoring step checks it between subspaces, so a cancelled or deadlined context makes
 // the call return ctx.Err() promptly without leaking goroutines. An
 // uncancelled run is bit-for-bit identical to Rank.
 func RankContext(ctx context.Context, rows [][]float64, opts Options) (*Result, error) {

@@ -225,16 +225,16 @@ type column struct {
 
 // Scratch holds the per-goroutine buffers of the Monte Carlo loop. They
 // are reused across iterations and candidates, and none is N-sized: the
-// selection vector and the conditional sample hold at most one index
-// block, and a subsampled estimate's sample view (drawn ids, and per
+// selection vector and each of the conditional samples hold at most one
+// index block, and a subsampled estimate's sample view (drawn ids, and per
 // subspace attribute the sample's values, sorted order and ranks) holds
 // MaxSampleRows rows. A Scratch serves only the Evaluator that made it.
 type Scratch struct {
-	perm   []int     // permutation of subspace positions
-	starts []int     // index block start per condition
-	sel    []int     // selection vector: row ids inside every block so far
-	cond   []float64 // conditional sample values
-	view   []column  // per subspace position, the full-data view
+	perm   []int                 // permutation of subspace positions
+	starts []int                 // index block start per condition
+	sel    []int                 // selection vector: row ids inside every block so far
+	cond   [welchLanes][]float64 // conditional samples, one per lane of a Welch group
+	view   []column              // per subspace position, the full-data view
 
 	chosen map[int]struct{} // Floyd's membership set
 	ids    []int            // the subsample's row ids, ascending
@@ -257,9 +257,10 @@ func (e *Evaluator) Contrast(s subspace.Subspace, r *rng.RNG, sc *Scratch) float
 }
 
 // ContrastContext is Contrast with cooperative cancellation: the Monte
-// Carlo loop checks ctx between iterations and returns ctx.Err() when it
-// fires. The check never touches the random stream, so an uncancelled
-// call is bit-for-bit identical to Contrast.
+// Carlo loop checks ctx once per group of iterations (four for Welch's
+// test, one for the others) and returns ctx.Err() when it fires. The
+// check never touches the random stream, so an uncancelled call is
+// bit-for-bit identical to Contrast.
 //
 // Each iteration draws a permutation of the subspace's attributes and one
 // index block start per condition. The conditional sample is then found
@@ -268,6 +269,15 @@ func (e *Evaluator) Contrast(s subspace.Subspace, r *rng.RNG, sc *Scratch) float
 // falls inside its block, compacting the vector in place. The survivors
 // keep the first block's order, so the sample is deterministic; for a
 // two-dimensional subspace it is a plain gather of the block.
+//
+// Welch's test runs the iterations in groups of four. Each iteration of a
+// group draws its slice in turn, so the random stream is consumed exactly
+// as one iteration at a time would consume it, and gathers its sample
+// into its own buffer. One stats.MeanVar4 call then computes the four
+// samples' moments with their Welford chains side by side, and the
+// deviations are added in iteration order, so the contrast keeps its
+// bits. A final group of fewer than four fills its empty lanes with its
+// own first sample and discards their results.
 //
 // When Params.MaxSampleRows bounds the rows, the estimate runs on a
 // subsample drawn from a sub-stream derived from r, so the Monte Carlo
@@ -309,40 +319,82 @@ func (e *Evaluator) ContrastContext(ctx context.Context, s subspace.Subspace, r 
 	}
 
 	sc.perm, sc.starts = resize(sc.perm, d), resize(sc.starts, d-1)
-	sc.sel, sc.cond = resize(sc.sel, blockSize), resize(sc.cond, blockSize)
-	perm, starts := sc.perm, sc.starts
+	sc.sel = resize(sc.sel, blockSize)
+	lanes := 1
+	if p.Test == WelchT {
+		lanes = welchLanes
+	}
+	for l := range lanes {
+		sc.cond[l] = resize(sc.cond[l], blockSize)
+	}
 
 	sum := 0.0
-	for iter := 0; iter < p.M; iter++ {
+	for iter := 0; iter < p.M; iter += lanes {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		r.PermInto(perm)
-		for j := range starts {
-			starts[j] = r.Intn(rows - blockSize + 1)
+		g := min(lanes, p.M-iter)
+		var conds [welchLanes][]float64
+		var attrs [welchLanes]int
+		for l := 0; l < g; l++ {
+			attrs[l], conds[l] = drawSample(s, cols, rows, blockSize, r, sc, sc.cond[l])
 		}
-
-		// Conditional sample of the remaining attribute: the rows of the
-		// first block that lie inside every further block.
-		sel := cols[perm[0]].order[starts[0] : starts[0]+blockSize]
-		for j := 1; j < d-1; j++ {
-			sel = keepInBlock(sc.sel, sel, cols[perm[j]].rank, starts[j], blockSize)
+		if lanes == 1 {
+			sum += e.deviation(attrs[0], conds[0])
+			continue
 		}
-		last := cols[perm[d-1]].vals
-		cond := sc.cond[:len(sel)]
-		for i, id := range sel {
-			cond[i] = last[id]
+		// A final partial group fills its empty lanes with its own first
+		// sample and discards their results.
+		for l := g; l < lanes; l++ {
+			conds[l] = conds[0]
 		}
-
-		sum += e.deviation(s[perm[d-1]], cond)
+		mean, variance := stats.MeanVar4(conds)
+		for l := 0; l < g; l++ {
+			sum += e.welchDeviation(attrs[l], len(conds[l]), mean[l], variance[l])
+		}
 	}
 	return sum / float64(p.M), nil
 }
+
+// drawSample draws one Monte Carlo iteration's slice from r — a
+// permutation of the subspace's positions, then one index block start per
+// condition — and gathers into dst the conditional sample of the remaining
+// attribute: the rows of the first block that lie inside every further
+// block. It returns that attribute and the sample.
+func drawSample(s subspace.Subspace, cols []column, rows, blockSize int, r *rng.RNG, sc *Scratch, dst []float64) (int, []float64) {
+	perm, starts := sc.perm, sc.starts
+	r.PermInto(perm)
+	for j := range starts {
+		starts[j] = r.Intn(rows - blockSize + 1)
+	}
+	sel := cols[perm[0]].order[starts[0] : starts[0]+blockSize]
+	for j := 1; j < len(perm)-1; j++ {
+		sel = keepInBlock(sc.sel, sel, cols[perm[j]].rank, starts[j], blockSize)
+	}
+	last := cols[perm[len(perm)-1]].vals
+	dst = dst[:len(sel)]
+	for i, id := range sel {
+		dst[i] = last[id]
+	}
+	return s[perm[len(perm)-1]], dst
+}
+
+// welchLanes is the number of Monte Carlo iterations a Welch estimate
+// runs as one group: stats.MeanVar4 computes their moments in one pass,
+// with four independent Welford chains side by side.
+const welchLanes = 4
 
 // keepInBlock writes to dst, in order, the ids of src whose rank lies in
 // [start, start+size), and returns that prefix of dst. dst may share
 // src's backing array (in-place compaction): each id is read before its
 // slot can be overwritten.
+//
+// It stays out of line: inlined into drawSample, its loop index and count
+// spill to the stack, and the store-to-load round trip on the count
+// lengthens the loop's carried dependency; on the d = 4..8 cases of
+// BenchmarkContrast the inlined filter made an estimate 1.2–1.6× slower.
+//
+//go:noinline
 func keepInBlock(dst, src []int, rank []int32, start, size int) []int {
 	dst = dst[:len(src)]
 	lo, n := int32(start), 0
@@ -445,16 +497,23 @@ func (e *Evaluator) deviation(attr int, cond []float64) float64 {
 		sort.Float64s(cond)
 		return stats.CramerVonMisesSorted(e.sortedVals[attr], cond)
 	default: // WelchT
-		if len(cond) < 2 {
-			return 0
-		}
 		condMean, condVar := stats.MeanVar(cond)
-		res := stats.WelchTestMoments(
-			e.margMean[attr], e.margVar[attr], float64(e.ds.N()),
-			condMean, condVar, float64(len(cond)),
-		)
-		return 1 - res.P
+		return e.welchDeviation(attr, len(cond), condMean, condVar)
 	}
+}
+
+// welchDeviation is Welch's deviation, 1 − p, of a conditional sample of
+// attribute attr with n values and the given moments. A sample of fewer
+// than two values contributes zero.
+func (e *Evaluator) welchDeviation(attr, n int, mean, variance float64) float64 {
+	if n < 2 {
+		return 0
+	}
+	res := stats.WelchTestMoments(
+		e.margMean[attr], e.margVar[attr], float64(e.ds.N()),
+		mean, variance, float64(n),
+	)
+	return 1 - res.P
 }
 
 // ContrastOf is a convenience wrapper: it computes the contrast of a single

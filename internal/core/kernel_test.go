@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -233,6 +234,55 @@ func TestContrastMatchesReference(t *testing.T) {
 	}
 }
 
+// TestContrastGroupTails pins the grouped Welch loop to the serial
+// reference bit for bit for every shape of the last group: M below one
+// group, a full group, one group plus a partial one, and the default
+// M = 50, whose last group holds two iterations and two padded lanes.
+// Full-data and subsampled estimates share one Scratch per evaluator.
+func TestContrastGroupTails(t *testing.T) {
+	ds := kernelDataset(5, 300)
+	ds.EnsureIndexes()
+	subs := subspacesOf(ds.D())
+	for _, m := range []int{2, 3, 4, 5, 7, 8, 50} {
+		for _, rows := range []int{0, 120} {
+			p := Params{M: m, Seed: 7, MaxSampleRows: rows}
+			e := NewEvaluator(ds, p)
+			sc, ref := e.NewScratch(), newRefScratch(ds.N())
+			for _, s := range subs {
+				stream := func() *rng.RNG { return rng.New(p.Seed).Derive(hashSubspace(s)) }
+				got, err := e.ContrastContext(context.Background(), s, stream(), sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := referenceContrast(e, s, stream(), ref)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("M=%d rows=%d %v: contrast %v, reference %v", m, rows, s, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestContrastContextCancelled: an already cancelled context stops the
+// Monte Carlo loop at its first group check, for the grouped Welch loop
+// and the one-iteration groups of KS alike.
+func TestContrastContextCancelled(t *testing.T) {
+	ds := correlatedPair(2, 500, 5)
+	ds.EnsureIndexes()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, test := range []Test{WelchT, KolmogorovSmirnov} {
+		e := NewEvaluator(ds, Params{Test: test, Seed: 3})
+		sc := e.NewScratch()
+		for d := 2; d <= 5; d++ {
+			got, err := e.ContrastContext(ctx, subspace.Full(d), rng.New(1), sc)
+			if !errors.Is(err, context.Canceled) || got != 0 {
+				t.Errorf("%v d=%d: got (%v, %v), want (0, %v)", test, d, got, err, context.Canceled)
+			}
+		}
+	}
+}
+
 // TestContrastZeroAllocs pins the Monte Carlo loop allocation-free once
 // its Scratch is warm, on full-data and subsampled estimates. The
 // Mann–Whitney test is left out: stats.MannWhitneyTest allocates its
@@ -268,8 +318,9 @@ func TestContrastZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkContrast times one contrast estimate (M = 50, α = 0.1, Welch)
-// per subspace dimensionality, on all 2000 rows of a 2000×20 dataset and
-// on a 2000-row subsample of a 100000×5 one.
+// per subspace dimensionality, on all 2000 rows of a 2000×20 dataset
+// (d = 2..8, the levels the paper-default search reaches) and on a
+// 2000-row subsample of a 100000×5 one (d = 2..5).
 func BenchmarkContrast(b *testing.B) {
 	for _, cfg := range []struct {
 		name    string
@@ -282,7 +333,7 @@ func BenchmarkContrast(b *testing.B) {
 		ds := correlatedPair(1, cfg.n, cfg.d)
 		ds.EnsureIndexes()
 		e := NewEvaluator(ds, Params{M: 50, Seed: 1, MaxSampleRows: cfg.maxRows})
-		for d := 2; d <= 5; d++ {
+		for d := 2; d <= min(8, cfg.d); d++ {
 			s := subspace.Full(d)
 			b.Run(fmt.Sprintf("%s/d=%d", cfg.name, d), func(b *testing.B) {
 				b.ReportAllocs()

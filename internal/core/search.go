@@ -39,12 +39,13 @@ type SearchResult struct {
 // are nevertheless deterministic because every subspace draws from a
 // stream keyed by (Seed, subspace).
 //
-// Cancellation is cooperative: the Monte Carlo workers check ctx between
-// iterations and the level loop checks it between Apriori levels, so a
-// cancelled context surfaces ctx.Err() within one Monte Carlo chunk of
-// work per worker. Cancellation checks never touch the per-subspace
-// random streams, so an uncancelled run is bit-for-bit identical under
-// any context.
+// Cancellation is cooperative: the Monte Carlo workers check ctx once per
+// group of iterations (four for Welch's test, one for the others; see
+// Evaluator.ContrastContext) and the level loop checks it between Apriori
+// levels, so a cancelled context surfaces ctx.Err() within one group of
+// Monte Carlo work per worker. Cancellation checks never touch the
+// per-subspace random streams, so an uncancelled run is bit-for-bit
+// identical under any context.
 func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*SearchResult, error) {
 	p = p.withDefaults()
 	if ds.D() < 2 {

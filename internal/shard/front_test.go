@@ -159,10 +159,24 @@ func TestFrontRoutesByKey(t *testing.T) {
 	b1, b2 := newBackend(t, m), newBackend(t, m)
 	_, router, ts := newFront(t, b1, b2)
 
-	const rows = 5
+	const rows, sessions = 5, 8
 	byAddr := map[string]*backend{b1.addr: b1, b2.addr: b2}
-	for i := 0; i < 8; i++ {
+	// Rendezvous placement depends on the random httptest ports, so any
+	// fixed key set can land on one shard. Pick the keys in order, but
+	// once the free slots only just cover the shards that own no key yet,
+	// skip keys whose owner already has one.
+	var keys []string
+	owned := map[string]bool{}
+	for i := 0; len(keys) < sessions; i++ {
 		key := fmt.Sprintf("user-%d", i)
+		owner := router.Owner(key)
+		if owned[owner] && sessions-len(keys) <= len(byAddr)-len(owned) {
+			continue
+		}
+		keys = append(keys, key)
+		owned[owner] = true
+	}
+	for _, key := range keys {
 		owner := router.Owner(key)
 		before := byAddr[owner].streams()
 		records, errs := streamRows(t, ts.URL, "session="+key, rows)

@@ -31,15 +31,57 @@ func Mean(xs []float64) float64 {
 // (denominator n−1) in a single pass, using Welford's algorithm for
 // numerical stability. Variance is NaN for fewer than two observations.
 func MeanVar(xs []float64) (mean, variance float64) {
-	n := 0
-	m := 0.0
-	m2 := 0.0
-	for _, x := range xs {
-		n++
+	m, m2 := welford(xs, 0, 0, 0)
+	return moments(len(xs), m, m2)
+}
+
+// MeanVar4 returns MeanVar of each of four samples. It runs the four
+// Welford chains side by side over the samples' common prefix, so the CPU
+// overlaps their dependent divisions instead of waiting on one chain at a
+// time, and then finishes each tail alone. Each chain performs MeanVar's
+// operations in MeanVar's order, so every result is bit-identical to
+// MeanVar on that sample; only a NaN's payload may differ, since the
+// compiler may order the operands of an addition differently. The
+// samples may share memory.
+func MeanVar4(xs [4][]float64) (mean, variance [4]float64) {
+	a := xs[0][:min(len(xs[0]), len(xs[1]), len(xs[2]), len(xs[3]))]
+	b, c, d := xs[1][:len(a)], xs[2][:len(a)], xs[3][:len(a)]
+	var ma, mb, mc, md, sa, sb, sc, sd float64
+	for i := range a {
+		n := float64(i + 1)
+		x, y, z, w := a[i], b[i], c[i], d[i]
+		da, db, dc, dd := x-ma, y-mb, z-mc, w-md
+		ma += da / n
+		mb += db / n
+		mc += dc / n
+		md += dd / n
+		sa += da * (x - ma)
+		sb += db * (y - mb)
+		sc += dc * (z - mc)
+		sd += dd * (w - md)
+	}
+	m, m2 := [4]float64{ma, mb, mc, md}, [4]float64{sa, sb, sc, sd}
+	for l, x := range xs {
+		m[l], m2[l] = welford(x, len(a), m[l], m2[l])
+		mean[l], variance[l] = moments(len(x), m[l], m2[l])
+	}
+	return mean, variance
+}
+
+// welford continues Welford's update over xs[from:], starting from the
+// running mean m and sum of squared deviations m2 of xs[:from].
+func welford(xs []float64, from int, m, m2 float64) (float64, float64) {
+	for i, x := range xs[from:] {
 		delta := x - m
-		m += delta / float64(n)
+		m += delta / float64(from+i+1)
 		m2 += delta * (x - m)
 	}
+	return m, m2
+}
+
+// moments turns Welford's running state over n observations into MeanVar's
+// results.
+func moments(n int, m, m2 float64) (mean, variance float64) {
 	if n == 0 {
 		return math.NaN(), math.NaN()
 	}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -153,4 +154,63 @@ func TestQuickQuantileMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Property: each lane of MeanVar4 is bit-identical to MeanVar on that
+// lane's sample, over independent lane lengths 0–700 (so the common
+// prefix and every tail length occur), values of every scale, constant
+// runs, NaN and ±Inf, and one slice passed in several lanes.
+func TestQuickMeanVar4MatchesMeanVar(t *testing.T) {
+	sample := func(r *rand.Rand) []float64 {
+		xs := make([]float64, r.IntN(701))
+		scale := math.Pow(10, float64(r.IntN(13)-6))
+		shift := r.NormFloat64() * scale * 100
+		kind := r.IntN(4)
+		for i := range xs {
+			switch {
+			case kind == 0: // constant run
+				xs[i] = shift
+			case kind == 1 && r.IntN(50) == 0: // sparse non-finite values
+				xs[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.IntN(3)]
+			default:
+				xs[i] = shift + r.NormFloat64()*scale
+			}
+		}
+		return xs
+	}
+	f := func(seed uint64) bool {
+		r := rand.New(rand.NewPCG(seed, 0x4d56))
+		var lanes [4][]float64
+		for l := range lanes {
+			lanes[l] = sample(r)
+		}
+		// A padded final group passes its first sample in the unused
+		// lanes: the same slice, several times.
+		if r.IntN(3) == 0 {
+			for l := 1 + r.IntN(3); l < 4; l++ {
+				lanes[l] = lanes[0]
+			}
+		}
+		mean, variance := MeanVar4(lanes)
+		for l, xs := range lanes {
+			m, v := MeanVar(xs)
+			if !sameFloat(mean[l], m) || !sameFloat(variance[l], v) {
+				t.Logf("seed %d lane %d (n=%d): MeanVar4 (%#x, %#x), MeanVar (%#x, %#x)", seed, l, len(xs),
+					math.Float64bits(mean[l]), math.Float64bits(variance[l]), math.Float64bits(m), math.Float64bits(v))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameFloat reports whether a and b have the same bits, or are both NaN.
+// Which NaN an operation on two NaNs returns depends on its operand
+// order, and the compiler may swap the operands of an addition or a
+// multiplication, so NaN payloads are not part of the contract.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
