@@ -147,11 +147,17 @@ func (o Options) validate() error {
 	if o.MinPts < 0 {
 		return fmt.Errorf("hics: MinPts must be positive, got %d (0 selects the default %d)", o.MinPts, lof.DefaultMinPts)
 	}
+	if o.CandidateCutoff < 0 {
+		return fmt.Errorf("hics: CandidateCutoff must be positive, got %d (0 selects the default %d)", o.CandidateCutoff, core.DefaultCutoff)
+	}
 	if o.TopK < -1 {
 		return fmt.Errorf("hics: TopK must be positive, got %d (0 selects the default %d, -1 keeps all subspaces)", o.TopK, core.DefaultTopK)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("hics: Workers must be non-negative, got %d (0 selects one worker per CPU)", o.Workers)
+	}
+	if o.MaxDim < 0 {
+		return fmt.Errorf("hics: MaxDim must be non-negative, got %d (0 leaves the dimensionality unbounded)", o.MaxDim)
 	}
 	if o.MaxSampleRows < 0 {
 		return fmt.Errorf("hics: MaxSampleRows must be non-negative, got %d (0 disables contrast subsampling)", o.MaxSampleRows)
@@ -211,12 +217,14 @@ func (o Options) searcherOptions(p core.Params) registry.SearcherOptions {
 }
 
 // scorerOptions maps the shared option fields onto every registered
-// scorer's option struct.
-func (o Options) scorerOptions() registry.ScorerOptions {
+// scorer's option struct. kind, the resolved NeighborIndex, is the one
+// place the neighbor backend is pinned: each neighbor-based scorer
+// carries it in its own Index field.
+func (o Options) scorerOptions(kind neighbors.Kind) registry.ScorerOptions {
 	return registry.ScorerOptions{
-		LOF:  registry.LOFOptions{MinPts: o.MinPts},
-		KNN:  registry.KNNOptions{K: o.MinPts},
-		ORCA: registry.ORCAOptions{K: o.MinPts, Seed: o.Seed},
+		LOF:  registry.LOFOptions{MinPts: o.MinPts, Index: kind},
+		KNN:  registry.KNNOptions{K: o.MinPts, Index: kind},
+		ORCA: registry.ORCAOptions{K: o.MinPts, Seed: o.Seed, Index: kind},
 	}
 }
 
@@ -263,15 +271,13 @@ func (o Options) pipeline() (ranking.Pipeline, error) {
 	if err != nil {
 		return ranking.Pipeline{}, err
 	}
-	// The scorers are left on their zero-value (auto) index; Pipeline.Index
-	// is the single place the resolved kind is applied. Workers bounds
-	// both the search fan-out (via p) and the scoring batch passes.
+	// Workers bounds both the search fan-out (via p) and the scoring
+	// batch passes.
 	return registry.NewPipeline(search, scorer, registry.PipelineOptions{
 		Searchers:    o.searcherOptions(p),
-		Scorers:      o.scorerOptions(),
+		Scorers:      o.scorerOptions(kind),
 		Agg:          agg,
 		MaxSubspaces: -1, // every registered searcher already applies TopK
-		Index:        kind,
 		Workers:      o.Workers,
 	})
 }
@@ -443,9 +449,9 @@ func Rank(rows [][]float64, opts Options) (*Result, error) {
 
 // RankContext is Rank with cooperative cancellation: the Monte Carlo
 // subspace search checks ctx between groups of iterations and the
-// scoring step checks it between subspaces, so a cancelled or deadlined context makes
-// the call return ctx.Err() promptly without leaking goroutines. An
-// uncancelled run is bit-for-bit identical to Rank.
+// scoring step checks it between subspaces, so a cancelled or deadlined
+// context makes the call return ctx.Err() promptly without leaking
+// goroutines. An uncancelled run is bit-for-bit identical to Rank.
 func RankContext(ctx context.Context, rows [][]float64, opts Options) (*Result, error) {
 	ds, err := toDataset(rows)
 	if err != nil {
@@ -455,7 +461,7 @@ func RankContext(ctx context.Context, rows [][]float64, opts Options) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	res, err := pipe.RankContext(ctx, ds)
+	res, err := pipe.Rank(ctx, ds)
 	if err != nil {
 		return nil, err
 	}
@@ -476,7 +482,7 @@ func LOFScores(rows [][]float64, minPts int) ([]float64, error) {
 	if minPts <= 0 {
 		minPts = lof.DefaultMinPts
 	}
-	return lof.Scores(ds, subspace.Full(ds.D()), minPts)
+	return lof.ScoresContext(context.Background(), ds, subspace.Full(ds.D()), minPts, neighbors.KindAuto, 0)
 }
 
 // SearcherNames lists the subspace-search method names Options.Search

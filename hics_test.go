@@ -190,6 +190,8 @@ func TestOptionRangeValidation(t *testing.T) {
 		{"Alpha above one", Options{Alpha: 1.5}, "Alpha"},
 		{"Alpha NaN", Options{Alpha: math.NaN()}, "Alpha"},
 		{"negative MinPts", Options{MinPts: -3}, "MinPts"},
+		{"negative CandidateCutoff", Options{CandidateCutoff: -1}, "CandidateCutoff"},
+		{"negative MaxDim", Options{MaxDim: -1}, "MaxDim"},
 		{"TopK below -1", Options{TopK: -2}, "TopK"},
 		{"negative Workers", Options{Workers: -1}, "Workers"},
 		{"unknown searcher", Options{Search: "bogus"}, "searcher"},

@@ -7,6 +7,7 @@ package hics
 // combine the respective algorithms in a modular fashion".
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestInstantiationsOrdering(t *testing.T) {
 	ds := b.Data.Data
 	aucOf := func(s ranking.SubspaceSearcher) float64 {
 		pipe := ranking.Pipeline{Searcher: s, Scorer: ranking.LOFScorer{MinPts: 10}}
-		res, err := pipe.Rank(ds)
+		res, err := pipe.Rank(context.Background(), ds)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}

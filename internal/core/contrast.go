@@ -150,8 +150,8 @@ func (p Params) withDefaults() Params {
 // conditional sample by filtering one block through the other conditions
 // (see ContrastContext). A subsampled Welch estimate sorts its own sample
 // and reads neither, so it never builds the dataset's sorted indexes.
-// An Evaluator is safe for concurrent Contrast calls as long as each call
-// uses its own *rng.RNG and scratch (see NewScratch).
+// An Evaluator is safe for concurrent ContrastContext calls as long as
+// each call uses its own *rng.RNG and scratch (see NewScratch).
 type Evaluator struct {
 	ds     *dataset.Dataset
 	params Params
@@ -247,20 +247,13 @@ func (e *Evaluator) NewScratch() *Scratch {
 	return &Scratch{}
 }
 
-// Contrast computes the HiCS contrast of subspace s (Definition 5) using
-// the provided random stream and scratch space. Subspaces must have at
-// least two dimensions; one-dimensional input yields zero (no notion of
-// correlation, Sec. IV-B).
-func (e *Evaluator) Contrast(s subspace.Subspace, r *rng.RNG, sc *Scratch) float64 {
-	v, _ := e.ContrastContext(context.Background(), s, r, sc)
-	return v
-}
-
-// ContrastContext is Contrast with cooperative cancellation: the Monte
-// Carlo loop checks ctx once per group of iterations (four for Welch's
-// test, one for the others) and returns ctx.Err() when it fires. The
-// check never touches the random stream, so an uncancelled call is
-// bit-for-bit identical to Contrast.
+// ContrastContext computes the HiCS contrast of subspace s (Definition 5)
+// using the provided random stream and scratch space. Subspaces must have
+// at least two dimensions; one-dimensional input yields zero (no notion
+// of correlation, Sec. IV-B). The Monte Carlo loop checks ctx once per
+// group of iterations (four for Welch's test, one for the others) and
+// returns ctx.Err() when it fires. The check never touches the random
+// stream, so an uncancelled call depends on r alone.
 //
 // Each iteration draws a permutation of the subspace's attributes and one
 // index block start per condition. The conditional sample is then found
@@ -527,7 +520,7 @@ func ContrastOf(ds *dataset.Dataset, s subspace.Subspace, p Params) (float64, er
 	}
 	e := NewEvaluator(ds, p)
 	r := rng.New(p.Seed).Derive(hashSubspace(s))
-	return e.Contrast(s, r, e.NewScratch()), nil
+	return e.ContrastContext(context.Background(), s, r, e.NewScratch())
 }
 
 // hashSubspace maps a subspace to a stable stream label (FNV-1a over the

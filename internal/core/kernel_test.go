@@ -340,7 +340,7 @@ func BenchmarkContrast(b *testing.B) {
 				sc := e.NewScratch()
 				r := rng.New(1)
 				for b.Loop() {
-					e.Contrast(s, r, sc)
+					e.ContrastContext(context.Background(), s, r, sc)
 				}
 			})
 		}

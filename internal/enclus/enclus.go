@@ -40,7 +40,7 @@ type Params struct {
 	// Xi is the number of equal-width grid intervals per attribute.
 	Xi int
 	// Omega is the entropy threshold: subspaces with H(S) > Omega are
-	// discarded. Zero selects an adaptive threshold (see Search).
+	// discarded. Zero selects an adaptive threshold (see SearchContext).
 	Omega float64
 	// MaxDim caps candidate dimensionality.
 	MaxDim int
@@ -119,18 +119,13 @@ type Result struct {
 	Evaluated int
 }
 
-// Search runs the level-wise Enclus procedure on ds (which must be min-max
-// normalized). When Params.Omega is zero an adaptive threshold is used:
-// the median two-dimensional entropy, which keeps the low-entropy half of
-// the pair candidates — this reproduces the "large number of
+// SearchContext runs the level-wise Enclus procedure on ds (which must be
+// min-max normalized). When Params.Omega is zero an adaptive threshold is
+// used: the median two-dimensional entropy, which keeps the low-entropy
+// half of the pair candidates — this reproduces the "large number of
 // configurations" tuning the paper describes without per-dataset knobs.
-func Search(ds *dataset.Dataset, p Params) (*Result, error) {
-	return SearchContext(context.Background(), ds, p)
-}
-
-// SearchContext is Search with cooperative cancellation: ctx is checked
-// between entropy evaluations, so a cancelled context surfaces ctx.Err()
-// within one candidate's worth of work.
+// ctx is checked between entropy evaluations, so a cancelled context
+// surfaces ctx.Err() within one candidate's worth of work.
 func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*Result, error) {
 	p = p.withDefaults()
 	if ds.D() < 2 {
@@ -236,7 +231,7 @@ func median(xs []float64) float64 {
 	return cp[len(cp)/2]
 }
 
-// Searcher adapts Search to the ranking pipeline.
+// Searcher adapts SearchContext to the ranking pipeline.
 type Searcher struct {
 	Params Params
 }

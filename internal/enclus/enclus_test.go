@@ -111,7 +111,7 @@ func TestInterestCorrelatedVsIndependent(t *testing.T) {
 
 func TestSearchFindsClusteredSubspace(t *testing.T) {
 	ds := clusteredPair(6, 800, 6)
-	res, err := Search(ds, Params{TopK: 10})
+	res, err := SearchContext(context.Background(), ds, Params{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSearchFindsClusteredSubspace(t *testing.T) {
 
 func TestSearchRespectsTopKAndMaxDim(t *testing.T) {
 	ds := clusteredPair(7, 300, 5)
-	res, err := Search(ds, Params{TopK: 3, MaxDim: 2})
+	res, err := SearchContext(context.Background(), ds, Params{TopK: 3, MaxDim: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSearchRespectsTopKAndMaxDim(t *testing.T) {
 func TestSearchExplicitOmega(t *testing.T) {
 	ds := uniformData(8, 200, 4)
 	// Impossible threshold: nothing survives.
-	res, err := Search(ds, Params{Omega: 0.001})
+	res, err := SearchContext(context.Background(), ds, Params{Omega: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSearchExplicitOmega(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1, 2}})
-	if _, err := Search(ds, Params{}); err == nil {
+	if _, err := SearchContext(context.Background(), ds, Params{}); err == nil {
 		t.Error("single attribute should fail")
 	}
 }

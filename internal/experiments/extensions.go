@@ -127,7 +127,7 @@ func ExtPrecision(ctx context.Context, w io.Writer, cfg Config) error {
 	for _, r := range []ranking.Ranker{newLOF(cfg), cfg.pipeline("hics", "lof", cfg.Seed), cfg.pipeline("enclus", "lof", cfg.Seed), cfg.pipeline("randsub", "lof", cfg.Seed)} {
 		var aucs, aps, patns []float64
 		for _, l := range data {
-			res, err := r.RankContext(ctx, l.Data)
+			res, err := r.Rank(ctx, l.Data)
 			if err != nil {
 				return err
 			}

@@ -43,7 +43,7 @@ func Fig10(ctx context.Context, w io.Writer, cfg Config) error {
 		}
 		fmt.Fprintln(w, "      AUC")
 		for _, r := range append([]ranking.Ranker{newLOF(cfg)}, subspaceCompetitors(cfg, cfg.Seed)...) {
-			res, err := r.RankContext(ctx, l.Data)
+			res, err := r.Rank(ctx, l.Data)
 			if err != nil {
 				return fmt.Errorf("%s on %s: %w", r.Name(), name, err)
 			}

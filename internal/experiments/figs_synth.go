@@ -34,7 +34,7 @@ func synthBench(n, d int, seed uint64) (*dataset.Labeled, error) {
 // A cancelled ctx aborts the run mid-ranking with ctx.Err().
 func rankAUC(ctx context.Context, r ranking.Ranker, l *dataset.Labeled) (auc float64, elapsed time.Duration, err error) {
 	start := time.Now()
-	res, err := r.RankContext(ctx, l.Data)
+	res, err := r.Rank(ctx, l.Data)
 	elapsed = time.Since(start)
 	if err != nil {
 		return 0, elapsed, err

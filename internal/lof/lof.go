@@ -7,9 +7,9 @@
 // Both scorers accept an explicit subspace so that, as proposed by
 // Lazarevic & Kumar and adopted by HiCS, object distances are measured
 // only w.r.t. the given projection. Neighborhoods come from the
-// internal/neighbors index subsystem; the *With variants pin a backend,
-// the plain variants use automatic selection. Backends are bit-for-bit
-// equivalent, so the choice only affects speed.
+// internal/neighbors index subsystem; every entry point takes the backend
+// kind (neighbors.KindAuto selects one automatically). Backends are
+// bit-for-bit equivalent, so the choice only affects speed.
 //
 // Beyond the batch scorers the package supports a fit/score split:
 // FitContext (resp. FitKNNContext) freezes the per-subspace state a
@@ -36,28 +36,19 @@ import (
 // experiments when nothing else is specified.
 const DefaultMinPts = 10
 
-// Scores computes the Local Outlier Factor of every object w.r.t. the
-// given subspace dims with the automatically selected neighbor index.
-func Scores(ds *dataset.Dataset, dims []int, minPts int) ([]float64, error) {
-	return ScoresWith(ds, dims, minPts, neighbors.KindAuto)
-}
-
-// ScoresWith computes the Local Outlier Factor of every object w.r.t. the
-// given subspace dims, using the requested neighbor-index backend. minPts
-// is the neighborhood size (MinPts in the original paper); values below 1
-// fall back to DefaultMinPts.
+// ScoresContext computes the Local Outlier Factor of every object w.r.t.
+// the given subspace dims, using the requested neighbor-index backend
+// (neighbors.KindAuto selects one automatically). minPts is the
+// neighborhood size (MinPts in the original paper); values below 1 fall
+// back to DefaultMinPts.
 //
 // Duplicate-heavy data is handled per the original definition: a point
 // whose neighborhood has zero reachability distance gets an infinite local
 // reachability density, and ratios ∞/∞ resolve to 1.
-func ScoresWith(ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind) ([]float64, error) {
-	return ScoresContext(context.Background(), ds, dims, minPts, kind, 0)
-}
-
-// ScoresContext is ScoresWith with cooperative cancellation and a bound
-// on the batch-pass parallelism (workers <= 0 means one per CPU): a
-// cancelled ctx stops the neighborhood pass within one chunk of queries
-// per worker. Results are bit-for-bit independent of both.
+//
+// workers bounds the batch-pass parallelism (<= 0 means one per CPU),
+// and a cancelled ctx stops the neighborhood pass within one chunk of
+// queries per worker. Results are bit-for-bit independent of both.
 func ScoresContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind, workers int) ([]float64, error) {
 	_, scores, err := FitContext(ctx, ds, dims, minPts, kind, workers)
 	return scores, err
@@ -100,8 +91,8 @@ type queryScratch struct {
 
 // FitContext runs the batch LOF passes on the given subspace and freezes
 // the state an out-of-sample query needs, returning it together with the
-// training LOF scores — bit-for-bit the ScoresWith result (the Scores
-// functions are implemented on top of FitContext). workers bounds the
+// training LOF scores — bit-for-bit the ScoresContext result
+// (ScoresContext is implemented on top of FitContext). workers bounds the
 // parallelism of the index build and the batch pass (<= 0 means one per
 // CPU, 1 runs both on the calling goroutine). The dominant neighborhood
 // pass observes ctx between query chunks; the linear follow-up passes
@@ -255,22 +246,12 @@ func (f *Fitted) scoreQuery(q []float64, s *queryScratch) float64 {
 	return total / float64(len(nb))
 }
 
-// KNNScores computes the average-kNN-distance score with the automatically
-// selected neighbor index.
-func KNNScores(ds *dataset.Dataset, dims []int, k int) ([]float64, error) {
-	return KNNScoresWith(ds, dims, k, neighbors.KindAuto)
-}
-
-// KNNScoresWith computes the average distance to the k nearest neighbors
-// of every object in the given subspace — a simple density-based score
-// that is monotone in "outlierness" like LOF but cheaper and non-local —
-// using the requested neighbor-index backend.
-func KNNScoresWith(ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind) ([]float64, error) {
-	return KNNScoresContext(context.Background(), ds, dims, k, kind, 0)
-}
-
-// KNNScoresContext is KNNScoresWith with cooperative cancellation and a
-// bound on the batch-pass parallelism, mirroring ScoresContext.
+// KNNScoresContext computes the average distance to the k nearest
+// neighbors of every object in the given subspace — a simple
+// density-based score that is monotone in "outlierness" like LOF but
+// cheaper and non-local — using the requested neighbor-index backend
+// (neighbors.KindAuto selects one automatically). Cancellation and the
+// worker bound mirror ScoresContext.
 func KNNScoresContext(ctx context.Context, ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind, workers int) ([]float64, error) {
 	_, scores, err := FitKNNContext(ctx, ds, dims, k, kind, workers)
 	return scores, err
@@ -288,7 +269,7 @@ type FittedKNN struct {
 
 // FitKNNContext freezes the neighbor index for out-of-sample queries and
 // returns it together with the batch average-kNN-distance training
-// scores — bit-for-bit the KNNScoresWith result — with cooperative
+// scores — bit-for-bit the KNNScoresContext result — with cooperative
 // cancellation and a bound on the batch-pass parallelism, mirroring
 // FitContext.
 func FitKNNContext(ctx context.Context, ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind, workers int) (*FittedKNN, []float64, error) {

@@ -31,7 +31,7 @@ func clusterWithOutlier(seed uint64, n int) *dataset.Dataset {
 
 func TestLOFFlagsObviousOutlier(t *testing.T) {
 	ds := clusterWithOutlier(1, 60)
-	scores, err := Scores(ds, []int{0, 1}, 10)
+	scores, err := ScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestLOFUniformScoresNearOne(t *testing.T) {
 		}
 	}
 	ds := dataset.MustNew(nil, [][]float64{x, y})
-	scores, err := Scores(ds, []int{0, 1}, 6)
+	scores, err := ScoresContext(context.Background(), ds, []int{0, 1}, 6, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestLOFSubspaceRestriction(t *testing.T) {
 	y[n] = 50
 	ds := dataset.MustNew(nil, [][]float64{x, y})
 
-	sub, err := Scores(ds, []int{0}, 10)
+	sub, err := ScoresContext(context.Background(), ds, []int{0}, 10, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestLOFDuplicatePoints(t *testing.T) {
 	// for the duplicated points rather than NaN.
 	x := []float64{1, 1, 1, 1, 1, 9}
 	ds := dataset.MustNew(nil, [][]float64{x})
-	scores, err := Scores(ds, []int{0}, 3)
+	scores, err := ScoresContext(context.Background(), ds, []int{0}, 3, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,25 +126,25 @@ func TestLOFDuplicatePoints(t *testing.T) {
 
 func TestLOFErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1}})
-	if _, err := Scores(ds, []int{0}, 3); err == nil {
+	if _, err := ScoresContext(context.Background(), ds, []int{0}, 3, neighbors.KindAuto, 0); err == nil {
 		t.Error("single object should fail")
 	}
 	ds2 := dataset.MustNew(nil, [][]float64{{1, 2}})
-	if _, err := Scores(ds2, []int{7}, 3); err == nil {
+	if _, err := ScoresContext(context.Background(), ds2, []int{7}, 3, neighbors.KindAuto, 0); err == nil {
 		t.Error("bad dimension should fail")
 	}
-	if _, err := Scores(ds2, nil, 3); err == nil {
+	if _, err := ScoresContext(context.Background(), ds2, nil, 3, neighbors.KindAuto, 0); err == nil {
 		t.Error("empty subspace should fail")
 	}
 }
 
 func TestLOFDefaultMinPts(t *testing.T) {
 	ds := clusterWithOutlier(3, 40)
-	a, err := Scores(ds, []int{0, 1}, 0) // falls back to default
+	a, err := ScoresContext(context.Background(), ds, []int{0, 1}, 0, neighbors.KindAuto, 0) // falls back to default
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Scores(ds, []int{0, 1}, DefaultMinPts)
+	b, err := ScoresContext(context.Background(), ds, []int{0, 1}, DefaultMinPts, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestLOFDefaultMinPts(t *testing.T) {
 
 func TestKNNScoresOutlier(t *testing.T) {
 	ds := clusterWithOutlier(4, 50)
-	scores, err := KNNScores(ds, []int{0, 1}, 10)
+	scores, err := KNNScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,10 @@ func TestKNNScoresOutlier(t *testing.T) {
 
 func TestKNNScoresErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1}})
-	if _, err := KNNScores(ds, []int{0}, 3); err == nil {
+	if _, err := KNNScoresContext(context.Background(), ds, []int{0}, 3, neighbors.KindAuto, 0); err == nil {
 		t.Error("single object should fail")
 	}
-	if _, err := KNNScores(dataset.MustNew(nil, [][]float64{{1, 2}}), nil, 3); err == nil {
+	if _, err := KNNScoresContext(context.Background(), dataset.MustNew(nil, [][]float64{{1, 2}}), nil, 3, neighbors.KindAuto, 0); err == nil {
 		t.Error("empty dims should fail")
 	}
 }
@@ -192,7 +192,7 @@ func TestQuickLOFFinite(t *testing.T) {
 			y[i] = r.Normal()
 		}
 		ds := dataset.MustNew(nil, [][]float64{x, y})
-		scores, err := Scores(ds, []int{0, 1}, 5)
+		scores, err := ScoresContext(context.Background(), ds, []int{0, 1}, 5, neighbors.KindAuto, 0)
 		if err != nil {
 			return false
 		}
@@ -221,7 +221,7 @@ func TestQuickLOFScaleInvariant(t *testing.T) {
 			y[i] = r.Normal()
 		}
 		ds := dataset.MustNew(nil, [][]float64{x, y})
-		a, err := Scores(ds, []int{0, 1}, 5)
+		a, err := ScoresContext(context.Background(), ds, []int{0, 1}, 5, neighbors.KindAuto, 0)
 		if err != nil {
 			return false
 		}
@@ -232,7 +232,7 @@ func TestQuickLOFScaleInvariant(t *testing.T) {
 			ys[i] = 3*y[i] + 7
 		}
 		ds2 := dataset.MustNew(nil, [][]float64{xs, ys})
-		b, err := Scores(ds2, []int{0, 1}, 5)
+		b, err := ScoresContext(context.Background(), ds2, []int{0, 1}, 5, neighbors.KindAuto, 0)
 		if err != nil {
 			return false
 		}
@@ -254,15 +254,15 @@ func TestScoresIndexEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		for _, n := range []int{30, 150, 400} {
 			ds := clusterWithOutlier(seed, n)
-			brute, err := ScoresWith(ds, []int{0, 1}, 10, neighbors.KindBrute)
+			brute, err := ScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tree, err := ScoresWith(ds, []int{0, 1}, 10, neighbors.KindKDTree)
+			tree, err := ScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindKDTree, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			auto, err := Scores(ds, []int{0, 1}, 10)
+			auto, err := ScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,11 +280,11 @@ func TestScoresIndexEquivalence(t *testing.T) {
 
 func TestKNNScoresIndexEquivalence(t *testing.T) {
 	ds := clusterWithOutlier(6, 300)
-	brute, err := KNNScoresWith(ds, []int{0, 1}, 10, neighbors.KindBrute)
+	brute, err := KNNScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := KNNScoresWith(ds, []int{0, 1}, 10, neighbors.KindKDTree)
+	tree, err := KNNScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindKDTree, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestKNNScoresIndexEquivalence(t *testing.T) {
 func TestFitScoresMatchBatch(t *testing.T) {
 	ds := clusterWithOutlier(7, 120)
 	for _, kind := range []neighbors.Kind{neighbors.KindBrute, neighbors.KindKDTree} {
-		batch, err := ScoresWith(ds, []int{0, 1}, 10, kind)
+		batch, err := ScoresContext(context.Background(), ds, []int{0, 1}, 10, kind, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +398,7 @@ func TestScoreQueryConcurrent(t *testing.T) {
 
 func TestFitKNNMatchesBatchAndQueries(t *testing.T) {
 	ds := clusterWithOutlier(11, 90)
-	batch, err := KNNScoresWith(ds, []int{0, 1}, 10, neighbors.KindBrute)
+	batch, err := KNNScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +582,7 @@ func BenchmarkLOF1000x3(b *testing.B) {
 	ds := dataset.MustNew(nil, cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Scores(ds, []int{0, 1, 2}, 10); err != nil {
+		if _, err := ScoresContext(context.Background(), ds, []int{0, 1, 2}, 10, neighbors.KindAuto, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

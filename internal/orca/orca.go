@@ -22,12 +22,12 @@
 package orca
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"hics/internal/dataset"
 	"hics/internal/neighbors"
-	"hics/internal/ranking"
 	"hics/internal/rng"
 )
 
@@ -238,8 +238,9 @@ type Scorer struct {
 	Index neighbors.Kind
 }
 
-// Score implements ranking.Scorer.
-func (s Scorer) Score(ds *dataset.Dataset, dims []int) ([]float64, error) {
+// Score implements ranking.Scorer. The mining runs sequentially on the
+// calling goroutine, so neither ctx nor workers is consulted.
+func (s Scorer) Score(_ context.Context, ds *dataset.Dataset, dims []int, _ int) ([]float64, error) {
 	out, _, err := TopOutliers(ds, dims, Params{K: s.K, TopN: s.TopN, Seed: s.Seed, Index: s.Index})
 	if err != nil {
 		return nil, err
@@ -253,9 +254,3 @@ func (s Scorer) Score(ds *dataset.Dataset, dims []int) ([]float64, error) {
 
 // Name implements ranking.Scorer.
 func (Scorer) Name() string { return "ORCA" }
-
-// WithIndex implements ranking.IndexableScorer.
-func (s Scorer) WithIndex(kind neighbors.Kind) ranking.Scorer {
-	s.Index = kind
-	return s
-}

@@ -1,6 +1,7 @@
 package orca
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -61,7 +62,7 @@ func TestTopOutliersMatchesExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exhaustive reference: full kNN scores, take top 5.
-	ref, err := lof.KNNScores(ds, []int{0, 1}, 8)
+	ref, err := lof.KNNScoresContext(context.Background(), ds, []int{0, 1}, 8, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestTopOutliersClamps(t *testing.T) {
 func TestScorerAdapter(t *testing.T) {
 	ds := blob(7, 100, 2)
 	s := Scorer{K: 8, TopN: 5, Seed: 2}
-	scores, err := s.Score(ds, []int{0, 1})
+	scores, err := s.Score(context.Background(), ds, []int{0, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func BenchmarkORCAvsExhaustive(b *testing.B) {
 	})
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := lof.KNNScores(ds, []int{0, 1}, 10); err != nil {
+			if _, err := lof.KNNScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -20,6 +20,7 @@
 package outres
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -37,8 +38,9 @@ type Scorer struct {
 }
 
 // Score implements ranking.Scorer: one non-negative outlierness value per
-// object, higher = more outlying.
-func (s Scorer) Score(ds *dataset.Dataset, dims []int) ([]float64, error) {
+// object, higher = more outlying. The density pass runs sequentially on
+// the calling goroutine, so neither ctx nor workers is consulted.
+func (s Scorer) Score(_ context.Context, ds *dataset.Dataset, dims []int, _ int) ([]float64, error) {
 	// Pin the brute backend: OUTRES only takes pairwise distances (Dist),
 	// so a k-d tree would be built per subspace and never queried.
 	idx, err := neighbors.New(ds, dims, neighbors.KindBrute)

@@ -58,16 +58,11 @@ func (p Params) withDefaults(d int) Params {
 	return p
 }
 
-// Select draws Count random subspaces of a D-dimensional space. Duplicates
-// are avoided up to the number of available distinct subspaces; all scores
-// are zero (the method expresses no preference).
-func Select(d int, p Params) ([]subspace.Scored, error) {
-	return SelectContext(context.Background(), d, p)
-}
-
-// SelectContext is Select with cooperative cancellation: ctx is checked
-// between draws. The checks never touch the random stream, so an
-// uncancelled selection is identical to Select.
+// SelectContext draws Count random subspaces of a D-dimensional space.
+// Duplicates are avoided up to the number of available distinct
+// subspaces; all scores are zero (the method expresses no preference).
+// ctx is checked between draws; the checks never touch the random
+// stream, so an uncancelled selection depends on the seed alone.
 func SelectContext(ctx context.Context, d int, p Params) ([]subspace.Scored, error) {
 	if d < 2 {
 		return nil, fmt.Errorf("randsub: need at least 2 attributes, have %d", d)
@@ -103,7 +98,7 @@ func SelectContext(ctx context.Context, d int, p Params) ([]subspace.Scored, err
 	return out, nil
 }
 
-// Searcher adapts Select to the ranking pipeline.
+// Searcher adapts SelectContext to the ranking pipeline.
 type Searcher struct {
 	Params Params
 }

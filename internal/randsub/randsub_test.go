@@ -10,7 +10,7 @@ import (
 
 func TestSelectCountAndBounds(t *testing.T) {
 	const d = 20
-	list, err := Select(d, Params{Count: 50, Seed: 1})
+	list, err := SelectContext(context.Background(), d, Params{Count: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +34,14 @@ func TestSelectCountAndBounds(t *testing.T) {
 }
 
 func TestSelectDeterministic(t *testing.T) {
-	a, _ := Select(10, Params{Count: 20, Seed: 42})
-	b, _ := Select(10, Params{Count: 20, Seed: 42})
+	a, _ := SelectContext(context.Background(), 10, Params{Count: 20, Seed: 42})
+	b, _ := SelectContext(context.Background(), 10, Params{Count: 20, Seed: 42})
 	for i := range a {
 		if !a[i].S.Equal(b[i].S) {
 			t.Fatal("same seed produced different selections")
 		}
 	}
-	c, _ := Select(10, Params{Count: 20, Seed: 43})
+	c, _ := SelectContext(context.Background(), 10, Params{Count: 20, Seed: 43})
 	same := 0
 	for i := range a {
 		if a[i].S.Equal(c[i].S) {
@@ -54,7 +54,7 @@ func TestSelectDeterministic(t *testing.T) {
 }
 
 func TestSelectExplicitDims(t *testing.T) {
-	list, err := Select(10, Params{Count: 30, MinDim: 2, MaxDim: 3, Seed: 2})
+	list, err := SelectContext(context.Background(), 10, Params{Count: 30, MinDim: 2, MaxDim: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSelectExplicitDims(t *testing.T) {
 
 func TestSelectExhaustsSmallSpace(t *testing.T) {
 	// Only 3 distinct 2-dim subspaces exist in a 3-dim space.
-	list, err := Select(3, Params{Count: 100, MinDim: 2, MaxDim: 2, Seed: 3})
+	list, err := SelectContext(context.Background(), 3, Params{Count: 100, MinDim: 2, MaxDim: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestSelectExhaustsSmallSpace(t *testing.T) {
 }
 
 func TestSelectSmallD(t *testing.T) {
-	if _, err := Select(1, Params{}); err == nil {
+	if _, err := SelectContext(context.Background(), 1, Params{}); err == nil {
 		t.Error("d=1 should fail")
 	}
 	// d=2: MinDim clamps to 2, MaxDim = 1 -> clamped to valid.
-	list, err := Select(2, Params{Count: 5, Seed: 4})
+	list, err := SelectContext(context.Background(), 2, Params{Count: 5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestQuickSelectValid(t *testing.T) {
 	f := func(seed uint64, dRaw, countRaw uint8) bool {
 		d := int(dRaw%30) + 2
 		count := int(countRaw%50) + 1
-		list, err := Select(d, Params{Count: count, Seed: seed})
+		list, err := SelectContext(context.Background(), d, Params{Count: count, Seed: seed})
 		if err != nil {
 			return false
 		}

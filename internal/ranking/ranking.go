@@ -41,34 +41,14 @@ type SubspaceSearcher interface {
 // Scorer is step 2: compute per-object outlier scores within one
 // projection. Higher scores mean more outlying.
 type Scorer interface {
-	Score(ds *dataset.Dataset, dims []int) ([]float64, error)
+	// Score scores every object of ds in the projection dims. A scorer
+	// with a parallel batch pass bounds it by workers (<= 0 means one per
+	// CPU) and observes ctx cooperatively; its scores must be bit-for-bit
+	// identical whatever the worker count. Sequential scorers may ignore
+	// both arguments.
+	Score(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) ([]float64, error)
+	// Name identifies the method in reports.
 	Name() string
-}
-
-// IndexableScorer is implemented by scorers whose neighbor search runs
-// against the internal/neighbors index subsystem; WithIndex returns a copy
-// of the scorer pinned to the given backend. Backends are bit-for-bit
-// equivalent, so the choice only affects speed.
-type IndexableScorer interface {
-	Scorer
-	WithIndex(kind neighbors.Kind) Scorer
-}
-
-// ContextScorer is implemented by scorers whose batch pass observes a
-// context and a worker bound (workers <= 0 means one per CPU);
-// Pipeline.RankContext prefers it over the plain Score when available.
-// Scores must be bit-for-bit identical to Score whatever the worker
-// count.
-type ContextScorer interface {
-	Scorer
-	ScoreContext(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) ([]float64, error)
-}
-
-// ContextFitScorer is the fit/score-split counterpart of ContextScorer;
-// Pipeline.FitContext prefers it over the plain Fit when available.
-type ContextFitScorer interface {
-	FitScorer
-	FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) (FittedScorer, []float64, error)
 }
 
 // LOFScorer scores with the Local Outlier Factor, the paper's reference
@@ -77,27 +57,18 @@ type LOFScorer struct {
 	// MinPts is the LOF neighborhood size; 0 selects lof.DefaultMinPts.
 	MinPts int
 	// Index selects the neighbor-index backend (default automatic).
+	// Backends are bit-for-bit equivalent, so the choice only affects
+	// speed.
 	Index neighbors.Kind
 }
 
 // Score implements Scorer.
-func (s LOFScorer) Score(ds *dataset.Dataset, dims []int) ([]float64, error) {
-	return lof.ScoresWith(ds, dims, s.MinPts, s.Index)
-}
-
-// ScoreContext implements ContextScorer.
-func (s LOFScorer) ScoreContext(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) ([]float64, error) {
+func (s LOFScorer) Score(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) ([]float64, error) {
 	return lof.ScoresContext(ctx, ds, dims, s.MinPts, s.Index, workers)
 }
 
 // Name implements Scorer.
 func (s LOFScorer) Name() string { return "LOF" }
-
-// WithIndex implements IndexableScorer.
-func (s LOFScorer) WithIndex(kind neighbors.Kind) Scorer {
-	s.Index = kind
-	return s
-}
 
 // KNNScorer scores with the average k-nearest-neighbor distance, the
 // cheaper alternative named in the paper's future work.
@@ -109,23 +80,12 @@ type KNNScorer struct {
 }
 
 // Score implements Scorer.
-func (s KNNScorer) Score(ds *dataset.Dataset, dims []int) ([]float64, error) {
-	return lof.KNNScoresWith(ds, dims, s.K, s.Index)
-}
-
-// ScoreContext implements ContextScorer.
-func (s KNNScorer) ScoreContext(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) ([]float64, error) {
+func (s KNNScorer) Score(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) ([]float64, error) {
 	return lof.KNNScoresContext(ctx, ds, dims, s.K, s.Index, workers)
 }
 
 // Name implements Scorer.
 func (s KNNScorer) Name() string { return "kNN" }
-
-// WithIndex implements IndexableScorer.
-func (s KNNScorer) WithIndex(kind neighbors.Kind) Scorer {
-	s.Index = kind
-	return s
-}
 
 // FittedScorer is the frozen step-2 state for one subspace: it scores
 // out-of-sample points without refitting. Implementations are safe for
@@ -143,9 +103,10 @@ type FitScorer interface {
 	Scorer
 	// Fit freezes the scorer's state on one subspace and returns the
 	// training objects' batch scores (bit-for-bit what Score returns).
-	// The scores are not retained by the fitted state — the caller folds
-	// them into its aggregate and drops them.
-	Fit(ds *dataset.Dataset, dims []int) (FittedScorer, []float64, error)
+	// ctx and workers act as in Score. The scores are not retained by the
+	// fitted state — the caller folds them into its aggregate and drops
+	// them.
+	Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) (FittedScorer, []float64, error)
 }
 
 // FittedLOFScorer is the fitted form of LOFScorer. The exported fields
@@ -166,12 +127,7 @@ func (f *FittedLOFScorer) ScorePoint(full []float64) float64 {
 }
 
 // Fit implements FitScorer.
-func (s LOFScorer) Fit(ds *dataset.Dataset, dims []int) (FittedScorer, []float64, error) {
-	return s.FitContext(context.Background(), ds, dims, 0)
-}
-
-// FitContext implements ContextFitScorer.
-func (s LOFScorer) FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) (FittedScorer, []float64, error) {
+func (s LOFScorer) Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) (FittedScorer, []float64, error) {
 	st, scores, err := lof.FitContext(ctx, ds, dims, s.MinPts, s.Index, workers)
 	if err != nil {
 		return nil, nil, err
@@ -196,12 +152,7 @@ func (f *FittedKNNScorer) ScorePoint(full []float64) float64 {
 }
 
 // Fit implements FitScorer.
-func (s KNNScorer) Fit(ds *dataset.Dataset, dims []int) (FittedScorer, []float64, error) {
-	return s.FitContext(context.Background(), ds, dims, 0)
-}
-
-// FitContext implements ContextFitScorer.
-func (s KNNScorer) FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) (FittedScorer, []float64, error) {
+func (s KNNScorer) Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) (FittedScorer, []float64, error) {
 	st, scores, err := lof.FitKNNContext(ctx, ds, dims, s.K, s.Index, workers)
 	if err != nil {
 		return nil, nil, err
@@ -210,8 +161,8 @@ func (s KNNScorer) FitContext(ctx context.Context, ds *dataset.Dataset, dims []i
 }
 
 var (
-	_ ContextFitScorer = LOFScorer{}
-	_ ContextFitScorer = KNNScorer{}
+	_ FitScorer = LOFScorer{}
+	_ FitScorer = KNNScorer{}
 )
 
 // Aggregation selects how per-subspace scores combine (Sec. IV-C).
@@ -362,10 +313,7 @@ type Pipeline struct {
 	// MaxSubspaces caps how many of the searcher's subspaces are scored
 	// ("we use only the best 100 subspaces", Sec. V). 0 means 100, -1 all.
 	MaxSubspaces int
-	// Index pins the neighbor-index backend of an IndexableScorer. KindAuto
-	// (the zero value) leaves the scorer's own configuration untouched.
-	Index neighbors.Kind
-	// Workers bounds the batch-pass parallelism of a ContextScorer
+	// Workers bounds the batch-pass parallelism of the Scorer
 	// (0 = one worker per CPU); the search step's own worker bound lives
 	// in the searcher's parameters. Scores are bit-for-bit independent of
 	// the setting.
@@ -383,27 +331,20 @@ type Result struct {
 	Subspaces []subspace.Scored
 }
 
-// resolve validates the pipeline wiring, applies the index pin and the
-// subspace budget, and runs the search step — the shared preamble of Rank
-// and Fit.
-func (p Pipeline) resolve(ctx context.Context, ds *dataset.Dataset) (Scorer, []subspace.Scored, error) {
+// resolve validates the pipeline wiring, applies the subspace budget, and
+// runs the search step — the shared preamble of Rank and Fit.
+func (p Pipeline) resolve(ctx context.Context, ds *dataset.Dataset) ([]subspace.Scored, error) {
 	if p.Searcher == nil || p.Scorer == nil {
-		return nil, nil, errors.New("ranking: pipeline needs a Searcher and a Scorer")
-	}
-	scorer := p.Scorer
-	if p.Index != neighbors.KindAuto {
-		if ix, ok := scorer.(IndexableScorer); ok {
-			scorer = ix.WithIndex(p.Index)
-		}
+		return nil, errors.New("ranking: pipeline needs a Searcher and a Scorer")
 	}
 	subspaces, err := p.Searcher.Search(ctx, ds)
 	if err != nil {
 		// ctx.Err() passes through unwrapped so callers can match it with
 		// errors.Is across every layer.
 		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-			return nil, nil, err
+			return nil, err
 		}
-		return nil, nil, fmt.Errorf("ranking: subspace search (%s): %w", p.Searcher.Name(), err)
+		return nil, fmt.Errorf("ranking: subspace search (%s): %w", p.Searcher.Name(), err)
 	}
 	limit := p.MaxSubspaces
 	if limit == 0 {
@@ -413,33 +354,25 @@ func (p Pipeline) resolve(ctx context.Context, ds *dataset.Dataset) (Scorer, []s
 		subspaces = subspaces[:limit]
 	}
 	if len(subspaces) == 0 {
-		return nil, nil, fmt.Errorf("ranking: searcher %s selected no subspaces", p.Searcher.Name())
+		return nil, fmt.Errorf("ranking: searcher %s selected no subspaces", p.Searcher.Name())
 	}
-	return scorer, subspaces, nil
+	return subspaces, nil
 }
 
 // Rank runs the two-step pipeline on ds. Per-subspace scores are folded
 // into the aggregate as they are produced, so only one score slice is
-// alive at a time.
-func (p Pipeline) Rank(ds *dataset.Dataset) (*Result, error) {
-	return p.RankContext(context.Background(), ds)
-}
-
-// RankContext is Rank with cooperative cancellation: the subspace search
-// observes ctx throughout its Monte Carlo loops, and the scoring step
-// checks ctx between subspaces. An uncancelled run is bit-for-bit
-// identical to Rank.
-func (p Pipeline) RankContext(ctx context.Context, ds *dataset.Dataset) (*Result, error) {
-	scorer, subspaces, err := p.resolve(ctx, ds)
+// alive at a time. The subspace search observes ctx throughout its Monte
+// Carlo loops, and the scoring step checks ctx between subspaces.
+func (p Pipeline) Rank(ctx context.Context, ds *dataset.Dataset) (*Result, error) {
+	subspaces, err := p.resolve(ctx, ds)
 	if err != nil {
 		return nil, err
 	}
 	acc := newAccumulator(p.Agg, ds.N())
-	cs, cancellable := scorer.(ContextScorer)
 	// One span covers the whole per-subspace scoring pass; individual
 	// neighbor-index builds inside the scorer open their own children.
 	sctx, span := trace.StartSpan(ctx, "ranking.score")
-	span.SetAttr("scorer", scorer.Name())
+	span.SetAttr("scorer", p.Scorer.Name())
 	span.SetAttr("subspaces", len(subspaces))
 	defer span.End()
 	for _, sc := range subspaces {
@@ -447,18 +380,13 @@ func (p Pipeline) RankContext(ctx context.Context, ds *dataset.Dataset) (*Result
 			span.SetError(err)
 			return nil, err
 		}
-		var scores []float64
-		if cancellable {
-			scores, err = cs.ScoreContext(sctx, ds, sc.S, p.Workers)
-		} else {
-			scores, err = scorer.Score(ds, sc.S)
-		}
+		scores, err := p.Scorer.Score(sctx, ds, sc.S, p.Workers)
 		if err != nil {
 			span.SetError(err)
 			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
 				return nil, err
 			}
-			return nil, fmt.Errorf("ranking: scoring %v with %s: %w", sc.S, scorer.Name(), err)
+			return nil, fmt.Errorf("ranking: scoring %v with %s: %w", sc.S, p.Scorer.Name(), err)
 		}
 		acc.fold(scores)
 	}
@@ -493,30 +421,23 @@ type FittedPipeline struct {
 // state. The pipeline's scorer must implement FitScorer. The returned
 // training scores equal Rank's scores exactly: the per-subspace batch
 // scores come from the same fitting passes and the aggregation applies the
-// identical operation sequence.
-func (p Pipeline) Fit(ds *dataset.Dataset) (*FittedPipeline, error) {
-	return p.FitContext(context.Background(), ds)
-}
-
-// FitContext is Fit with cooperative cancellation, mirroring RankContext:
-// ctx is observed throughout the subspace search and between per-subspace
-// fitting passes. An uncancelled fit is bit-for-bit identical to Fit.
-func (p Pipeline) FitContext(ctx context.Context, ds *dataset.Dataset) (*FittedPipeline, error) {
-	scorer, subspaces, err := p.resolve(ctx, ds)
+// identical operation sequence. Like Rank, ctx is observed throughout the
+// subspace search and between per-subspace fitting passes.
+func (p Pipeline) Fit(ctx context.Context, ds *dataset.Dataset) (*FittedPipeline, error) {
+	subspaces, err := p.resolve(ctx, ds)
 	if err != nil {
 		return nil, err
 	}
-	fs, ok := scorer.(FitScorer)
+	fs, ok := p.Scorer.(FitScorer)
 	if !ok {
-		return nil, fmt.Errorf("ranking: scorer %s does not support the fit/score split", scorer.Name())
+		return nil, fmt.Errorf("ranking: scorer %s does not support the fit/score split", p.Scorer.Name())
 	}
 	fitted := make([]FittedScorer, len(subspaces))
 	acc := newAccumulator(p.Agg, ds.N())
-	cfs, cancellable := scorer.(ContextFitScorer)
-	// The fitting pass mirrors RankContext's scoring span; per-subspace
+	// The fitting pass mirrors Rank's scoring span; per-subspace
 	// neighbor-index builds nest underneath.
 	fctx, span := trace.StartSpan(ctx, "ranking.fit")
-	span.SetAttr("scorer", scorer.Name())
+	span.SetAttr("scorer", fs.Name())
 	span.SetAttr("subspaces", len(subspaces))
 	defer span.End()
 	for j, sc := range subspaces {
@@ -524,19 +445,13 @@ func (p Pipeline) FitContext(ctx context.Context, ds *dataset.Dataset) (*FittedP
 			span.SetError(err)
 			return nil, err
 		}
-		var f FittedScorer
-		var scores []float64
-		if cancellable {
-			f, scores, err = cfs.FitContext(fctx, ds, sc.S, p.Workers)
-		} else {
-			f, scores, err = fs.Fit(ds, sc.S)
-		}
+		f, scores, err := fs.Fit(fctx, ds, sc.S, p.Workers)
 		if err != nil {
 			span.SetError(err)
 			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
 				return nil, err
 			}
-			return nil, fmt.Errorf("ranking: fitting %v with %s: %w", sc.S, scorer.Name(), err)
+			return nil, fmt.Errorf("ranking: fitting %v with %s: %w", sc.S, fs.Name(), err)
 		}
 		fitted[j] = f
 		acc.fold(scores)
@@ -594,16 +509,10 @@ type PCAPipeline struct {
 	Label string
 }
 
-// Rank projects and scores.
-func (p PCAPipeline) Rank(ds *dataset.Dataset) (*Result, error) {
-	return p.RankContext(context.Background(), ds)
-}
-
-// RankContext is Rank with cooperative cancellation. The PCA projection
-// and the single scoring pass are one unit of work, so ctx is only
-// checked between the two — cancellation latency is coarser than the
-// subspace pipelines'.
-func (p PCAPipeline) RankContext(ctx context.Context, ds *dataset.Dataset) (*Result, error) {
+// Rank projects and scores. The PCA projection is one unit of work, so
+// ctx is only checked around it and then handed to the scoring pass —
+// cancellation latency is coarser than the subspace pipelines'.
+func (p PCAPipeline) Rank(ctx context.Context, ds *dataset.Dataset) (*Result, error) {
 	if p.Components == nil || p.Scorer == nil {
 		return nil, errors.New("ranking: PCA pipeline needs Components and Scorer")
 	}
@@ -624,7 +533,7 @@ func (p PCAPipeline) RankContext(ctx context.Context, ds *dataset.Dataset) (*Res
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	scores, err := p.Scorer.Score(proj, subspace.Full(k))
+	scores, err := p.Scorer.Score(ctx, proj, subspace.Full(k), 0)
 	if err != nil {
 		return nil, fmt.Errorf("ranking: PCA scoring: %w", err)
 	}
@@ -640,12 +549,9 @@ func (p PCAPipeline) Name() string {
 }
 
 // Ranker is the common interface of Pipeline and PCAPipeline, letting the
-// experiment harness treat all competitors uniformly. Rank is the
-// background-context convenience; RankContext is the cancellable form
-// every harness loop should call.
+// experiment harness treat all competitors uniformly.
 type Ranker interface {
-	Rank(ds *dataset.Dataset) (*Result, error)
-	RankContext(ctx context.Context, ds *dataset.Dataset) (*Result, error)
+	Rank(ctx context.Context, ds *dataset.Dataset) (*Result, error)
 	Name() string
 }
 

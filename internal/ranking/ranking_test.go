@@ -27,7 +27,7 @@ func benchData(t *testing.T, seed uint64) *synth.Benchmark {
 func TestFullSpaceLOFPipeline(t *testing.T) {
 	b := benchData(t, 1)
 	p := Pipeline{Searcher: FullSpace{}, Scorer: LOFScorer{MinPts: 10}}
-	res, err := p.Rank(b.Data.Data)
+	res, err := p.Rank(context.Background(), b.Data.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestHiCSPipelineBeatsFullSpaceOnPlantedData(t *testing.T) {
 	}
 	full := Pipeline{Searcher: FullSpace{}, Scorer: LOFScorer{MinPts: 10}}
 
-	rh, err := hics.Rank(ds)
+	rh, err := hics.Rank(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := full.Rank(ds)
+	rf, err := full.Rank(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMaxSubspacesCap(t *testing.T) {
 		Scorer:       KNNScorer{K: 5},
 		MaxSubspaces: 4,
 	}
-	res, err := p.Rank(b.Data.Data)
+	res, err := p.Rank(context.Background(), b.Data.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestAggregationAverageVsMax(t *testing.T) {
 	searcher := &randsub.Searcher{Params: randsub.Params{Count: 10, MinDim: 2, MaxDim: 3, Seed: 2}}
 	avg := Pipeline{Searcher: searcher, Scorer: LOFScorer{}, Agg: Average}
 	max := Pipeline{Searcher: searcher, Scorer: LOFScorer{}, Agg: Max}
-	ra, err := avg.Rank(b.Data.Data)
+	ra, err := avg.Rank(context.Background(), b.Data.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := max.Rank(b.Data.Data)
+	rm, err := max.Rank(context.Background(), b.Data.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +126,15 @@ func TestAggregationAverageVsMax(t *testing.T) {
 
 func TestPipelineErrors(t *testing.T) {
 	b := benchData(t, 4)
-	if _, err := (Pipeline{}).Rank(b.Data.Data); err == nil {
+	if _, err := (Pipeline{}).Rank(context.Background(), b.Data.Data); err == nil {
 		t.Error("missing components should fail")
 	}
 	empty := Pipeline{Searcher: emptySearcher{}, Scorer: LOFScorer{}}
-	if _, err := empty.Rank(b.Data.Data); err == nil {
+	if _, err := empty.Rank(context.Background(), b.Data.Data); err == nil {
 		t.Error("empty subspace list should fail")
 	}
 	failing := Pipeline{Searcher: failingSearcher{}, Scorer: LOFScorer{}}
-	if _, err := failing.Rank(b.Data.Data); err == nil {
+	if _, err := failing.Rank(context.Background(), b.Data.Data); err == nil {
 		t.Error("searcher error should propagate")
 	}
 }
@@ -160,7 +160,7 @@ func TestPCAPipeline(t *testing.T) {
 		Scorer:     LOFScorer{MinPts: 10},
 		Label:      "PCALOF1",
 	}
-	res, err := p.Rank(b.Data.Data)
+	res, err := p.Rank(context.Background(), b.Data.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPCAPipeline(t *testing.T) {
 func TestPCAPipelineClampsComponents(t *testing.T) {
 	b := benchData(t, 6)
 	p := PCAPipeline{Components: func(d int) int { return d + 10 }, Scorer: KNNScorer{K: 5}}
-	res, err := p.Rank(b.Data.Data)
+	res, err := p.Rank(context.Background(), b.Data.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +190,14 @@ func TestPCAPipelineClampsComponents(t *testing.T) {
 		t.Errorf("clamp failed: %d", res.Subspaces[0].S.Dim())
 	}
 	zero := PCAPipeline{Components: func(int) int { return 0 }, Scorer: KNNScorer{K: 5}}
-	if _, err := zero.Rank(b.Data.Data); err != nil {
+	if _, err := zero.Rank(context.Background(), b.Data.Data); err != nil {
 		t.Errorf("k clamped to 1 should work: %v", err)
 	}
 }
 
 func TestPCAPipelineErrors(t *testing.T) {
 	b := benchData(t, 7)
-	if _, err := (PCAPipeline{}).Rank(b.Data.Data); err == nil {
+	if _, err := (PCAPipeline{}).Rank(context.Background(), b.Data.Data); err == nil {
 		t.Error("missing components should fail")
 	}
 }
@@ -211,7 +211,7 @@ func TestScorerNames(t *testing.T) {
 func TestScoresFiniteOrInf(t *testing.T) {
 	b := benchData(t, 8)
 	p := Pipeline{Searcher: FullSpace{}, Scorer: LOFScorer{MinPts: 5}}
-	res, err := p.Rank(b.Data.Data)
+	res, err := p.Rank(context.Background(), b.Data.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +252,12 @@ func TestFitTrainScoresEqualRank(t *testing.T) {
 	for _, scorer := range []Scorer{LOFScorer{MinPts: 10}, KNNScorer{K: 10}} {
 		for _, agg := range []Aggregation{Average, Max, Product} {
 			for _, kind := range []neighbors.Kind{neighbors.KindAuto, neighbors.KindBrute, neighbors.KindKDTree} {
-				p := Pipeline{Searcher: searcher, Scorer: scorer, Agg: agg, Index: kind}
-				res, err := p.Rank(ds)
+				p := Pipeline{Searcher: searcher, Scorer: pinIndex(scorer, kind), Agg: agg}
+				res, err := p.Rank(context.Background(), ds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fp, err := p.Fit(ds)
+				fp, err := p.Fit(context.Background(), ds)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -282,11 +282,11 @@ func TestFitScorePointBackendEquivalence(t *testing.T) {
 	b := benchData(t, 11)
 	ds := b.Data.Data
 	searcher := &core.Searcher{Params: core.Params{M: 20, Seed: 4, TopK: 10}}
-	brute, err := Pipeline{Searcher: searcher, Scorer: LOFScorer{MinPts: 10}, Index: neighbors.KindBrute}.Fit(ds)
+	brute, err := Pipeline{Searcher: searcher, Scorer: LOFScorer{MinPts: 10, Index: neighbors.KindBrute}}.Fit(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Pipeline{Searcher: searcher, Scorer: LOFScorer{MinPts: 10}, Index: neighbors.KindKDTree}.Fit(ds)
+	tree, err := Pipeline{Searcher: searcher, Scorer: LOFScorer{MinPts: 10, Index: neighbors.KindKDTree}}.Fit(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,39 +319,55 @@ func TestFitScorePointBackendEquivalence(t *testing.T) {
 
 func TestFitErrors(t *testing.T) {
 	b := benchData(t, 12)
-	if _, err := (Pipeline{}).Fit(b.Data.Data); err == nil {
+	if _, err := (Pipeline{}).Fit(context.Background(), b.Data.Data); err == nil {
 		t.Error("missing components should fail")
 	}
-	if _, err := (Pipeline{Searcher: emptySearcher{}, Scorer: LOFScorer{}}).Fit(b.Data.Data); err == nil {
+	if _, err := (Pipeline{Searcher: emptySearcher{}, Scorer: LOFScorer{}}).Fit(context.Background(), b.Data.Data); err == nil {
 		t.Error("empty subspace list should fail")
 	}
-	if _, err := (Pipeline{Searcher: FullSpace{}, Scorer: unfittableScorer{}}).Fit(b.Data.Data); err == nil {
+	if _, err := (Pipeline{Searcher: FullSpace{}, Scorer: unfittableScorer{}}).Fit(context.Background(), b.Data.Data); err == nil {
 		t.Error("non-FitScorer should fail")
 	}
 }
 
 type unfittableScorer struct{}
 
-func (unfittableScorer) Score(*dataset.Dataset, []int) ([]float64, error) { return nil, nil }
-func (unfittableScorer) Name() string                                     { return "unfittable" }
+func (unfittableScorer) Score(context.Context, *dataset.Dataset, []int, int) ([]float64, error) {
+	return nil, nil
+}
+func (unfittableScorer) Name() string { return "unfittable" }
 
-// TestPipelineIndexOverride: Pipeline.Index pins the backend of every
-// IndexableScorer, and the pinned backends agree bit for bit.
+// pinIndex returns a copy of a neighbor-based scorer with its Index field
+// set to kind.
+func pinIndex(s Scorer, kind neighbors.Kind) Scorer {
+	switch s := s.(type) {
+	case LOFScorer:
+		s.Index = kind
+		return s
+	case KNNScorer:
+		s.Index = kind
+		return s
+	}
+	panic("pinIndex: not a neighbor-based scorer")
+}
+
+// TestPipelineIndexOverride: the scorer's Index field pins the backend
+// its fits use, and the pinned backends agree bit for bit.
 func TestPipelineIndexOverride(t *testing.T) {
 	b := benchData(t, 9)
 	for _, scorer := range []Scorer{LOFScorer{MinPts: 10}, KNNScorer{K: 10}} {
 		base := Pipeline{Searcher: FullSpace{}, Scorer: scorer}
-		brute := Pipeline{Searcher: FullSpace{}, Scorer: scorer, Index: neighbors.KindBrute}
-		tree := Pipeline{Searcher: FullSpace{}, Scorer: scorer, Index: neighbors.KindKDTree}
-		rBase, err := base.Rank(b.Data.Data)
+		brute := Pipeline{Searcher: FullSpace{}, Scorer: pinIndex(scorer, neighbors.KindBrute)}
+		tree := Pipeline{Searcher: FullSpace{}, Scorer: pinIndex(scorer, neighbors.KindKDTree)}
+		rBase, err := base.Rank(context.Background(), b.Data.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rBrute, err := brute.Rank(b.Data.Data)
+		rBrute, err := brute.Rank(context.Background(), b.Data.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rTree, err := tree.Rank(b.Data.Data)
+		rTree, err := tree.Rank(context.Background(), b.Data.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,10 +378,14 @@ func TestPipelineIndexOverride(t *testing.T) {
 			}
 		}
 	}
-	// WithIndex returns a pinned copy without mutating the receiver.
-	s := LOFScorer{MinPts: 5}
-	pinned := s.WithIndex(neighbors.KindKDTree).(LOFScorer)
-	if pinned.Index != neighbors.KindKDTree || s.Index != neighbors.KindAuto {
-		t.Errorf("WithIndex: pinned %v, original %v", pinned.Index, s.Index)
+	// The fitted state runs on the pinned backend.
+	for _, kind := range []neighbors.Kind{neighbors.KindBrute, neighbors.KindKDTree} {
+		fp, err := Pipeline{Searcher: FullSpace{}, Scorer: LOFScorer{MinPts: 5, Index: kind}}.Fit(context.Background(), b.Data.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fp.Scorers[0].(*FittedLOFScorer).State.Kind(); got != kind {
+			t.Errorf("fit pinned to %v ran on %v", kind, got)
+		}
 	}
 }

@@ -182,9 +182,7 @@ type PipelineOptions struct {
 	Agg ranking.Aggregation
 	// MaxSubspaces caps the scored subspaces (0 = the paper's 100, -1 = all).
 	MaxSubspaces int
-	// Index pins the neighbor-index backend of indexable scorers.
-	Index neighbors.Kind
-	// Workers bounds the batch-pass parallelism of context-aware scorers
+	// Workers bounds the batch-pass parallelism of the scorer
 	// (0 = one worker per CPU).
 	Workers int
 }
@@ -205,7 +203,6 @@ func NewPipeline(search, scorer string, o PipelineOptions) (ranking.Pipeline, er
 		Scorer:       sc,
 		Agg:          o.Agg,
 		MaxSubspaces: o.MaxSubspaces,
-		Index:        o.Index,
 		Workers:      o.Workers,
 	}, nil
 }

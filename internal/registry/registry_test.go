@@ -130,10 +130,9 @@ func TestScorerSupportsFit(t *testing.T) {
 
 func TestNewPipelineWiring(t *testing.T) {
 	pipe, err := NewPipeline("enclus", "knn", PipelineOptions{
-		Scorers:      ScorerOptions{KNN: KNNOptions{K: 5}},
+		Scorers:      ScorerOptions{KNN: KNNOptions{K: 5, Index: neighbors.KindKDTree}},
 		Agg:          ranking.Max,
 		MaxSubspaces: -1,
-		Index:        neighbors.KindKDTree,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +140,10 @@ func TestNewPipelineWiring(t *testing.T) {
 	if pipe.Searcher.Name() != "Enclus" || pipe.Scorer.Name() != "kNN" {
 		t.Errorf("pipeline pair = %s+%s", pipe.Searcher.Name(), pipe.Scorer.Name())
 	}
-	if pipe.Agg != ranking.Max || pipe.MaxSubspaces != -1 || pipe.Index != neighbors.KindKDTree {
+	if pipe.Agg != ranking.Max || pipe.MaxSubspaces != -1 {
 		t.Errorf("pipeline knobs not threaded: %+v", pipe)
 	}
-	if pipe.Scorer.(ranking.KNNScorer).K != 5 {
+	if sc := pipe.Scorer.(ranking.KNNScorer); sc.K != 5 || sc.Index != neighbors.KindKDTree {
 		t.Errorf("scorer option not threaded: %+v", pipe.Scorer)
 	}
 }

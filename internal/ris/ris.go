@@ -139,14 +139,10 @@ type Result struct {
 	Evaluated int               // quality computations performed
 }
 
-// Search runs the level-wise RIS procedure on min-max normalized data.
-func Search(ds *dataset.Dataset, p Params) (*Result, error) {
-	return SearchContext(context.Background(), ds, p)
-}
-
-// SearchContext is Search with cooperative cancellation: ctx is checked
-// between candidate quality evaluations, so a cancelled context surfaces
-// ctx.Err() within one candidate's O(N²) neighborhood-counting pass.
+// SearchContext runs the level-wise RIS procedure on min-max normalized
+// data. ctx is checked between candidate quality evaluations, so a
+// cancelled context surfaces ctx.Err() within one candidate's O(N²)
+// neighborhood-counting pass.
 func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*Result, error) {
 	p = p.withDefaults()
 	if ds.D() < 2 {
@@ -189,7 +185,7 @@ func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*Result,
 	return res, nil
 }
 
-// Searcher adapts Search to the ranking pipeline.
+// Searcher adapts SearchContext to the ranking pipeline.
 type Searcher struct {
 	Params Params
 }

@@ -142,7 +142,7 @@ func TestQualityBadSubspace(t *testing.T) {
 
 func TestSearchFindsClusteredSubspace(t *testing.T) {
 	ds := clusteredPair(5, 500, 5)
-	res, err := Search(ds, Params{TopK: 10})
+	res, err := SearchContext(context.Background(), ds, Params{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSearchFindsClusteredSubspace(t *testing.T) {
 
 func TestSearchRespectsBounds(t *testing.T) {
 	ds := clusteredPair(6, 300, 5)
-	res, err := Search(ds, Params{TopK: 4, MaxDim: 2, Cutoff: 3})
+	res, err := SearchContext(context.Background(), ds, Params{TopK: 4, MaxDim: 2, Cutoff: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSearchRespectsBounds(t *testing.T) {
 
 func TestSearchSortedDescending(t *testing.T) {
 	ds := clusteredPair(7, 400, 4)
-	res, err := Search(ds, Params{TopK: -1})
+	res, err := SearchContext(context.Background(), ds, Params{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSearchSortedDescending(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1, 2}})
-	if _, err := Search(ds, Params{}); err == nil {
+	if _, err := SearchContext(context.Background(), ds, Params{}); err == nil {
 		t.Error("single attribute should fail")
 	}
 }

@@ -103,12 +103,7 @@ type Result struct {
 	Evaluated int
 }
 
-// Search runs the level-wise SURFING procedure.
-func Search(ds *dataset.Dataset, p Params) (*Result, error) {
-	return SearchContext(context.Background(), ds, p)
-}
-
-// SearchContext is Search with cooperative cancellation: ctx is checked
+// SearchContext runs the level-wise SURFING procedure. ctx is checked
 // between candidate quality evaluations, so a cancelled context surfaces
 // ctx.Err() within one candidate's k-NN pass.
 func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*Result, error) {
@@ -151,7 +146,7 @@ func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*Result,
 	return res, nil
 }
 
-// Searcher adapts Search to the ranking pipeline.
+// Searcher adapts SearchContext to the ranking pipeline.
 type Searcher struct {
 	Params Params
 }

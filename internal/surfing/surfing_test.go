@@ -83,7 +83,7 @@ func TestQualityErrors(t *testing.T) {
 
 func TestSearchFindsClusteredSubspace(t *testing.T) {
 	ds := clusteredPair(4, 400, 5)
-	res, err := Search(ds, Params{TopK: 10})
+	res, err := SearchContext(context.Background(), ds, Params{TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSearchFindsClusteredSubspace(t *testing.T) {
 
 func TestSearchBounds(t *testing.T) {
 	ds := clusteredPair(5, 200, 5)
-	res, err := Search(ds, Params{TopK: 3, MaxDim: 2, Cutoff: 4})
+	res, err := SearchContext(context.Background(), ds, Params{TopK: 3, MaxDim: 2, Cutoff: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSearchBounds(t *testing.T) {
 
 func TestSearchSorted(t *testing.T) {
 	ds := clusteredPair(6, 300, 4)
-	res, err := Search(ds, Params{TopK: -1})
+	res, err := SearchContext(context.Background(), ds, Params{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSearchSorted(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1, 2}})
-	if _, err := Search(ds, Params{}); err == nil {
+	if _, err := SearchContext(context.Background(), ds, Params{}); err == nil {
 		t.Error("single attribute should fail")
 	}
 }

@@ -1,10 +1,12 @@
 package uci
 
 import (
+	"context"
 	"testing"
 
 	"hics/internal/eval"
 	"hics/internal/lof"
+	"hics/internal/neighbors"
 	"hics/internal/stats"
 	"hics/internal/subspace"
 )
@@ -129,7 +131,7 @@ func TestDifficultyProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores, err := lof.Scores(l.Data, subspace.Full(l.Data.D()), 10)
+		scores, err := lof.ScoresContext(context.Background(), l.Data, subspace.Full(l.Data.D()), 10, neighbors.KindAuto, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

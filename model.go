@@ -87,7 +87,7 @@ func FitContext(ctx context.Context, rows [][]float64, opts Options) (*Model, er
 	if err != nil {
 		return nil, err
 	}
-	fp, err := pipe.FitContext(ctx, ds)
+	fp, err := pipe.Fit(ctx, ds)
 	if err != nil {
 		return nil, err
 	}

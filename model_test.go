@@ -140,6 +140,35 @@ func TestModelScoreZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFitPinsNeighborIndex: Options.NeighborIndex reaches every fitted
+// scorer's neighbor index. The backends score bit for bit alike, so only
+// the fitted state's kind shows whether the pin was applied.
+func TestFitPinsNeighborIndex(t *testing.T) {
+	rows := demoRows(67, 300, 4)
+	for _, scorer := range []string{"lof", "knn"} {
+		for _, want := range []neighbors.Kind{neighbors.KindBrute, neighbors.KindKDTree} {
+			m, err := Fit(rows, Options{M: 10, Seed: 67, Scorer: scorer, NeighborIndex: want.String()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range m.fp.Scorers {
+				var got neighbors.Kind
+				switch f := f.(type) {
+				case *ranking.FittedLOFScorer:
+					got = f.State.Kind()
+				case *ranking.FittedKNNScorer:
+					got = f.State.Kind()
+				default:
+					t.Fatalf("%s: unexpected fitted scorer %T", scorer, f)
+				}
+				if got != want {
+					t.Errorf("%s with NeighborIndex %q: subspace %v is served by %v", scorer, want, f.Dims(), got)
+				}
+			}
+		}
+	}
+}
+
 func TestModelScoreBatch(t *testing.T) {
 	rows := demoRows(23, 250, 4)
 	m, err := Fit(rows, Options{M: 20, Seed: 23})
