@@ -18,7 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"sort"
 
 	"hics/internal/dataset"
@@ -228,7 +228,8 @@ type column struct {
 // selection vector and each of the conditional samples hold at most one
 // index block, and a subsampled estimate's sample view (drawn ids, and per
 // subspace attribute the sample's values, sorted order and ranks) holds
-// MaxSampleRows rows. A Scratch serves only the Evaluator that made it.
+// MaxSampleRows rows, except the draw's membership set of N bits. A
+// Scratch serves only the Evaluator that made it.
 type Scratch struct {
 	perm   []int                 // permutation of subspace positions
 	starts []int                 // index block start per condition
@@ -236,9 +237,12 @@ type Scratch struct {
 	cond   [welchLanes][]float64 // conditional samples, one per lane of a Welch group
 	view   []column              // per subspace position, the full-data view
 
-	chosen map[int]struct{} // Floyd's membership set
-	ids    []int            // the subsample's row ids, ascending
-	sample []column         // per subspace position, the sample-local view
+	chosen []uint64 // Floyd's membership set, one bit per row; all zero between draws
+	ids    []int    // the subsample's row ids, ascending
+	sample []column // per subspace position, the sample-local view
+	keys   []uint64 // radix sort: order-preserving keys of one column
+	keys2  []uint64 // radix sort: the keys' scatter buffer
+	order2 []int    // radix sort: the order's scatter buffer
 }
 
 // NewScratch returns empty scratch space for the evaluator; its buffers
@@ -422,22 +426,25 @@ const sampleStream = 0x5a3c9d17
 // dataset.SortedIndex.
 func (e *Evaluator) sampleView(s subspace.Subspace, r *rng.RNG, m int, sc *Scratch) []column {
 	n := e.ds.N()
-	// Floyd's sampling: m distinct ids in O(m) expected time, no N-sized
-	// allocation.
-	if sc.chosen == nil {
-		sc.chosen = make(map[int]struct{}, m)
-	}
-	clear(sc.chosen)
-	ids := resize(sc.ids, m)[:0]
+	// Floyd's sampling: m distinct ids in O(m) draws, marked in an n-bit
+	// set. Reading the set word by word lists them ascending and leaves
+	// it empty for the next draw.
+	set := resize(sc.chosen, (n+63)/64)
 	for i := n - m; i < n; i++ {
 		j := r.Intn(i + 1)
-		if _, dup := sc.chosen[j]; dup {
+		if set[j>>6]&(1<<(j&63)) != 0 {
 			j = i
 		}
-		sc.chosen[j] = struct{}{}
-		ids = append(ids, j)
+		set[j>>6] |= 1 << (j & 63)
 	}
-	slices.Sort(ids)
+	sc.chosen = set
+	ids := resize(sc.ids, m)[:0]
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, w<<6|bits.TrailingZeros64(word))
+		}
+		set[w] = 0
+	}
 	sc.ids = ids
 
 	for len(sc.sample) < s.Dim() {
@@ -448,22 +455,66 @@ func (e *Evaluator) sampleView(s subspace.Subspace, r *rng.RNG, m int, sc *Scrat
 		c := cols[i]
 		src := e.ds.Col(attr)
 		for k, id := range ids {
-			c.order[k] = k
 			c.vals[k] = src[id]
 		}
-		slices.SortFunc(c.order, func(a, b int) int {
-			switch {
-			case c.vals[a] < c.vals[b]:
-				return -1
-			case c.vals[a] > c.vals[b]:
-				return 1
-			default:
-				return a - b
-			}
-		})
+		sc.radixOrder(c.order, c.vals)
 		setRanks(c.rank, c.order)
 	}
 	return cols
+}
+
+// sortKey maps v to a key whose unsigned order is v's numeric order, with
+// −0 and +0 equal: negative values have every bit flipped, the others
+// their sign bit set.
+func sortKey(v float64) uint64 {
+	if v == 0 {
+		v = 0 // −0 → +0
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixOrder fills order with 0..len(vals)−1 sorted by value, ties toward
+// the lower index: an LSD radix sort of sortKey, one byte per pass, which
+// is stable from the ascending start. A pass whose byte is the same in
+// every key leaves the order as it is and is skipped.
+func (sc *Scratch) radixOrder(order []int, vals []float64) {
+	m := len(vals)
+	sc.keys, sc.keys2, sc.order2 = resize(sc.keys, m), resize(sc.keys2, m), resize(sc.order2, m)
+	keys, keys2, order2 := sc.keys, sc.keys2, sc.order2
+	var counts [8][256]int32
+	for k, v := range vals {
+		key := sortKey(v)
+		keys[k], order[k] = key, k
+		for p := range counts {
+			counts[p][byte(key>>(8*p))]++
+		}
+	}
+	src, dst := order, order2
+	for p := range counts {
+		c := &counts[p]
+		shift := 8 * p
+		if c[byte(keys[0]>>shift)] == int32(m) {
+			continue
+		}
+		sum := int32(0)
+		for d, cnt := range c {
+			c[d], sum = sum, sum+cnt
+		}
+		for k, key := range keys {
+			d := byte(key >> shift)
+			keys2[c[d]], dst[c[d]] = key, src[k]
+			c[d]++
+		}
+		keys, keys2 = keys2, keys
+		src, dst = dst, src
+	}
+	if &src[0] != &order[0] {
+		copy(order, src)
+	}
 }
 
 // deviation compares the conditional sample of attribute attr to its

@@ -3,12 +3,11 @@ package neighbors
 import (
 	"context"
 	"fmt"
-	"math"
 )
 
 // Brute is the linear-scan backend: every query computes all N distances
-// column by column (cache-friendly over the columnar dataset layout) and
-// cuts them at the k-th smallest via quickselect.
+// in id order, each accumulated column by column, and offers those within
+// the bound to the k-best buffer.
 type Brute struct {
 	cols [][]float64
 	n    int
@@ -24,13 +23,7 @@ func (b *Brute) Kind() Kind { return KindBrute }
 func (b *Brute) Dist(i, j int) float64 { return dist(b.cols, i, j) }
 
 // NewScratch implements Index.
-func (b *Brute) NewScratch() *Scratch {
-	return &Scratch{
-		dists: make([]float64, b.n),
-		sel:   make([]float64, 0, b.n),
-		qv:    make([]float64, 0, len(b.cols)),
-	}
-}
+func (b *Brute) NewScratch() *Scratch { return newScratch(len(b.cols)) }
 
 // KNN implements Index.
 func (b *Brute) KNN(q, k int, sc *Scratch, out []Neighbor) ([]Neighbor, float64) {
@@ -64,82 +57,53 @@ func (b *Brute) KNNPoint(q []float64, k int, sc *Scratch, out []Neighbor) ([]Nei
 }
 
 // scan answers the query point held in sc.qv, skipping object exclude
-// (-1 for out-of-sample point queries): all squared distances accumulated
-// per column, cut at the k-th smallest via quickselect.
+// (-1 for out-of-sample point queries). Squared distances are summed in
+// subspace column order, as KDTree.scan sums them.
 func (b *Brute) scan(exclude, k int, sc *Scratch, out []Neighbor) ([]Neighbor, float64) {
-	dists := sc.dists
-	for i := range dists {
-		dists[i] = 0
-	}
-	for c, col := range b.cols {
-		cq := sc.qv[c]
-		for i, v := range col {
-			d := v - cq
-			dists[i] += d * d
+	kb, qv := &sc.knn, sc.qv
+	kb.reset(k)
+	bound := kb.bound
+	switch len(b.cols) {
+	case 2:
+		c0, q0, q1 := b.cols[0], qv[0], qv[1]
+		c1 := b.cols[1][:len(c0)]
+		for id, v := range c0 {
+			d0, d1 := v-q0, c1[id]-q1
+			if d2 := float64(d0*d0) + float64(d1*d1); d2 <= bound && id != exclude {
+				kb.push(id, d2)
+				bound = kb.bound
+			}
+		}
+	case 3:
+		c0, q0, q1, q2 := b.cols[0], qv[0], qv[1], qv[2]
+		c1, c2 := b.cols[1][:len(c0)], b.cols[2][:len(c0)]
+		for id, v := range c0 {
+			d0, d1, e := v-q0, c1[id]-q1, c2[id]-q2
+			if d2 := float64(d0*d0) + float64(d1*d1) + float64(e*e); d2 <= bound && id != exclude {
+				kb.push(id, d2)
+				bound = kb.bound
+			}
+		}
+	default:
+		for id := 0; id < b.n; id++ {
+			if id == exclude {
+				continue
+			}
+			d2 := 0.0
+			for c, col := range b.cols {
+				d := col[id] - qv[c]
+				d2 += float64(d * d)
+			}
+			if d2 <= bound {
+				kb.push(id, d2)
+				bound = kb.bound
+			}
 		}
 	}
-	if exclude >= 0 {
-		dists[exclude] = math.Inf(1) // the query itself is not a neighbor
-	}
-
-	// k-th smallest squared distance via quickselect on a copy.
-	sel := append(sc.sel[:0], dists...)
-	kth := quickselect(sel, k-1)
-
-	neighbors := out[:0]
-	for i, d := range dists {
-		if d <= kth && i != exclude {
-			neighbors = append(neighbors, Neighbor{ID: i, Dist: math.Sqrt(d)})
-		}
-	}
-	return neighbors, math.Sqrt(kth)
+	return kb.neighbors(out)
 }
 
 // KNNAllContext implements Index.
 func (b *Brute) KNNAllContext(ctx context.Context, k, workers int) ([][]Neighbor, []float64, error) {
 	return knnAll(ctx, b, k, workers)
-}
-
-// quickselect returns the k-th smallest element (0-based) of xs,
-// partially reordering xs in place. Median-of-three pivoting keeps the
-// expected cost linear even on sorted inputs.
-func quickselect(xs []float64, k int) float64 {
-	lo, hi := 0, len(xs)-1
-	for lo < hi {
-		p := partition(xs, lo, hi)
-		switch {
-		case k == p:
-			return xs[k]
-		case k < p:
-			hi = p - 1
-		default:
-			lo = p + 1
-		}
-	}
-	return xs[k]
-}
-
-func partition(xs []float64, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// Median-of-three: order xs[lo], xs[mid], xs[hi].
-	if xs[mid] < xs[lo] {
-		xs[mid], xs[lo] = xs[lo], xs[mid]
-	}
-	if xs[hi] < xs[lo] {
-		xs[hi], xs[lo] = xs[lo], xs[hi]
-	}
-	if xs[hi] < xs[mid] {
-		xs[hi], xs[mid] = xs[mid], xs[hi]
-	}
-	pivot := xs[mid]
-	xs[mid], xs[hi-1] = xs[hi-1], xs[mid]
-	i := lo
-	for j := lo; j < hi-1; j++ {
-		if xs[j] < pivot {
-			xs[i], xs[j] = xs[j], xs[i]
-			i++
-		}
-	}
-	xs[i], xs[hi-1] = xs[hi-1], xs[i]
-	return i
 }

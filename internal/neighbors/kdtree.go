@@ -1,11 +1,8 @@
 package neighbors
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"math"
-	"slices"
 
 	"hics/internal/parallel"
 )
@@ -13,28 +10,32 @@ import (
 // KDTree is the space-partitioning backend: a median-split k-d tree stored
 // implicitly in a permutation of the object ids (the node of segment
 // [lo,hi) sits at its midpoint, children are the two half-segments), so
-// the whole structure is one []int with zero per-node allocation.
-// Segments of at most leafSize ids are leaves, scanned linearly.
-// Coordinates are read from the shared dataset columns, never copied.
+// the tree's shape is one []int with zero per-node allocation. Segments of
+// at most leafSize ids are leaves, scanned linearly. Coordinates are read
+// from the shared dataset columns, never copied; only each internal
+// node's split value is kept a second time, in one heap-numbered array
+// the descent reads instead of chasing the median's id into its column.
 //
-// A query is one best-first descent that keeps the k smallest squared
-// distances seen in a max-heap (the bound) and lists every visited object
-// within the current bound. The bound only shrinks, so it never drops
-// below the final k-th smallest squared distance tau; the list filtered
-// to d2 ≤ tau is the neighborhood, ties at tau included. A subtree is
-// pruned only when the squared split-plane offset strictly exceeds the
-// bound, which under floating point can never discard an object within
-// it (a computed full squared distance is a sum of non-negative rounded
-// terms, hence at least its split-axis term).
+// A query is one depth-first descent, nearer side of each split first,
+// that offers every visited object within the current bound to a k-best
+// buffer (see kBest): the k smallest squared distances seen plus the
+// objects tied at the k-th. The bound only shrinks, so it never drops
+// below the final k-th smallest squared distance tau, and the buffer ends
+// holding exactly the objects within tau. A far subtree, and the median
+// on its split plane, are pruned only when the squared plane offset
+// strictly exceeds the bound, which under floating point can never
+// discard an object within it (a computed full squared distance is a sum
+// of non-negative rounded terms, hence at least its split-axis term).
 type KDTree struct {
-	cols [][]float64
-	n    int
-	ids  []int
+	cols   [][]float64
+	n      int
+	ids    []int
+	splits []float64 // split value of internal node i (root 1, children 2i and 2i+1)
 }
 
 // leafSize is the segment length below which the build stops splitting.
-// Scanning a few ids beats a plane test and recursion per object; sizes
-// from 6 to 24 measure the same.
+// Scanning a few ids beats a plane test and a descent step per object;
+// sizes from 8 to 24 measure the same.
 const leafSize = 12
 
 // parallelBuildMin is the smallest subtree the build hands to a goroutine
@@ -68,13 +69,37 @@ func newKDTree(cols [][]float64, n, workers int) *KDTree {
 	}
 	if len(segs) == 1 {
 		t.buildRange(0, n, 0)
-		return t
+	} else {
+		_ = parallel.ForEach(context.Background(), len(segs), workers, 1, func(_, i int) error {
+			t.buildRange(segs[i].lo, segs[i].hi, segs[i].depth)
+			return nil
+		})
 	}
-	_ = parallel.ForEach(context.Background(), len(segs), workers, 1, func(_, i int) error {
-		t.buildRange(segs[i].lo, segs[i].hi, segs[i].depth)
-		return nil
-	})
+	t.splits = make([]float64, lastInternal(0, n, 1)+1)
+	t.setSplits(0, n, 0, 1)
 	return t
+}
+
+// lastInternal returns the largest heap number of an internal node in the
+// subtree of segment [lo,hi) numbered node, or 0 if it is a leaf.
+func lastInternal(lo, hi, node int) int {
+	if hi-lo <= leafSize {
+		return 0
+	}
+	mid := (lo + hi) / 2
+	return max(node, lastInternal(lo, mid, 2*node), lastInternal(mid+1, hi, 2*node+1))
+}
+
+// setSplits records the split value of every internal node in the
+// subtree of segment [lo,hi) numbered node.
+func (t *KDTree) setSplits(lo, hi, depth, node int) {
+	if hi-lo <= leafSize {
+		return
+	}
+	mid := (lo + hi) / 2
+	t.splits[node] = t.cols[depth%len(t.cols)][t.ids[mid]]
+	t.setSplits(lo, mid, depth+1, 2*node)
+	t.setSplits(mid+1, hi, depth+1, 2*node+1)
 }
 
 // split places the median of segment s (by its depth's axis) at the
@@ -107,12 +132,7 @@ func (t *KDTree) Kind() Kind { return KindKDTree }
 func (t *KDTree) Dist(i, j int) float64 { return dist(t.cols, i, j) }
 
 // NewScratch implements Index.
-func (t *KDTree) NewScratch() *Scratch {
-	return &Scratch{
-		qv:    make([]float64, 0, len(t.cols)),
-		bound: make([]float64, 0, 32),
-	}
-}
+func (t *KDTree) NewScratch() *Scratch { return newScratch(len(t.cols)) }
 
 // KNN implements Index.
 func (t *KDTree) KNN(q, k int, sc *Scratch, out []Neighbor) ([]Neighbor, float64) {
@@ -149,21 +169,9 @@ func (t *KDTree) KNNPoint(q []float64, k int, sc *Scratch, out []Neighbor) ([]Ne
 // (-1 for out-of-sample point queries, where no indexed object is the
 // query itself).
 func (t *KDTree) knnQuery(exclude, k int, sc *Scratch, out []Neighbor) ([]Neighbor, float64) {
-	sc.bound, sc.cand = sc.bound[:0], sc.cand[:0]
-	t.search(0, t.n, 0, exclude, k, sc)
-	tau := sc.bound[0] // k-th smallest squared distance
-	cand := sc.cand[:0]
-	for _, c := range sc.cand {
-		if c.d2 <= tau {
-			cand = append(cand, c)
-		}
-	}
-	slices.SortFunc(cand, func(a, b candidate) int { return cmp.Compare(a.id, b.id) })
-	neighbors := out[:0]
-	for _, c := range cand {
-		neighbors = append(neighbors, Neighbor{ID: c.id, Dist: math.Sqrt(c.d2)})
-	}
-	return neighbors, math.Sqrt(tau)
+	sc.knn.reset(k)
+	t.search(exclude, sc)
+	return sc.knn.neighbors(out)
 }
 
 // KNNAllContext implements Index.
@@ -171,85 +179,93 @@ func (t *KDTree) KNNAllContext(ctx context.Context, k, workers int) ([][]Neighbo
 	return knnAll(ctx, t, k, workers)
 }
 
-// search visits the objects of ids[lo:hi) other than exclude, nearer
-// subtree first, pruning a far subtree once the bound is full and closer
-// than its split plane.
-func (t *KDTree) search(lo, hi, depth, exclude, k int, sc *Scratch) {
-	if hi-lo <= leafSize {
-		t.scan(t.ids[lo:hi], exclude, k, sc)
-		return
-	}
-	mid := (lo + hi) / 2
-	axis := depth % len(t.cols)
-	diff := sc.qv[axis] - t.cols[axis][t.ids[mid]]
-	nearLo, nearHi, farLo, farHi := mid+1, hi, lo, mid
-	if diff < 0 {
-		nearLo, nearHi, farLo, farHi = lo, mid, mid+1, hi
-	}
-	t.search(nearLo, nearHi, depth+1, exclude, k, sc)
-	t.scan(t.ids[mid:mid+1], exclude, k, sc)
-	if len(sc.bound) < k || diff*diff <= sc.bound[0] {
-		t.search(farLo, farHi, depth+1, exclude, k, sc)
-	}
+// pending is a far subtree the descent has still to visit: ids[lo:hi),
+// numbered node and split on axis, and the median ids[mid] on its parent's
+// split plane, which lies at squared offset plane from the query.
+type pending struct {
+	lo, hi, axis, node, mid int
+	plane                   float64
 }
 
-// scan offers each object of ids (except exclude) to the bound heap and
-// lists it when it is within the bound or the heap is not yet full. The
-// squared distance is accumulated in subspace column order exactly like
-// the brute backend.
-func (t *KDTree) scan(ids []int, exclude, k int, sc *Scratch) {
-	for _, id := range ids {
-		if id == exclude {
+// search visits every object other than exclude that may lie within the
+// bound, descending to the nearer side of each split first and stacking
+// the far side. A far subtree and the median on its plane are skipped
+// when the plane lies beyond the bound (which is +Inf until k objects
+// have been seen): the median's squared distance is at least its plane
+// offset squared, as is every object's behind the plane.
+func (t *KDTree) search(exclude int, sc *Scratch) {
+	stack := append(sc.stack[:0], pending{hi: t.n, node: 1, mid: -1})
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if f.plane > sc.knn.bound {
 			continue
 		}
-		d2 := 0.0
-		for c, col := range t.cols {
-			d := col[id] - sc.qv[c]
-			d2 += d * d
+		if f.mid >= 0 {
+			t.scan(t.ids[f.mid:f.mid+1], exclude, sc)
 		}
-		if len(sc.bound) < k || d2 <= sc.bound[0] {
-			sc.cand = append(sc.cand, candidate{id: id, d2: d2})
-			sc.bound = boundPush(sc.bound, k, d2)
+		lo, hi, axis, node := f.lo, f.hi, f.axis, f.node
+		for hi-lo > leafSize {
+			mid := (lo + hi) / 2
+			diff := sc.qv[axis] - t.splits[node]
+			if axis++; axis == len(t.cols) {
+				axis = 0
+			}
+			if diff < 0 {
+				stack = append(stack, pending{mid + 1, hi, axis, 2*node + 1, mid, diff * diff})
+				hi, node = mid, 2*node
+			} else {
+				stack = append(stack, pending{lo, mid, axis, 2 * node, mid, diff * diff})
+				lo, node = mid+1, 2*node+1
+			}
 		}
+		t.scan(t.ids[lo:hi], exclude, sc)
 	}
+	sc.stack = stack
 }
 
-// boundPush maintains h as a max-heap of the k smallest values seen.
-func boundPush(h []float64, k int, d2 float64) []float64 {
-	if len(h) < k {
-		h = append(h, d2)
-		i := len(h) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if h[p] >= h[i] {
-				break
+// scan offers each object of ids (except exclude) within the bound to the
+// k-best buffer. The squared distance is accumulated in subspace column
+// order exactly like the brute backend and dist; the two- and
+// three-column loops spell that sum out (0 + x is x for x >= 0).
+func (t *KDTree) scan(ids []int, exclude int, sc *Scratch) {
+	kb, qv := &sc.knn, sc.qv
+	bound := kb.bound
+	switch len(t.cols) {
+	case 2:
+		c0, c1, q0, q1 := t.cols[0], t.cols[1], qv[0], qv[1]
+		for _, id := range ids {
+			d0, d1 := c0[id]-q0, c1[id]-q1
+			if d2 := float64(d0*d0) + float64(d1*d1); d2 <= bound && id != exclude {
+				kb.push(id, d2)
+				bound = kb.bound
 			}
-			h[p], h[i] = h[i], h[p]
-			i = p
 		}
-		return h
+	case 3:
+		c0, c1, c2, q0, q1, q2 := t.cols[0], t.cols[1], t.cols[2], qv[0], qv[1], qv[2]
+		for _, id := range ids {
+			d0, d1, e := c0[id]-q0, c1[id]-q1, c2[id]-q2
+			if d2 := float64(d0*d0) + float64(d1*d1) + float64(e*e); d2 <= bound && id != exclude {
+				kb.push(id, d2)
+				bound = kb.bound
+			}
+		}
+	default:
+		for _, id := range ids {
+			if id == exclude {
+				continue
+			}
+			d2 := 0.0
+			for c, col := range t.cols {
+				d := col[id] - qv[c]
+				d2 += float64(d * d)
+			}
+			if d2 <= bound {
+				kb.push(id, d2)
+				bound = kb.bound
+			}
+		}
 	}
-	if d2 >= h[0] {
-		return h
-	}
-	h[0] = d2
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && h[l] > h[big] {
-			big = l
-		}
-		if r < len(h) && h[r] > h[big] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-	return h
 }
 
 // nthElement partially sorts ids[lo:hi) so that position k holds the

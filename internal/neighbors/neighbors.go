@@ -5,26 +5,28 @@
 // restricted to an arbitrary subspace projection, through a unified Index
 // interface with two interchangeable backends:
 //
-//   - Brute: the O(N·|S|) linear scan with a quickselect cutoff — optimal
-//     for small N and for high-dimensional subspaces, where space
-//     partitioning degenerates to a linear scan anyway.
+//   - Brute: the O(N·|S|) linear scan, streaming every distance through
+//     the same k-best buffer as the tree — optimal for small N and for
+//     high-dimensional subspaces, where space partitioning degenerates to
+//     a linear scan anyway.
 //   - KDTree: a median-split k-d tree with bucketed leaves — sub-linear
 //     queries in the low-dimensional subspaces the HiCS search actually
 //     selects, turning the O(N²) ranking hot path into O(N log N) in
-//     practice. Each query is a single best-first pass that allocates
-//     nothing once its Scratch is warm. Large trees are built on several
-//     goroutines: the top levels are split serially, then the disjoint
-//     subtrees below them concurrently, which yields the same tree as a
-//     serial build.
+//     practice. Each query is a single depth-first pass, nearer side
+//     first, that allocates nothing once its Scratch is warm. Large trees
+//     are built on several goroutines: the top levels are split serially,
+//     then the disjoint subtrees below them concurrently, which yields
+//     the same tree as a serial build.
 //
-// The two backends are bit-for-bit equivalent: they accumulate
-// squared distances column by column in subspace order, so every distance,
-// k-distance and neighborhood they report is the identical float64. The
-// k-d tree's plane pruning is safe under floating point because a computed
-// full squared distance is a sum of non-negative rounded terms and
-// therefore never less than its computed split-axis term; its single pass
-// prunes against a bound that never drops below the final k-distance, so
-// ties at the k-distance are never lost.
+// The two backends are bit-for-bit equivalent: they accumulate squared
+// distances column by column in subspace order and collect them in the
+// same k-best buffer, so every distance, k-distance and neighborhood they
+// report is the identical float64. The k-d tree's plane pruning is safe
+// under floating point because a computed full squared distance is a sum
+// of non-negative rounded terms and therefore never less than its
+// computed split-axis term; its single pass prunes against a bound that
+// never drops below the final k-distance, so ties at the k-distance are
+// never lost.
 //
 // The fit-time all-kNN pass (every object's own k-neighborhood) goes
 // through one driver, ForEachKNN, which streams each answer to a callback
@@ -143,17 +145,22 @@ type Index interface {
 
 // Scratch holds per-goroutine query buffers, shared across backends so an
 // adapter can pass one scratch to whichever Index it was configured with.
+// Neither backend's scratch grows with N.
 type Scratch struct {
-	dists []float64   // brute: all squared distances from the query
-	sel   []float64   // brute: quickselect working copy
-	qv    []float64   // query point, one value per subspace column
-	bound []float64   // kdtree: max-heap of the k smallest squared distances
-	cand  []candidate // kdtree: candidate objects and their squared distances
+	qv    []float64 // query point, one value per subspace column
+	knn   kBest     // the k nearest objects offered so far, and ties at the k-th
+	stack []pending // kdtree: the far subtrees a descent has still to visit
 }
 
-type candidate struct {
-	id int
-	d2 float64
+// scratchK is the neighborhood size a new Scratch holds without growing.
+const scratchK = 32
+
+func newScratch(dims int) *Scratch {
+	return &Scratch{
+		qv:    make([]float64, 0, dims),
+		stack: make([]pending, 0, 64),
+		knn:   kBest{best: make([]candidate, 0, scratchK), ties: make([]candidate, 0, scratchK)},
+	}
 }
 
 // New builds an index over the given subspace dimensions of ds. KindAuto
@@ -205,11 +212,13 @@ func selectCols(ds *dataset.Dataset, dims []int) ([][]float64, error) {
 
 // dist is the shared exact distance: squared differences accumulated in
 // subspace column order, so both backends produce identical float64 values.
+// Every such sum rounds each square before adding it (the float64
+// conversion forbids a fused multiply-add), as the query kernels do.
 func dist(cols [][]float64, i, j int) float64 {
 	sum := 0.0
 	for _, col := range cols {
 		d := col[i] - col[j]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }

@@ -688,20 +688,20 @@ func isExactNeighborhood(d2s map[int]float64, k int, nb []Neighbor, kd float64) 
 	return true
 }
 
-// Property: the tree neighborhood is exactly the set of points within the
-// k-th smallest distance, on adversarially tie-heavy data.
+// exactBackends are the index kinds the definition properties check.
+// Both share the k-best buffer, so each is checked against the sort-based
+// isExactNeighborhood, not against the other.
+var exactBackends = []Kind{KindBrute, KindKDTree}
+
+// Property: each backend's neighborhood is exactly the set of points
+// within the k-th smallest distance, on adversarially tie-heavy data.
 func TestQuickKDTreeDefinition(t *testing.T) {
 	f := func(seed uint64, nRaw uint16, kRaw, dRaw uint8) bool {
 		r := rng.New(seed)
 		ds := quickTieData(r, nRaw, dRaw)
 		n := ds.N()
 		k := int(kRaw)%(n-1) + 1
-		tree, err := New(ds, allDims(ds.D()), KindKDTree)
-		if err != nil {
-			return false
-		}
 		q := r.Intn(n)
-		nb, kd := tree.KNN(q, k, tree.NewScratch(), nil)
 		qv := ds.Row(q, nil)
 		d2s := map[int]float64{}
 		for i := 0; i < n; i++ {
@@ -709,7 +709,18 @@ func TestQuickKDTreeDefinition(t *testing.T) {
 				d2s[i] = sqDist(ds, i, qv)
 			}
 		}
-		return isExactNeighborhood(d2s, k, nb, kd)
+		for _, kind := range exactBackends {
+			ix, err := New(ds, allDims(ds.D()), kind)
+			if err != nil {
+				return false
+			}
+			nb, kd := ix.KNN(q, k, ix.NewScratch(), nil)
+			if !isExactNeighborhood(d2s, k, nb, kd) {
+				t.Logf("%v: KNN(%d, %d) on n=%d d=%d is not the exact neighborhood", kind, q, k, n, ds.D())
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -725,10 +736,6 @@ func TestQuickKDTreeKNNPointDefinition(t *testing.T) {
 		ds := quickTieData(r, nRaw, dRaw)
 		n, d := ds.N(), ds.D()
 		k := int(kRaw)%n + 1
-		tree, err := New(ds, allDims(d), KindKDTree)
-		if err != nil {
-			return false
-		}
 		q := make([]float64, d)
 		for j := range q {
 			q[j] = r.Float64() * 5
@@ -736,14 +743,69 @@ func TestQuickKDTreeKNNPointDefinition(t *testing.T) {
 				q[j] = math.Floor(q[j])
 			}
 		}
-		nb, kd := tree.KNNPoint(q, k, tree.NewScratch(), nil)
 		d2s := map[int]float64{}
 		for i := 0; i < n; i++ {
 			d2s[i] = sqDist(ds, i, q)
 		}
-		return isExactNeighborhood(d2s, k, nb, kd)
+		for _, kind := range exactBackends {
+			ix, err := New(ds, allDims(d), kind)
+			if err != nil {
+				return false
+			}
+			nb, kd := ix.KNNPoint(q, k, ix.NewScratch(), nil)
+			if !isExactNeighborhood(d2s, k, nb, kd) {
+				t.Logf("%v: KNNPoint(%v, %d) on n=%d d=%d is not the exact neighborhood", kind, q, k, n, d)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the batch driver hands every object, exactly once, its exact
+// neighborhood on each backend, with scratch buffers reused across
+// queries of mixed neighborhood sizes. Each input checks n queries per
+// backend, so it draws fewer inputs than the single-query properties.
+func TestQuickForEachKNNDefinition(t *testing.T) {
+	f := func(seed uint64, nRaw uint16, kRaw, dRaw uint8) bool {
+		r := rng.New(seed)
+		ds := quickTieData(r, nRaw, dRaw)
+		n := ds.N()
+		k := int(kRaw)%(n-1) + 1
+		d2s := make([]map[int]float64, n) // d2s[q][i]: squared distance of i from q
+		for q := range d2s {
+			qv := ds.Row(q, nil)
+			d2s[q] = map[int]float64{}
+			for i := 0; i < n; i++ {
+				if i != q {
+					d2s[q][i] = sqDist(ds, i, qv)
+				}
+			}
+		}
+		for _, kind := range exactBackends {
+			ix, err := New(ds, allDims(ds.D()), kind)
+			if err != nil {
+				return false
+			}
+			seen := make([]bool, n)
+			ok := true
+			err = ForEachKNN(context.Background(), ix, k, 1, func(q int, nb []Neighbor, kd float64) {
+				if seen[q] || !isExactNeighborhood(d2s[q], k, nb, kd) {
+					t.Logf("%v: ForEachKNN answer for object %d (k=%d, n=%d) is repeated or not exact", kind, q, k, n)
+					ok = false
+				}
+				seen[q] = true
+			})
+			if err != nil || !ok || slices.Contains(seen, false) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -775,34 +837,6 @@ func TestExactBackendsZeroAllocs(t *testing.T) {
 		}); a != 0 {
 			t.Errorf("%v: KNNPoint allocates %.1f times per query, want 0", kind, a)
 		}
-	}
-}
-
-func TestQuickselect(t *testing.T) {
-	r := rng.New(3)
-	for trial := 0; trial < 50; trial++ {
-		n := r.IntRange(1, 200)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = math.Floor(r.Float64() * 20) // ties likely
-		}
-		k := r.Intn(n)
-		want := append([]float64(nil), xs...)
-		sort.Float64s(want)
-		got := quickselect(append([]float64(nil), xs...), k)
-		if got != want[k] {
-			t.Fatalf("quickselect(%v, %d) = %v, want %v", xs, k, got, want[k])
-		}
-	}
-}
-
-func TestQuickselectSortedInput(t *testing.T) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	if got := quickselect(xs, 500); got != 500 {
-		t.Errorf("quickselect sorted = %v", got)
 	}
 }
 
