@@ -83,7 +83,10 @@ type Options struct {
 	Test string
 	// Seed fixes all Monte Carlo randomness, making results reproducible.
 	Seed uint64
-	// MinPts is the LOF neighborhood size of the ranking step.
+	// MinPts is the LOF neighborhood size of the ranking step. Each
+	// neighbor query keeps its MinPts best objects in a sorted buffer, so
+	// a query's cost can grow with MinPts·N on data offered in an
+	// unlucky order; the default 10 keeps that small.
 	MinPts int
 	// UseKNNScore replaces LOF with the average-kNN-distance score, the
 	// cheaper alternative the paper names as future work.

@@ -12,90 +12,69 @@ type candidate struct {
 }
 
 // kBest collects a query's neighborhood as objects are offered to it in
-// any order. best holds the k smallest squared distances seen, sorted
-// ascending from the first eviction on; bound is +Inf until best is full,
-// then its largest d2. ties holds every further object seen at exactly
-// the bound. The bound only shrinks, and when it does every tie lies
-// above it and is dropped; an object evicted from best that still equals
-// the new bound becomes a tie.
+// any order. best holds the k smallest squared distances seen, in
+// ascending order; bound is +Inf until best is full, then its last d2.
+// ties holds every further object seen at exactly the bound. The bound
+// only shrinks, and when it does every tie lies above it and is dropped;
+// an object evicted from best that still equals the new bound becomes a
+// tie.
 // So once every object within the final bound has been offered, best plus
 // ties is exactly the objects within the k-th smallest squared distance,
 // ties at the k-distance included.
 type kBest struct {
-	k      int
-	bound  float64
-	sorted bool // best is in ascending d2 order
-	best   []candidate
-	ties   []candidate
+	k     int
+	bound float64
+	best  []candidate
+	ties  []candidate
 }
 
 // reset empties the buffer for a query of the given k.
 func (b *kBest) reset(k int) {
-	b.k, b.bound, b.sorted = k, math.Inf(1), false
+	b.k, b.bound = k, math.Inf(1)
 	b.best, b.ties = b.best[:0], b.ties[:0]
 }
 
-// push offers an object; the caller has checked d2 <= b.bound. Until the
-// buffer is full, objects are appended; it is sorted once, at the first
-// eviction, so filling it costs O(k log k) however large k is, and a
-// query whose k covers every object never sorts by distance at all.
+// push offers an object; the caller has checked d2 <= b.bound. The object
+// is shifted into its place in best from the end, after a full buffer has
+// evicted its last entry. A push thus moves up to k entries, where a
+// max-heap would sift log k: on objects offered farthest first a query
+// costs O(N·k). At the k of a density score (MinPts, 10 by default) the
+// shift is cheaper than a binary search and a copy.
 func (b *kBest) push(id int, d2 float64) {
-	n := len(b.best)
-	if n < b.k {
-		b.best = append(b.best, candidate{id: id, d2: d2})
-		if n+1 == b.k {
-			bound := b.best[0].d2
-			for _, c := range b.best[1:] {
-				if c.d2 > bound {
-					bound = c.d2
-				}
-			}
-			b.bound = bound
-		}
-		return
-	}
-	if d2 == b.bound {
+	full := len(b.best) == b.k
+	if full && d2 == b.bound {
 		b.ties = append(b.ties, candidate{id: id, d2: d2})
 		return
 	}
-	if !b.sorted {
-		sortByD2(b.best)
-		b.sorted = true
+	var evicted candidate
+	if full {
+		evicted = b.best[b.k-1]
+		b.best = b.best[:b.k-1]
 	}
-	// Evict the last entry and insert the object in order.
-	best, evicted := b.best, b.best[n-1]
-	i := n - 1
-	for i > 0 && best[i-1].d2 > d2 {
-		best[i] = best[i-1]
+	i := len(b.best)
+	b.best = append(b.best, candidate{})
+	for i > 0 && b.best[i-1].d2 > d2 {
+		b.best[i] = b.best[i-1]
 		i--
 	}
-	best[i] = candidate{id: id, d2: d2}
-	if bound := best[n-1].d2; bound < b.bound {
+	b.best[i] = candidate{id: id, d2: d2}
+	if len(b.best) < b.k {
+		return
+	}
+	switch bound := b.best[b.k-1].d2; {
+	case bound < b.bound:
 		b.bound, b.ties = bound, b.ties[:0]
-	} else {
+	case full:
 		b.ties = append(b.ties, evicted)
 	}
 }
 
-// sortByD2 orders a full buffer by squared distance, by insertion: each
-// later eviction shifts up to k entries anyway.
-func sortByD2(best []candidate) {
-	for i := 1; i < len(best); i++ {
-		x := best[i]
-		j := i
-		for j > 0 && best[j-1].d2 > x.d2 {
-			best[j] = best[j-1]
-			j--
-		}
-		best[j] = x
-	}
-}
-
 // rankSortMax is the largest neighborhood that neighbors places in id
-// order by counting each object's rank: n² comparisons, but free of
-// mispredicted branches, which an insertion sort of a typical k = 10
-// neighborhood is not. A larger one (a large k, or an object among many
-// exact duplicates) is sorted in O(n log n).
+// order by counting each object's rank: n² comparisons, but free of the
+// mispredicted branches of a comparison sort, which at the default k = 10
+// made fit-large about 3% faster end to end (docs/performance.md). A
+// larger one (a large k, or an object among many exact duplicates) is
+// sorted in O(n log n).
 const rankSortMax = 16
 
 // neighbors writes the collected neighborhood to out in ascending id
@@ -106,22 +85,22 @@ func (b *kBest) neighbors(out []Neighbor) ([]Neighbor, float64) {
 	all := append(b.best, b.ties...)
 	b.best = all[:len(b.best)]
 	nb := out[:0]
-	if len(all) <= rankSortMax {
-		nb = append(nb, make([]Neighbor, len(all))...)
+	if len(all) > rankSortMax {
 		for _, c := range all {
-			rank := 0
-			for _, o := range all {
-				if o.id < c.id {
-					rank++
-				}
-			}
-			nb[rank] = Neighbor{ID: c.id, Dist: math.Sqrt(c.d2)}
+			nb = append(nb, Neighbor{ID: c.id, Dist: math.Sqrt(c.d2)})
 		}
+		slices.SortFunc(nb, func(a, b Neighbor) int { return a.ID - b.ID })
 		return nb, math.Sqrt(b.bound)
 	}
+	nb = append(nb, make([]Neighbor, len(all))...)
 	for _, c := range all {
-		nb = append(nb, Neighbor{ID: c.id, Dist: math.Sqrt(c.d2)})
+		rank := 0
+		for _, o := range all {
+			if o.id < c.id {
+				rank++
+			}
+		}
+		nb[rank] = Neighbor{ID: c.id, Dist: math.Sqrt(c.d2)}
 	}
-	slices.SortFunc(nb, func(a, b Neighbor) int { return a.ID - b.ID })
 	return nb, math.Sqrt(b.bound)
 }

@@ -21,11 +21,11 @@ import (
 // buffer (see kBest): the k smallest squared distances seen plus the
 // objects tied at the k-th. The bound only shrinks, so it never drops
 // below the final k-th smallest squared distance tau, and the buffer ends
-// holding exactly the objects within tau. A far subtree, and the median
-// on its split plane, are pruned only when the squared plane offset
-// strictly exceeds the bound, which under floating point can never
-// discard an object within it (a computed full squared distance is a sum
-// of non-negative rounded terms, hence at least its split-axis term).
+// holding exactly the objects within tau. A far subtree is pruned only
+// when the squared plane offset strictly exceeds the bound, which under
+// floating point can never discard an object within it (a computed full
+// squared distance is a sum of non-negative rounded terms, hence at least
+// its split-axis term).
 type KDTree struct {
 	cols   [][]float64
 	n      int
@@ -170,7 +170,7 @@ func (t *KDTree) KNNPoint(q []float64, k int, sc *Scratch, out []Neighbor) ([]Ne
 // query itself).
 func (t *KDTree) knnQuery(exclude, k int, sc *Scratch, out []Neighbor) ([]Neighbor, float64) {
 	sc.knn.reset(k)
-	t.search(exclude, sc)
+	t.search(0, t.n, 0, 1, exclude, sc)
 	return sc.knn.neighbors(out)
 }
 
@@ -179,49 +179,26 @@ func (t *KDTree) KNNAllContext(ctx context.Context, k, workers int) ([][]Neighbo
 	return knnAll(ctx, t, k, workers)
 }
 
-// pending is a far subtree the descent has still to visit: ids[lo:hi),
-// numbered node and split on axis, and the median ids[mid] on its parent's
-// split plane, which lies at squared offset plane from the query.
-type pending struct {
-	lo, hi, axis, node, mid int
-	plane                   float64
-}
-
-// search visits every object other than exclude that may lie within the
-// bound, descending to the nearer side of each split first and stacking
-// the far side. A far subtree and the median on its plane are skipped
-// when the plane lies beyond the bound (which is +Inf until k objects
-// have been seen): the median's squared distance is at least its plane
-// offset squared, as is every object's behind the plane.
-func (t *KDTree) search(exclude int, sc *Scratch) {
-	stack := append(sc.stack[:0], pending{hi: t.n, node: 1, mid: -1})
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if f.plane > sc.knn.bound {
-			continue
-		}
-		if f.mid >= 0 {
-			t.scan(t.ids[f.mid:f.mid+1], exclude, sc)
-		}
-		lo, hi, axis, node := f.lo, f.hi, f.axis, f.node
-		for hi-lo > leafSize {
-			mid := (lo + hi) / 2
-			diff := sc.qv[axis] - t.splits[node]
-			if axis++; axis == len(t.cols) {
-				axis = 0
-			}
-			if diff < 0 {
-				stack = append(stack, pending{mid + 1, hi, axis, 2*node + 1, mid, diff * diff})
-				hi, node = mid, 2*node
-			} else {
-				stack = append(stack, pending{lo, mid, axis, 2 * node, mid, diff * diff})
-				lo, node = mid+1, 2*node+1
-			}
-		}
+// search visits every object of segment [lo,hi), numbered node, other
+// than exclude that may lie within the bound: the nearer side of the split
+// first, then the median, then the far side unless its plane lies beyond
+// the bound (which is +Inf until k objects have been seen).
+func (t *KDTree) search(lo, hi, depth, node, exclude int, sc *Scratch) {
+	if hi-lo <= leafSize {
 		t.scan(t.ids[lo:hi], exclude, sc)
+		return
 	}
-	sc.stack = stack
+	mid := (lo + hi) / 2
+	diff := sc.qv[depth%len(t.cols)] - t.splits[node]
+	nearLo, nearHi, nearNode, farLo, farHi, farNode := mid+1, hi, 2*node+1, lo, mid, 2*node
+	if diff < 0 {
+		nearLo, nearHi, nearNode, farLo, farHi, farNode = lo, mid, 2*node, mid+1, hi, 2*node+1
+	}
+	t.search(nearLo, nearHi, depth+1, nearNode, exclude, sc)
+	t.scan(t.ids[mid:mid+1], exclude, sc)
+	if diff*diff <= sc.knn.bound {
+		t.search(farLo, farHi, depth+1, farNode, exclude, sc)
+	}
 }
 
 // scan offers each object of ids (except exclude) within the bound to the

@@ -147,9 +147,8 @@ type Index interface {
 // adapter can pass one scratch to whichever Index it was configured with.
 // Neither backend's scratch grows with N.
 type Scratch struct {
-	qv    []float64 // query point, one value per subspace column
-	knn   kBest     // the k nearest objects offered so far, and ties at the k-th
-	stack []pending // kdtree: the far subtrees a descent has still to visit
+	qv  []float64 // query point, one value per subspace column
+	knn kBest     // the k nearest objects offered so far, and ties at the k-th
 }
 
 // scratchK is the neighborhood size a new Scratch holds without growing.
@@ -157,9 +156,8 @@ const scratchK = 32
 
 func newScratch(dims int) *Scratch {
 	return &Scratch{
-		qv:    make([]float64, 0, dims),
-		stack: make([]pending, 0, 64),
-		knn:   kBest{best: make([]candidate, 0, scratchK), ties: make([]candidate, 0, scratchK)},
+		qv:  make([]float64, 0, dims),
+		knn: kBest{best: make([]candidate, 0, scratchK), ties: make([]candidate, 0, scratchK)},
 	}
 }
 

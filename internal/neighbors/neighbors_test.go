@@ -946,3 +946,42 @@ func BenchmarkKDTreeBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKNNLargeK times single queries at k = 10, 100 and 1000 on
+// 100000×2 uniform rows, and brute queries at k = 1000 on rows offered
+// farthest first (ids in order of falling distance from the query), where
+// every offered object evicts one from the k-best buffer.
+func BenchmarkKNNLargeK(b *testing.B) {
+	ds := randomDataset(1, 100000, 2, 0)
+	for _, kind := range []Kind{KindKDTree, KindBrute} {
+		ix, err := New(ds, allDims(2), kind)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range []int{10, 100, 1000} {
+			b.Run(fmt.Sprintf("uniform/%v/k%d", kind, k), func(b *testing.B) {
+				sc := ix.NewScratch()
+				var nb []Neighbor
+				for i := 0; i < b.N; i++ {
+					nb, _ = ix.KNN(i%ds.N(), k, sc, nb)
+				}
+			})
+		}
+	}
+	n := 20000
+	x, y := make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i] = float64(n - i)
+	}
+	ix, err := New(dataset.MustNew(nil, [][]float64{x, y}), allDims(2), KindBrute)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("farthest-first/brute/k1000", func(b *testing.B) {
+		sc := ix.NewScratch()
+		var nb []Neighbor
+		for i := 0; i < b.N; i++ {
+			nb, _ = ix.KNNPoint([]float64{0, 0}, 1000, sc, nb)
+		}
+	})
+}
