@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hics/internal/rng"
+	"hics/internal/trace"
 )
 
 // scrapeMetrics GETs /metrics and returns every sample keyed by its full
@@ -178,7 +179,7 @@ func TestRequestIDFromContext(t *testing.T) {
 	if got := RequestID(context.Background()); got != "" {
 		t.Errorf("RequestID(background) = %q, want empty", got)
 	}
-	id1, id2 := newRequestID(), newRequestID()
+	id1, id2 := trace.RequestID(nil), trace.RequestID(nil)
 	if id1 == id2 {
 		t.Errorf("request IDs collide: %q", id1)
 	}

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"crypto/rand"
 	"crypto/subtle"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -153,71 +151,6 @@ func ctxLogger(ctx context.Context) *slog.Logger {
 	}
 	return slog.New(slog.DiscardHandler)
 }
-
-// newRequestID generates a 16-hex-digit random request ID.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "unknown"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// requestID honors an inbound X-Request-Id (so the front's ID — or a
-// client's own — survives the hop and both processes' logs join on one
-// value) and mints a fresh ID otherwise. Inbound values are accepted
-// only when short and token-shaped: IDs land verbatim in logs and
-// response headers, so arbitrary client bytes must not pass through.
-func requestID(r *http.Request) string {
-	id := r.Header.Get("X-Request-Id")
-	if validRequestID(id) {
-		return id
-	}
-	return newRequestID()
-}
-
-// validRequestID bounds inbound request IDs to 1..64 characters of
-// [0-9A-Za-z._-].
-func validRequestID(id string) bool {
-	if len(id) == 0 || len(id) > 64 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= '0' && c <= '9', c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z',
-			c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// statusWriter records the response status for the request log and the
-// per-endpoint counters. Unwrap keeps http.ResponseController (and so
-// the /stream full-duplex and flush machinery) working through the
-// wrapper.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // ScoreRequest is the /score request body. Exactly one of Point and
 // Points must be set.
@@ -405,11 +338,17 @@ func (srv *Server) Drain() {
 	srv.s.sessMu.Lock()
 	defer srv.s.sessMu.Unlock()
 	for rc := range srv.s.sessions {
-		// Unblocks the session goroutine waiting in a body read; the net.Conn
-		// deadline is safe to set from here.
-		_ = rc.SetReadDeadline(time.Now())
+		// Wakes the session goroutine if it waits in a body read that
+		// long; the net.Conn deadline is safe to set from here.
+		_ = rc.SetReadDeadline(time.Now().Add(drainGrace))
 	}
 }
+
+// drainGrace is how long a drained session has to end at its next row,
+// where it can still linger on the rest of its body, before a read
+// deadline kicks it. A kicked one cannot linger: net/http's chunked
+// reader keeps the timeout.
+const drainGrace = 100 * time.Millisecond
 
 // Draining reports whether Drain has been called.
 func (srv *Server) Draining() bool { return srv.s.draining.Load() }
@@ -423,7 +362,7 @@ func (s *server) addSession(rc *http.ResponseController) {
 	s.sessions[rc] = struct{}{}
 	s.sessMu.Unlock()
 	if s.draining.Load() {
-		_ = rc.SetReadDeadline(time.Now())
+		_ = rc.SetReadDeadline(time.Now().Add(drainGrace))
 	}
 }
 
@@ -478,7 +417,7 @@ func New(cfg Config) *Server {
 	// back here after ServeHTTP returns on the same goroutine.
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		id := requestID(r)
+		id := trace.RequestID(r.Header)
 		endpoint := trace.Endpoint(r.URL.Path)
 		remote, _ := trace.Extract(r.Header)
 		ctx, span := cfg.tracer().StartRoot(r.Context(), "serve."+endpoint, remote, trace.TraceIDFromString(id))
@@ -488,10 +427,10 @@ func New(cfg Config) *Server {
 		ctx = context.WithValue(ctx, requestIDKey, id)
 		ctx = context.WithValue(ctx, loggerKey, log)
 		ctx = context.WithValue(ctx, requestInfoKey, ri)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &trace.StatusWriter{ResponseWriter: w}
 		w.Header().Set("X-Request-Id", id)
 		mux.ServeHTTP(sw, r.WithContext(ctx))
-		status := sw.status
+		status := sw.Status
 		if status == 0 {
 			// Nothing written: a handler that hijacked or a cancelled
 			// stream; net/http would have sent 200.
@@ -929,7 +868,32 @@ func (s *server) streamOptions(r *http.Request, m *hics.Model, workers int) (hic
 // model snapshot it opened with. The request context governs
 // everything: a client disconnect or an exceeded RequestTimeout cancels
 // in-flight scoring and refits.
+//
+// The status goes out before the first body read, so a client (the shard
+// front among them) can hold its body back until it knows the session
+// was accepted, and send it elsewhere when it was not. Every exit that
+// leaves the body unread — a refusal, the byte cap, a drain, an invalid
+// row — flushes its answer and then lingers on the body
+// (discardRest). The response carries Connection: close: the server
+// would parse the unread bytes of an ended session as the next request
+// on the connection.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
+	// Full duplex comes first: a response written without it makes
+	// net/http read up to 256 KiB of the body before it sends the header,
+	// which deadlocks a client that waits for the status.
+	rc := http.NewResponseController(w)
+	if err := rc.EnableFullDuplex(); err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("streaming unsupported: %v", err)})
+		return
+	}
+	w.Header().Set("Connection", "close")
+	bodyRead := false
+	defer func() {
+		if !bodyRead {
+			_ = rc.Flush()
+			discardRest(rc, r.Body)
+		}
+	}()
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
@@ -979,17 +943,15 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	// From here on the response is a 200 NDJSON stream; later failures
-	// are terminal {"error": ...} records, not status codes. Scored
-	// records interleave with body reads, so the connection must be
-	// full-duplex — without this the server closes the request body on
-	// the first response write.
-	rc := http.NewResponseController(w)
-	if err := rc.EnableFullDuplex(); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("streaming unsupported: %v", err)})
-		return
-	}
+	// are terminal {"error": ...} records, not status codes. A client
+	// that asked for 100-continue gets it first: on a final status with
+	// Connection: close, Go's client would never send the body.
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	if strings.EqualFold(r.Header.Get("Expect"), "100-continue") {
+		w.WriteHeader(http.StatusContinue)
+	}
 	w.WriteHeader(http.StatusOK)
+	_ = rc.Flush()
 	// Register for drain kicks: Drain sets our read deadline, so the
 	// blocked body read below returns and the terminal record goes out.
 	s.addSession(rc)
@@ -1010,21 +972,22 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		row, err := sp.next()
+		if s.draining.Load() && (err == nil || errors.Is(err, os.ErrDeadlineExceeded)) {
+			// Drained: the session ends at its next row, or when the kick
+			// wakes its body read. Everything scored so far has been
+			// flushed; the terminal record tells the client (or the front
+			// proxying it) to reconnect elsewhere.
+			writeStreamError(w, rc, errors.New(DrainingStreamError))
+			return
+		}
 		if err != nil {
 			if errors.Is(err, io.EOF) {
+				bodyRead = true
 				break
-			}
-			if s.draining.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
-				// Drain kicked the body read. Everything scored so far has
-				// been flushed; the terminal record tells the client (or the
-				// front proxying it) to reconnect elsewhere.
-				writeStreamError(w, rc, errors.New(DrainingStreamError))
-				return
 			}
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
 				writeStreamError(w, rc, fmt.Errorf("stream input exceeded the %d-byte session limit; reconnect to continue", tooLarge.Limit))
-				discardRest(rc, r.Body)
 				return
 			}
 			writeStreamError(w, rc, fmt.Errorf("invalid row: %v (want one JSON array of %d numbers per line)", err, m.D()))
@@ -1073,11 +1036,11 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // discardRest reads and drops what a client still sends after its
-// session limit, up to 256 KiB and for at most a second. The server
-// closes the connection after a body hits its limit, and a socket closed
-// with unread bytes is reset, which can discard the terminal limit
-// record before the client reads it. Draining inside the handler, while
-// the connection is still the handler's, lets a client that has finished
+// session ended, up to 256 KiB and for at most a second. A /stream
+// connection closes after its response, and a socket closed with unread
+// bytes is reset, which can discard the refusal or terminal record
+// before the client reads it. Draining inside the handler, while the
+// connection is still the handler's, lets a client that has finished
 // writing see a clean end of the response.
 func discardRest(rc *http.ResponseController, body io.Reader) {
 	_ = rc.SetReadDeadline(time.Now().Add(time.Second))

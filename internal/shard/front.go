@@ -3,8 +3,6 @@ package shard
 import (
 	"bytes"
 	"context"
-	cryptorand "crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 
 	"hics"
@@ -44,7 +43,7 @@ type FrontConfig struct {
 
 // Front is the stateless routing tier: an http.Handler that proxies
 // /stream (full-duplex NDJSON pass-through), /score, /rank and /info to
-// the shard owning the request's session key, and serves its own
+// the first live shard in the key's rendezvous order, and serves its own
 // /healthz (aggregated shard states) and /metrics. Any number of fronts
 // can run side by side — placement is pure rendezvous hashing, so they
 // agree without coordination.
@@ -78,67 +77,24 @@ func NewFront(cfg FrontConfig) *Front {
 	mux.HandleFunc("/healthz", f.handleHealthz)
 	mux.Handle("/metrics", metrics.Default.Handler())
 	mux.Handle("GET /debug/traces", tracer.Handler())
-	mux.HandleFunc("/stream", f.handleStream)
-	mux.HandleFunc("/score", f.handleUnary)
-	mux.HandleFunc("/rank", f.handleUnary)
-	mux.HandleFunc("/info", f.handleUnary)
+	for _, path := range []string{"/stream", "/score", "/rank", "/info"} {
+		mux.HandleFunc(path, f.handleProxy)
+	}
 	f.mux = mux
 	return f
 }
 
-// frontCtxKey keys the request-scoped values the front middleware
-// injects: the request ID and the annotated logger.
-type frontCtxKey int
-
-const (
-	frontRequestIDKey frontCtxKey = iota
-	frontLoggerKey
-)
-
-// reqID returns the request's ID, or "" outside the middleware.
-func reqID(ctx context.Context) string {
-	id, _ := ctx.Value(frontRequestIDKey).(string)
-	return id
-}
+// frontLoggerKey keys the request-scoped logger the front middleware
+// injects.
+type frontLoggerKey struct{}
 
 // reqLog returns the request-scoped logger (annotated with request,
 // trace and span IDs), falling back to the front's base logger.
 func (f *Front) reqLog(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(frontLoggerKey).(*slog.Logger); ok {
+	if l, ok := ctx.Value(frontLoggerKey{}).(*slog.Logger); ok {
 		return l
 	}
 	return f.log
-}
-
-// frontStatusWriter records the response status for the completion log.
-// Unwrap keeps http.ResponseController (EnableFullDuplex, flushing)
-// working through the wrapper; the explicit Flush preserves the
-// http.Flusher fast path the stream relay uses.
-type frontStatusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *frontStatusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *frontStatusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *frontStatusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func (w *frontStatusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
 }
 
 // ServeHTTP is the front's observability middleware: every request gets
@@ -150,17 +106,16 @@ func (w *frontStatusWriter) Flush() {
 // log line for the same request share one trace_id.
 func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	id := frontRequestID(r)
+	id := trace.RequestID(r.Header)
 	remote, _ := trace.Extract(r.Header)
 	ctx, span := f.tracer.StartRoot(r.Context(), "front."+trace.Endpoint(r.URL.Path), remote, trace.TraceIDFromString(id))
 	log := f.log.With("request_id", id,
 		"trace_id", span.TraceIDString(), "span_id", span.SpanIDString())
-	ctx = context.WithValue(ctx, frontRequestIDKey, id)
-	ctx = context.WithValue(ctx, frontLoggerKey, log)
-	sw := &frontStatusWriter{ResponseWriter: w}
+	ctx = context.WithValue(ctx, frontLoggerKey{}, log)
+	sw := &trace.StatusWriter{ResponseWriter: w}
 	w.Header().Set("X-Request-Id", id)
 	f.mux.ServeHTTP(sw, r.WithContext(ctx))
-	status := sw.status
+	status := sw.Status
 	if status == 0 {
 		status = http.StatusOK
 	}
@@ -174,31 +129,6 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	span.End()
 	log.Info("request", "method", r.Method, "path", r.URL.Path,
 		"status", status, "duration", elapsed)
-}
-
-// frontRequestID honors a token-shaped inbound X-Request-Id and mints a
-// 16-hex-digit ID otherwise, mirroring the serve middleware's rule.
-func frontRequestID(r *http.Request) string {
-	id := r.Header.Get("X-Request-Id")
-	if n := len(id); n >= 1 && n <= 64 {
-		ok := true
-		for i := 0; i < n; i++ {
-			c := id[i]
-			if (c < '0' || c > '9') && (c < 'a' || c > 'z') && (c < 'A' || c > 'Z') &&
-				c != '.' && c != '_' && c != '-' {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return id
-		}
-	}
-	var b [8]byte
-	if _, err := cryptorand.Read(b[:]); err != nil {
-		return "unknown"
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // Key returns the routing key of a request: the session-key query
@@ -250,188 +180,246 @@ func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, h)
 }
 
-// handleUnary proxies a buffered request to the owning shard, walking
-// the rendezvous rank order past unhealthy shards and retrying the next
-// candidate on transport errors (safe: the body is buffered, and
-// scoring is read-only compute).
-func (f *Front) handleUnary(w http.ResponseWriter, r *http.Request) {
-	endpoint := strings.TrimPrefix(r.URL.Path, "/")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUnaryProxyBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("reading request: %v", err)})
-		return
+// handleProxy forwards /score, /rank, /info and /stream along the key's
+// rendezvous order, past shards that are down or draining. One rule
+// covers every endpoint: a transport error, or a 503, that arrives before
+// any byte of the client's body reached the shard moves on to the next
+// shard; every other answer is relayed. A unary body is buffered, so each
+// attempt sends it whole. A /stream body is held back until the shard has
+// answered (the shard flushes its status before it reads), so a shard
+// that refused or failed was sent nothing and the next one gets the whole
+// session. Once relayed, a session is never moved: its records flow back,
+// flushed as they arrive, while the client's rows flow up.
+func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
+	endpoint := trace.Endpoint(r.URL.Path)
+	var (
+		buffered []byte
+		held     *heldBody
+	)
+	if endpoint == "stream" {
+		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
+			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
+			return
+		}
+		// Full duplex before any write: without it net/http reads the
+		// body before it sends the status, and a held body never comes.
+		rc := http.NewResponseController(w)
+		if err := rc.EnableFullDuplex(); err != nil {
+			writeJSON(w, http.StatusInternalServerError, errorBody{Error: fmt.Sprintf("streaming unsupported: %v", err)})
+			return
+		}
+		// A session can end before its body does; a connection left with
+		// unread body bytes must not carry another request.
+		w.Header().Set("Connection", "close")
+		held = &heldBody{src: r.Body, rc: rc}
+		defer held.stop()
+	} else {
+		var err error
+		if buffered, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxUnaryProxyBytes)); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("reading request: %v", err)})
+			return
+		}
 	}
-	key := f.Key(r)
-	rank := f.router.m.Rank(key)
-	tried := 0
-	for i, shard := range rank {
-		st := f.router.states[shard]
-		if !st.healthy.Load() || st.draining.Load() {
+	attempts, failed := 0, 0
+	for i, shard := range f.router.m.Rank(f.Key(r)) {
+		if !f.router.available(shard) {
 			continue
 		}
 		if i > 0 {
 			mShardReroutes.Inc()
 		}
-		tried++
-		// One span per proxy attempt: a failover request shows each
-		// candidate shard tried, and the shard's own root span parents
-		// under the attempt that reached it.
+		attempts++
+		// One span per attempt: a failover shows each shard tried, and
+		// the shard's own root span parents under the attempt that
+		// reached it.
 		pctx, psp := trace.StartSpan(r.Context(), "front.proxy")
 		psp.SetAttr("shard", shard)
 		psp.SetAttr("endpoint", endpoint)
-		psp.SetAttr("attempt", tried)
-		resp, err := f.proxyOnce(pctx, r, shard, bytes.NewReader(body))
+		psp.SetAttr("attempt", attempts)
+		var (
+			body io.Reader = bytes.NewReader(buffered)
+			g    *gate
+		)
+		if held != nil {
+			g = &gate{held: held, answered: make(chan struct{})}
+			body = g
+		}
+		resp, err := f.proxyOnce(pctx, r, shard, body, w.Header().Get("X-Request-Id"))
 		if err != nil {
+			g.open(false)
 			psp.SetError(err)
 			psp.End()
+			if r.Context().Err() != nil {
+				return // the client left
+			}
+			failed++
 			f.router.ReportFailure(shard)
-			f.reqLog(r.Context()).Warn("unary proxy failed", "shard", shard, "endpoint", endpoint, "error", err)
+			f.reqLog(r.Context()).Warn("proxy failed", "shard", shard, "endpoint", endpoint, "error", err)
 			continue
 		}
 		f.router.ReportSuccess(shard)
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			g.open(false)
+			resp.Body.Close()
+			psp.SetAttr("status", resp.StatusCode)
+			psp.End()
+			continue
+		}
 		mShardProxied.With(shard, endpoint).Inc()
-		relayResponse(w, resp)
+		f.relay(w, r, resp, shard, g)
 		psp.End()
 		return
 	}
 	w.Header().Set("Retry-After", "5")
-	if tried == 0 {
+	if failed == 0 {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no shard available for this key; retry shortly"})
 		return
 	}
 	writeJSON(w, http.StatusBadGateway, errorBody{Error: "every candidate shard failed; retry shortly"})
 }
 
-// proxyOnce forwards one buffered request to shard and returns its
-// response. ctx carries the attempt's span, which becomes the shard's
-// parent via the injected traceparent.
-func (f *Front) proxyOnce(ctx context.Context, r *http.Request, shard string, body io.Reader) (*http.Response, error) {
+// proxyOnce sends one attempt to shard, carrying the front's request ID
+// and, as traceparent, the attempt's span from ctx, so the shard's logs
+// and spans join the front's. A /stream body goes chunked: its length is
+// unknown and rows must flow as they arrive.
+func (f *Front) proxyOnce(ctx context.Context, r *http.Request, shard string, body io.Reader, id string) (*http.Response, error) {
 	out, err := http.NewRequestWithContext(ctx, r.Method, shardURL(shard, r.URL), body)
 	if err != nil {
 		return nil, err
 	}
+	if _, ok := body.(*gate); ok {
+		out.ContentLength = -1
+	}
 	copyProxyHeaders(out.Header, r.Header)
-	f.decorate(ctx, out.Header)
+	out.Header.Set("X-Request-Id", id)
+	trace.Inject(ctx, out.Header)
 	return f.router.client.Do(out)
 }
 
-// decorate stamps the outgoing hop with this request's identity: the
-// front's request ID (covering requests that arrived without one) and
-// the current span's traceparent, overriding whatever copyProxyHeaders
-// carried over so the shard parents under the front's span rather than
-// the client's.
-func (f *Front) decorate(ctx context.Context, h http.Header) {
-	if id := reqID(ctx); id != "" {
-		h.Set("X-Request-Id", id)
-	}
-	trace.Inject(ctx, h)
-}
-
-// handleStream proxies one NDJSON session to the owning shard with
-// full-duplex pass-through: client rows flow up unbuffered while scored
-// records flow back, flushed as they arrive. A stream is never retried
-// against a second shard — its body is not replayable — so routing
-// failures before the session opens are reported as JSON errors with
-// Retry-After, and the prober plus circuit breaker steer the client's
-// reconnect to a live shard.
-func (f *Front) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
-		return
-	}
-	// Full duplex: without this the HTTP/1.1 server drains the (unbounded,
-	// chunked) request body before the first response write, which deadlocks
-	// a pass-through proxy that must relay scored records while the client
-	// is still sending rows.
-	rc := http.NewResponseController(w)
-	if err := rc.EnableFullDuplex(); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: fmt.Sprintf("streaming unsupported: %v", err)})
-		return
-	}
-	key := f.Key(r)
-	shard, rerouted := f.router.Pick(key)
-	if shard == "" {
-		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no shard available for this session; retry shortly"})
-		return
-	}
-	if rerouted {
-		f.reqLog(r.Context()).Info("stream rerouted past owner", "key", key, "shard", shard)
-	}
-	pctx, psp := trace.StartSpan(r.Context(), "front.proxy")
-	psp.SetAttr("shard", shard)
-	psp.SetAttr("endpoint", "stream")
-	psp.SetAttr("rerouted", rerouted)
-	defer psp.End()
-	out, err := http.NewRequestWithContext(pctx, http.MethodPost, shardURL(shard, r.URL), r.Body)
-	if err != nil {
-		psp.SetError(err)
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		return
-	}
-	// Chunked upload: the session length is unknown and rows must flow
-	// as they arrive.
-	out.ContentLength = -1
-	copyProxyHeaders(out.Header, r.Header)
-	f.decorate(pctx, out.Header)
-	resp, err := f.router.client.Do(out)
-	if err != nil {
-		psp.SetError(err)
-		f.router.ReportFailure(shard)
-		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: fmt.Sprintf("shard %s unreachable: %v; reconnect to be rerouted", shard, err)})
-		return
-	}
+// relay copies the shard's answer to the client, flushing as bytes
+// arrive so a stream's records pass through one by one. g, for a
+// /stream attempt, is opened once the status is out: only an accepted
+// session is sent the client's body. A session whose shard connection
+// breaks ends with a terminal error record.
+func (f *Front) relay(w http.ResponseWriter, r *http.Request, resp *http.Response, shard string, g *gate) {
 	defer resp.Body.Close()
-	f.router.ReportSuccess(shard)
-	mShardProxied.With(shard, "stream").Inc()
-	if resp.StatusCode != http.StatusOK {
-		// The shard refused the session — most likely it started draining
-		// between our last probe and now. Converge routing immediately,
-		// then relay its answer (a 503 carries the shard's Retry-After).
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			f.router.MarkDraining(shard)
-			go f.router.ProbeNow(context.Background())
+	for _, k := range []string{"Content-Type", "Retry-After"} {
+		if v := resp.Header.Get(k); v != "" {
+			w.Header().Set(k, v)
 		}
-		relayResponse(w, resp)
-		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	accepted := g != nil && resp.StatusCode == http.StatusOK
+	if accepted && strings.EqualFold(r.Header.Get("Expect"), "100-continue") {
+		// On a final status with Connection: close, Go's client would
+		// never send the body it held back for 100-continue.
+		w.WriteHeader(http.StatusContinue)
+	}
+	w.WriteHeader(resp.StatusCode)
+	rc := http.NewResponseController(w)
+	_ = rc.Flush()
+	g.open(accepted)
 	buf := make([]byte, 32<<10)
 	for {
-		n, rerr := resp.Body.Read(buf)
+		n, err := resp.Body.Read(buf)
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			_ = rc.Flush()
 		}
-		if rerr != nil {
-			if rerr != io.EOF {
-				// The shard died mid-session. Already-delivered records
-				// stand; the terminal record tells the client to reconnect
-				// (rendezvous will route it to the next live shard).
-				f.router.ReportFailure(shard)
-				f.writeStreamError(w, flusher, fmt.Sprintf("shard connection lost mid-stream: %v; reconnect to continue on another shard", rerr))
-			}
-			return
+		if err == nil {
+			continue
 		}
+		if err != io.EOF && accepted {
+			// Records already relayed stand; the terminal record tells
+			// the client to reconnect, and rendezvous routes it on.
+			f.router.ReportFailure(shard)
+			data, _ := json.Marshal(errorBody{Error: fmt.Sprintf("shard connection lost mid-stream: %v; reconnect to continue on another shard", err)})
+			_, _ = w.Write(append(data, '\n'))
+			_ = rc.Flush()
+		}
+		return
 	}
 }
 
-// writeStreamError emits a terminal NDJSON error record on an
-// already-open stream response.
-func (f *Front) writeStreamError(w io.Writer, flusher http.Flusher, msg string) {
-	data, _ := json.Marshal(errorBody{Error: msg})
-	_, _ = w.Write(append(data, '\n'))
-	if flusher != nil {
-		flusher.Flush()
+// heldBody is the client's body of a proxied /stream session. Each
+// attempt reads it through a gate, and at most one gate, the accepted
+// one, ever reads it. stop must run before the handler returns: net/http
+// reads the rest of the body itself then, and a second concurrent read
+// panics.
+type heldBody struct {
+	src   io.Reader
+	rc    *http.ResponseController
+	reads sync.WaitGroup
+	mu    sync.Mutex
+	// stopped: no read starts any more; ended: src returned an error,
+	// io.EOF included.
+	stopped, ended bool
+}
+
+func (b *heldBody) read(p []byte) (int, error) {
+	b.mu.Lock()
+	if b.stopped || b.ended {
+		b.mu.Unlock()
+		return 0, io.EOF
 	}
+	b.reads.Add(1)
+	b.mu.Unlock()
+	defer b.reads.Done()
+	n, err := b.src.Read(p)
+	if err != nil {
+		b.mu.Lock()
+		b.ended = true
+		b.mu.Unlock()
+	}
+	return n, err
+}
+
+// stop returns once no read of the body runs or can start. A body the
+// session left unread gets the shard's linger: a read deadline a second
+// out ends a read blocked on the client, and up to 256 KiB more is
+// dropped, so the client's last rows are not answered with a reset.
+// A body already ended sets no deadline: net/http has a read of its own
+// pending on the connection then, and a deadline would cancel it.
+func (b *heldBody) stop() {
+	b.mu.Lock()
+	b.stopped = true
+	ended := b.ended
+	b.mu.Unlock()
+	if ended {
+		return
+	}
+	_ = b.rc.SetReadDeadline(time.Now().Add(time.Second))
+	b.reads.Wait()
+	_, _ = io.CopyN(io.Discard, b.src, 256<<10)
+}
+
+// gate is the body of one /stream attempt. Its first read waits until
+// the shard has answered: a shard that refused or failed sees an empty
+// body, and the accepted shard reads the client's.
+type gate struct {
+	held     *heldBody
+	answered chan struct{}
+	accept   bool // written before answered closes
+}
+
+// open answers the attempt. It is a no-op on a nil gate (a unary
+// attempt).
+func (g *gate) open(accept bool) {
+	if g == nil {
+		return
+	}
+	g.accept = accept
+	close(g.answered)
+}
+
+func (g *gate) Read(p []byte) (int, error) {
+	<-g.answered
+	if !g.accept {
+		return 0, io.EOF
+	}
+	return g.held.read(p)
 }
 
 // shardURL rebuilds the request URL against a backend shard, keeping
@@ -441,29 +429,15 @@ func shardURL(shard string, u *url.URL) string {
 	return target.String()
 }
 
-// copyProxyHeaders forwards the headers that matter across the hop;
-// hop-by-hop headers stay behind. Traceparent rides along so a client's
-// own trace context survives even when the front's tracer overrides it
-// with a more specific span via decorate.
+// copyProxyHeaders forwards the client headers that matter across the
+// hop; hop-by-hop headers stay behind, and proxyOnce sets the request ID
+// and traceparent itself.
 func copyProxyHeaders(dst, src http.Header) {
-	for _, k := range []string{"Content-Type", "Accept", "Authorization", "X-Request-Id", "Traceparent"} {
+	for _, k := range []string{"Content-Type", "Accept", "Authorization"} {
 		if v := src.Get(k); v != "" {
 			dst.Set(k, v)
 		}
 	}
-}
-
-// relayResponse copies a buffered backend response to the client:
-// status, safe headers, body.
-func relayResponse(w http.ResponseWriter, resp *http.Response) {
-	defer resp.Body.Close()
-	for _, k := range []string{"Content-Type", "Retry-After"} {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
 }
 
 type errorBody struct {

@@ -2,9 +2,11 @@ package shard
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -69,14 +71,35 @@ func newBackend(t *testing.T, m *hics.Model) *backend {
 		b.mu.Unlock()
 		b.srv.ServeHTTP(w, r)
 	})
-	b.ts = httptest.NewServer(count)
+	b.ts = newServer(t, count)
 	u, err := url.Parse(b.ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.addr = u.Host
-	t.Cleanup(b.ts.Close)
 	return b
+}
+
+// newServer starts h on a test server that fails the test on any
+// "panic serving" line net/http logs. One such line is a handler that
+// returned while its request body was still being read on its behalf:
+// net/http then reads the rest itself, and the two reads collide.
+func newServer(t *testing.T, h http.Handler) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.ErrorLog = log.New(panicWatch{t}, "", 0)
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+type panicWatch struct{ t *testing.T }
+
+func (w panicWatch) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("panic serving")) {
+		w.t.Errorf("server log: %s", p)
+	}
+	return len(p), nil
 }
 
 func (b *backend) streams() int {
@@ -98,9 +121,7 @@ func newFront(t *testing.T, backends ...*backend) (*Front, *Router, *httptest.Se
 	}
 	t.Cleanup(router.Close)
 	f := NewFront(FrontConfig{Router: router})
-	ts := httptest.NewServer(f)
-	t.Cleanup(ts.Close)
-	return f, router, ts
+	return f, router, newServer(t, f)
 }
 
 // streamRows posts rows as one NDJSON session and returns the scored

@@ -2,7 +2,7 @@
 // rendezvous-hash shard map assigning session keys to backend shards, a
 // health-tracking router with per-shard circuit breaking, and the
 // stateless front handler that proxies /stream (full-duplex NDJSON
-// pass-through), /score and /rank to the owning shard.
+// pass-through), /score, /rank and /info down each key's rank order.
 //
 // Rendezvous (highest-random-weight) hashing was chosen over a hash
 // ring for its exactness: every (shard, key) pair gets an independent

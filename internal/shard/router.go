@@ -56,9 +56,9 @@ type shardState struct {
 	fails    atomic.Int64 // consecutive transport failures
 }
 
-// Router owns the shard map plus live per-shard health, and picks the
-// serving shard for each session key: the rendezvous rank order,
-// skipping shards whose circuit is open or that report draining.
+// Router owns the shard map plus live per-shard health. The front walks
+// a key's rendezvous rank order past the shards that are not available:
+// those whose circuit is open or that report draining.
 type Router struct {
 	m      *Map
 	client *http.Client
@@ -111,23 +111,11 @@ func (r *Router) Map() *Map { return r.m }
 // Owner returns the rendezvous owner of key, health ignored.
 func (r *Router) Owner(key string) string { return r.m.Owner(key) }
 
-// Pick returns the shard a new session for key should go to: the first
-// shard in rendezvous rank order that is believed healthy and not
-// draining. When every shard is out, it returns "" — the caller turns
-// that into a 503 with Retry-After. The second return reports whether
-// the pick had to pass over the true owner (a reroute).
-func (r *Router) Pick(key string) (string, bool) {
-	rank := r.m.Rank(key)
-	for i, s := range rank {
-		st := r.states[s]
-		if st.healthy.Load() && !st.draining.Load() {
-			if i > 0 {
-				mShardReroutes.Inc()
-			}
-			return s, i > 0
-		}
-	}
-	return "", false
+// available reports whether shard takes new requests: its circuit is
+// closed and it has not reported draining.
+func (r *Router) available(shard string) bool {
+	st := r.states[shard]
+	return st.healthy.Load() && !st.draining.Load()
 }
 
 // ReportSuccess records a successful proxied exchange with shard,
@@ -227,9 +215,8 @@ func (r *Router) Close() {
 	}
 }
 
-// ProbeNow probes every shard once, synchronously — the front calls it
-// after a surprising shard response so routing state converges faster
-// than the next tick.
+// ProbeNow probes every shard once, synchronously, without waiting for
+// the next tick.
 func (r *Router) ProbeNow(ctx context.Context) { r.probeAll(ctx) }
 
 func (r *Router) probeAll(ctx context.Context) {
