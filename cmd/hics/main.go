@@ -10,7 +10,9 @@
 //
 // The input is numeric CSV; with -header the first row names the
 // attributes, and a column named "label"/"outlier" (or the -label flag) is
-// used as ground truth to report the AUC of the ranking. Output is the
+// used as ground truth to report the AUC of the ranking. A data field may
+// be wrapped in double quotes as a whole; any other quote in a data row
+// (an escaped "", a quoted line break) is rejected. Output is the
 // ranked list of high-contrast subspaces followed by the top outliers.
 //
 // Both pipeline steps are pluggable: -search selects the subspace-search

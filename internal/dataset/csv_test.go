@@ -2,8 +2,13 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -247,5 +252,229 @@ func TestWriteCSVNoLabels(t *testing.T) {
 	want := "a\n1\n2\n"
 	if buf.String() != want {
 		t.Errorf("output = %q, want %q", buf.String(), want)
+	}
+}
+
+// labeledInput builds rows lines of three numeric fields plus a 0/1
+// label, separated by sep and ended by eol, with a blank line (eol
+// alone) after every blankEvery-th row.
+func labeledInput(rows int, sep, eol string, blankEvery int) string {
+	var b strings.Builder
+	b.WriteString("x" + sep + "y" + sep + "z" + sep + "label" + eol)
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&b, "%d%s%g%s%g%s%d%s", i, sep, float64(i)/7, sep, -float64(i)*1e-3, sep, i%5/4, eol)
+		if blankEvery > 0 && i%blankEvery == 0 {
+			b.WriteString(eol)
+		}
+	}
+	return b.String()
+}
+
+// streamAll parses in with CSVStream, the serial reference.
+func streamAll(in string, opts CSVOptions) (names []string, rows [][]float64, labels []bool, err error) {
+	s, err := NewCSVStream(strings.NewReader(in), opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for {
+		row, label, err := s.Next()
+		if errors.Is(err, io.EOF) {
+			return s.Names(), rows, labels, nil
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		rows = append(rows, row)
+		labels = append(labels, label)
+	}
+}
+
+// TestReadLabeledCSVBlocks: however the data records are cut into
+// blocks and spread over workers, the batch reader returns bit for bit
+// what the serial stream yields — across CRLF line ends, blank lines
+// (with one-byte blocks, every line is a block of its own), a missing
+// final newline, quoted fields and a multi-byte separator.
+func TestReadLabeledCSVBlocks(t *testing.T) {
+	quoted := "\"x\",y,\"z,\",label\n"
+	for i := 0; i < 40; i++ {
+		quoted += fmt.Sprintf("\"%d\",%g,\" %g \",\"%d\"\n", i, float64(i)/3, float64(-i), i%2)
+	}
+	cases := []struct {
+		name string
+		in   string
+		opts CSVOptions
+	}{
+		{"crlf", labeledInput(60, ",", "\r\n", 0), CSVOptions{Header: true}},
+		{"blank lines", labeledInput(60, ",", "\n", 2), CSVOptions{Header: true}},
+		{"blank crlf lines", labeledInput(60, ",", "\r\n", 3), CSVOptions{Header: true}},
+		{"no final newline", strings.TrimSuffix(labeledInput(60, ",", "\n", 0), "\n"), CSVOptions{Header: true}},
+		{"final cr", strings.TrimSuffix(labeledInput(60, ",", "\r\n", 0), "\n"), CSVOptions{Header: true}},
+		{"quoted fields", quoted, CSVOptions{Header: true}},
+		{"multi-byte comma", labeledInput(60, "€", "\n", 4), CSVOptions{Header: true, Comma: '€'}},
+		{"no header", "\n\n" + strings.SplitN(labeledInput(60, ";", "\n", 5), "\n", 2)[1], CSVOptions{Comma: ';'}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			names, rows, labels, err := streamAll(tc.in, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range []int{1, 7, 100, blockBytes} {
+				for _, workers := range []int{1, 3} {
+					l, err := readLabeled(strings.NewReader(tc.in), tc.opts, size, workers)
+					if err != nil {
+						t.Fatalf("%d-byte blocks, %d workers: %v", size, workers, err)
+					}
+					if l.Data.N() != len(rows) || l.Data.D() != len(rows[0]) {
+						t.Fatalf("%d-byte blocks: shape %dx%d, stream %dx%d", size, l.Data.N(), l.Data.D(), len(rows), len(rows[0]))
+					}
+					for i, row := range rows {
+						for d, v := range row {
+							if got := l.Data.Value(i, d); math.Float64bits(got) != math.Float64bits(v) {
+								t.Fatalf("%d-byte blocks: value (%d,%d) = %v, stream %v", size, i, d, got, v)
+							}
+						}
+						if tc.opts.Header && l.Outlier[i] != labels[i] {
+							t.Fatalf("%d-byte blocks: label %d = %v, stream %v", size, i, l.Outlier[i], labels[i])
+						}
+					}
+					if tc.opts.Header && !slices.Equal(l.Data.Names(), names) {
+						t.Fatalf("%d-byte blocks: names %v", size, l.Data.Names())
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBlockReaderCuts: blocks end after a line break, carry the rest of
+// a line into the next block, grow past a line longer than a block, and
+// end with the input, line break or not.
+func TestBlockReaderCuts(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		size int
+		want []string
+	}{
+		{"1\n\n2\r\n\r\n3", 1, []string{"1\n", "\n", "2\r\n", "\r\n", "3"}},
+		{"1\n\n2\r\n\r\n3", 4, []string{"1\n\n", "2\r\n\r\n", "3"}},
+		{"123456789\n1\n", 2, []string{"123456789\n1\n"}},
+		{"1\n", 2, []string{"1\n", ""}},
+	} {
+		br := &blockReader{r: strings.NewReader(tc.in), size: tc.size}
+		var got []string
+		for !br.done {
+			got = append(got, string(br.next(nil)))
+		}
+		if !slices.Equal(got, tc.want) || br.err != nil {
+			t.Errorf("%q in %d-byte blocks: %q (err %v), want %q", tc.in, tc.size, got, br.err, tc.want)
+		}
+	}
+}
+
+// TestReadLabeledCSVLastBlockErrors: a failing record in the last block
+// is reported with the line and field a serial read names, and a failure
+// in an earlier block wins over one in a later block.
+func TestReadLabeledCSVLastBlockErrors(t *testing.T) {
+	good := labeledInput(50, ",", "\n", 3)
+	cases := []struct {
+		name, in, want string
+	}{
+		{"non-numeric", good + "7,8,oops,0\n", "field 3"},
+		{"ragged", good + "7,8,0\n", "has 3 fields, want 4"},
+		{"both", strings.Replace(good, "\n2,", "\n2x,", 1) + "7,8,0\n", "field 1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, _, want := streamAll(tc.in, CSVOptions{Header: true})
+			if want == nil || !strings.Contains(want.Error(), tc.want) {
+				t.Fatalf("serial error = %v, want it to name %q", want, tc.want)
+			}
+			for _, size := range []int{1, 64, blockBytes} {
+				for _, workers := range []int{1, 3} {
+					_, err := readLabeled(strings.NewReader(tc.in), CSVOptions{Header: true}, size, workers)
+					if err == nil || err.Error() != want.Error() {
+						t.Errorf("%d-byte blocks, %d workers: error = %v, want %v", size, workers, err, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReadLabeledCSVLabelBeyondWidth: a header label column that no
+// record reaches splits nothing off, so Outlier stays nil.
+func TestReadLabeledCSVLabelBeyondWidth(t *testing.T) {
+	l, err := ReadLabeledCSV(strings.NewReader("x,y,label\n1,2\n3,4\n"), CSVOptions{Header: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Outlier != nil || l.Data.D() != 2 || l.Data.N() != 2 || l.Data.Value(1, 1) != 4 {
+		t.Errorf("labels %v, shape %dx%d", l.Outlier, l.Data.N(), l.Data.D())
+	}
+	if !slices.Equal(l.Data.Names(), []string{"x", "y"}) {
+		t.Errorf("names = %v", l.Data.Names())
+	}
+}
+
+// TestReadCSVQuoting: a data field may be quoted as a whole; any other
+// quote fails with encoding/csv's error for it, a quoted line break
+// included.
+func TestReadCSVQuoting(t *testing.T) {
+	ds, err := ReadCSV(strings.NewReader("\"1\",\" 2 \"\r\n3,\"4\"\n"), CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Value(0, 0) != 1 || ds.Value(0, 1) != 2 || ds.Value(1, 1) != 4 {
+		t.Errorf("quoted values = %v %v", ds.Row(0, nil), ds.Row(1, nil))
+	}
+	// A quoted separator stays inside its field.
+	ds, err = ReadCSV(strings.NewReader("\"1e3\"e2\n"), CSVOptions{Comma: 'e'})
+	if err != nil || ds.D() != 2 || ds.Value(0, 0) != 1000 {
+		t.Errorf("quoted separator: %v", err)
+	}
+	for _, tc := range []struct {
+		in   string
+		want error
+	}{
+		{"1,\"2\n\",3\n", csv.ErrQuote},
+		{"1,\"2\"\"\"\n", csv.ErrQuote},
+		{"1,\"2\" \n", csv.ErrQuote},
+		{"1,2\"\n", csv.ErrBareQuote},
+		{"1, \"2\"\n", csv.ErrBareQuote},
+	} {
+		_, err := ReadCSV(strings.NewReader(tc.in), CSVOptions{})
+		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "line 1 field 2") {
+			t.Errorf("%q: error = %v, want %v on line 1 field 2", tc.in, err, tc.want)
+		}
+	}
+}
+
+// BenchmarkReadLabeledCSV reads 100,000 labeled rows of 30 attributes,
+// the fit-large workload's file; its throughput is MB of CSV per second.
+func BenchmarkReadLabeledCSV(b *testing.B) {
+	const n, d = 100000, 30
+	r := rand.New(rand.NewPCG(1, 2))
+	cols := make([][]float64, d)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+		for i := range cols[j] {
+			cols[j][i] = r.NormFloat64()
+		}
+	}
+	labels := make([]bool, n)
+	for i := range labels {
+		labels[i] = r.IntN(100) == 0
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, MustNew(nil, cols), labels); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadLabeledCSV(bytes.NewReader(buf.Bytes()), CSVOptions{Header: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -89,6 +89,10 @@ type queryScratch struct {
 	proj []float64
 }
 
+// hoods recycles the neighborhood storage of LOF fits: a fit of many
+// subspaces of one dataset fills the same n·k slab over and over.
+var hoods = sync.Pool{New: func() any { return new(neighbors.Neighborhoods) }}
+
 // FitContext runs the batch LOF passes on the given subspace and freezes
 // the state an out-of-sample query needs, returning it together with the
 // training LOF scores — bit-for-bit the ScoresContext result
@@ -110,12 +114,16 @@ func FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int
 		return nil, nil, fmt.Errorf("lof: %w", err)
 	}
 
-	// Pass 1: materialize neighborhoods and k-distances (batched, parallel,
-	// one slab for all neighborhoods).
-	neighborhoods, kdist, err := idx.KNNAllContext(ctx, minPts, workers)
-	if err != nil {
+	// Pass 1: materialize neighborhoods and k-distances (batched,
+	// parallel, one slab for all neighborhoods). The slab outlives the fit
+	// only in the pool; kdist is the model's.
+	h := hoods.Get().(*neighbors.Neighborhoods)
+	defer hoods.Put(h)
+	kdist := make([]float64, n)
+	if err := h.Fill(ctx, idx, minPts, workers, kdist); err != nil {
 		return nil, nil, err
 	}
+	neighborhoods := h.Rows
 
 	// Pass 2: local reachability densities.
 	lrd := make([]float64, n)

@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hics/internal/dataset"
 	"hics/internal/neighbors"
@@ -522,6 +524,40 @@ func TestFitKNNAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perObject := float64(after.TotalAlloc-before.TotalAlloc) / n; perObject > 32 {
 		t.Errorf("FitKNNContext allocates %.1f bytes per object, want at most 32", perObject)
+	}
+}
+
+// TestFitReusesNeighborhoods: a LOF fit takes its n·k neighborhood slab
+// from a pool, so a second fit of the same shape allocates less than the
+// slab's size, and its scores are bit-identical to the first. The
+// collector is off during the pin: a collection empties the pool.
+func TestFitReusesNeighborhoods(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items under -race; the pin runs in non-race builds")
+	}
+	const n, k = 20000, 10
+	ds := gridDataset(23, n, 2, 0)
+	fit := func() []float64 {
+		_, scores, err := FitContext(context.Background(), ds, []int{0, 1}, k, neighbors.KindKDTree, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scores
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	first := fit()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second := fit()
+	runtime.ReadMemStats(&after)
+	slab := uint64(n * k * int(unsafe.Sizeof(neighbors.Neighbor{})))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= slab {
+		t.Errorf("second fit allocated %d bytes, not less than the %d-byte slab", got, slab)
+	}
+	for i := range first {
+		if math.Float64bits(first[i]) != math.Float64bits(second[i]) {
+			t.Fatalf("score %d: %v, then %v", i, first[i], second[i])
+		}
 	}
 }
 

@@ -32,8 +32,9 @@
 // through one driver, ForEachKNN, which streams each answer to a callback
 // instead of keeping it. On a KDTree it answers the queries in leaf order,
 // so consecutive queries are spatial neighbors that walk the same, already
-// cached tree path. KNNAllContext is the driver's materializing consumer:
-// all neighborhoods in one n·k slab.
+// cached tree path. Neighborhoods.Fill is the driver's materializing
+// consumer: all neighborhoods in one n·k slab, reusable across fits, and
+// KNNAllContext is Fill into fresh storage.
 //
 // KindAuto picks the backend per (N, |S|) — callers that do not care get
 // the fast path automatically, and callers that must preserve the paper's
@@ -48,6 +49,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"hics/internal/dataset"
 	"hics/internal/parallel"
@@ -265,28 +267,45 @@ func ForEachKNN(ctx context.Context, ix Index, k, workers int, fn func(q int, nb
 	})
 }
 
-// knnAll materializes ForEachKNN into one n·k slab: row q is the
-// cap-limited slab[q*k : q*k+len(nb)], so an append to it reallocates
-// instead of overwriting row q+1. Only a row extended past k by ties at
-// the k-distance gets its own slice.
+// knnAll is KNNAllContext: ForEachKNN materialized into fresh storage.
 func knnAll(ctx context.Context, ix Index, k, workers int) ([][]Neighbor, []float64, error) {
+	var h Neighborhoods
+	kdists := make([]float64, ix.N())
+	if err := h.Fill(ctx, ix, k, workers, kdists); err != nil {
+		return nil, nil, err
+	}
+	return h.Rows, kdists, nil
+}
+
+// Neighborhoods holds the k-neighborhood of every object of an index in
+// one n·k slab, which a later Fill of no larger a shape reuses, so a
+// caller that keeps a Neighborhoods (in a sync.Pool, say) materializes
+// fit after fit without allocating.
+type Neighborhoods struct {
+	// Rows[q] is object q's neighborhood, as KNN(q, k, ...) returns it.
+	// Each row's capacity is its length, so appending to a row never
+	// overwrites the next one. Rows is valid until the next Fill.
+	Rows [][]Neighbor
+	slab []Neighbor
+}
+
+// Fill answers KNN for every object of ix through ForEachKNN (same
+// workers and cancellation), storing neighborhood q as h.Rows[q] and its
+// k-distance as kdists[q]. Row q is slab[q*k : q*k+len(nb)]; only a row
+// extended past k by ties at the k-distance gets its own slice.
+func (h *Neighborhoods) Fill(ctx context.Context, ix Index, k, workers int, kdists []float64) error {
 	n := ix.N()
 	k = max(min(k, n-1), 0) // KNN's own clamp: a row exceeds k only by ties
-	nbs := make([][]Neighbor, n)
-	kdists := make([]float64, n)
-	slab := make([]Neighbor, n*k)
-	err := ForEachKNN(ctx, ix, k, workers, func(q int, nb []Neighbor, kd float64) {
+	h.Rows = slices.Grow(h.Rows[:0], n)[:n]
+	h.slab = slices.Grow(h.slab[:0], n*k)[:n*k]
+	return ForEachKNN(ctx, ix, k, workers, func(q int, nb []Neighbor, kd float64) {
 		kdists[q] = kd
 		if len(nb) > k {
-			nbs[q] = append([]Neighbor(nil), nb...)
+			h.Rows[q] = append([]Neighbor(nil), nb...)
 			return
 		}
 		lo, hi := q*k, q*k+len(nb)
-		nbs[q] = slab[lo:hi:hi]
-		copy(nbs[q], nb)
+		h.Rows[q] = h.slab[lo:hi:hi]
+		copy(h.Rows[q], nb)
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return nbs, kdists, nil
 }

@@ -13,7 +13,8 @@
 //
 // The cubic runtime the paper observes (Fig. 6) stems from the O(N²)
 // neighborhood counting performed for the many candidates of each level;
-// this implementation reproduces that behaviour faithfully.
+// this implementation reproduces that behaviour faithfully (it measures
+// each pair of objects once, which halves the constant, not the order).
 package ris
 
 import (
@@ -79,10 +80,10 @@ func Quality(ds *dataset.Dataset, s subspace.Subspace, p Params) (quality float6
 		cols[k] = ds.Col(d)
 	}
 	n := ds.N()
-	dists := make([]float64, n)
+	counts := make([]int, n)
+	countAll(cols, p.Eps, counts)
 	total := 0
-	for i := 0; i < n; i++ {
-		c := countWithin(cols, i, p.Eps, dists)
+	for _, c := range counts {
 		if c >= p.MinPts {
 			coreObjects++
 			total += c
@@ -99,26 +100,44 @@ func Quality(ds *dataset.Dataset, s subspace.Subspace, p Params) (quality float6
 	return mean / expected, coreObjects, nil
 }
 
-// countWithin returns how many objects other than q lie within eps of q
-// (boundary inclusive) in the space spanned by cols, one column per
-// subspace attribute. dists is N-sized scratch, overwritten.
-func countWithin(cols [][]float64, q int, eps float64, dists []float64) int {
-	clear(dists)
-	for _, col := range cols {
-		cq := col[q]
-		for i, v := range col {
-			d := v - cq
-			dists[i] += d * d
-		}
-	}
+// countTile is how many objects countAll measures against at a time: the
+// tile's distance scratch and column values stay in the L1 cache.
+const countTile = 512
+
+// countAll sets counts[i] to the number of objects other than i within
+// eps of i (boundary inclusive) in the space spanned by cols, one column
+// per subspace attribute. Each pair i < j is measured once, as i's scan
+// of j would measure it, and credits both ends: (a−b)² = (b−a)² holds
+// exactly and the squares are summed in column order, so the counts are
+// those of one full scan per object, at half the distance work.
+func countAll(cols [][]float64, eps float64, counts []int) {
+	clear(counts)
+	n := len(counts)
 	eps2 := eps * eps
-	count := 0
-	for i, d := range dists {
-		if i != q && d <= eps2 {
-			count++
+	var scratch [countTile]float64
+	for lo := 0; lo < n; lo += countTile {
+		hi := min(lo+countTile, n)
+		for q := 0; q < hi-1; q++ {
+			from := max(q+1, lo)
+			dists := scratch[:hi-from]
+			clear(dists)
+			for _, col := range cols {
+				cq := col[q]
+				for i, v := range col[from:hi] {
+					d := v - cq
+					dists[i] += d * d
+				}
+			}
+			count := 0
+			for i, d := range dists {
+				if d <= eps2 {
+					count++
+					counts[from+i]++
+				}
+			}
+			counts[q] += count
 		}
 	}
-	return count
 }
 
 // ballVolume returns the volume of a d-dimensional Euclidean ε-ball,

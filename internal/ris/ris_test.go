@@ -67,6 +67,63 @@ func TestBallVolume(t *testing.T) {
 	}
 }
 
+// countWithin is the per-object reference of countAll: how many objects
+// other than q lie within eps of q (boundary inclusive), from one scan
+// of all N distances. dists is N-sized scratch, overwritten.
+func countWithin(cols [][]float64, q int, eps float64, dists []float64) int {
+	clear(dists)
+	for _, col := range cols {
+		cq := col[q]
+		for i, v := range col {
+			d := v - cq
+			dists[i] += d * d
+		}
+	}
+	eps2 := eps * eps
+	count := 0
+	for i, d := range dists {
+		if i != q && d <= eps2 {
+			count++
+		}
+	}
+	return count
+}
+
+// TestCountAllMatchesPerObject: counting each pair once gives every
+// object the count of its own full scan, across tile boundaries, on
+// random data and on data full of exact duplicates and exact-boundary
+// distances.
+func TestCountAllMatchesPerObject(t *testing.T) {
+	r := rng.New(11)
+	for _, tc := range []struct {
+		n, d  int
+		eps   float64
+		value func() float64
+	}{
+		{1500, 3, 0.1, r.Float64},
+		{countTile + 1, 2, 0.05, r.Float64},
+		{1100, 4, 0.25, func() float64 { return float64(r.Intn(4)) / 8 }}, // duplicates; distances of exactly eps
+		{700, 1, 0, func() float64 { return float64(r.Intn(50)) }},
+		{1, 2, 0.1, r.Float64},
+	} {
+		cols := make([][]float64, tc.d)
+		for j := range cols {
+			cols[j] = make([]float64, tc.n)
+			for i := range cols[j] {
+				cols[j][i] = tc.value()
+			}
+		}
+		counts := make([]int, tc.n)
+		countAll(cols, tc.eps, counts)
+		dists := make([]float64, tc.n)
+		for q := range counts {
+			if want := countWithin(cols, q, tc.eps, dists); counts[q] != want {
+				t.Fatalf("n=%d d=%d eps=%v: object %d counts %d, its own scan %d", tc.n, tc.d, tc.eps, q, counts[q], want)
+			}
+		}
+	}
+}
+
 func TestCountWithin(t *testing.T) {
 	// Five points on a line plus one far away.
 	cols := [][]float64{{0, 1, 2, 3, 4, 100}}

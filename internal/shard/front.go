@@ -327,6 +327,7 @@ func (f *Front) relay(w http.ResponseWriter, r *http.Request, resp *http.Respons
 				return
 			}
 			_ = rc.Flush()
+			g.relayed()
 		}
 		if err == nil {
 			continue
@@ -338,6 +339,7 @@ func (f *Front) relay(w http.ResponseWriter, r *http.Request, resp *http.Respons
 			data, _ := json.Marshal(errorBody{Error: fmt.Sprintf("shard connection lost mid-stream: %v; reconnect to continue on another shard", err)})
 			_, _ = w.Write(append(data, '\n'))
 			_ = rc.Flush()
+			g.relayed()
 		}
 		return
 	}
@@ -356,6 +358,9 @@ type heldBody struct {
 	// stopped: no read starts any more; ended: src returned an error,
 	// io.EOF included.
 	stopped, ended bool
+	// lastRecord is when the handler last relayed bytes to the client;
+	// only the handler's goroutine reads and writes it.
+	lastRecord time.Time
 }
 
 func (b *heldBody) read(p []byte) (int, error) {
@@ -378,8 +383,11 @@ func (b *heldBody) read(p []byte) (int, error) {
 
 // stop returns once no read of the body runs or can start. A body the
 // session left unread gets the shard's linger: a read deadline a second
-// out ends a read blocked on the client, and up to 256 KiB more is
-// dropped, so the client's last rows are not answered with a reset.
+// after the last record relayed ends a read blocked on the client, and up
+// to 256 KiB more is dropped, so the client's last rows are not answered
+// with a reset. A shard that ends a session lingers a second after its
+// terminal record while the front relays the body to it, so the front's
+// linger runs alongside it instead of after it.
 // A body already ended sets no deadline: net/http has a read of its own
 // pending on the connection then, and a deadline would cancel it.
 func (b *heldBody) stop() {
@@ -390,7 +398,11 @@ func (b *heldBody) stop() {
 	if ended {
 		return
 	}
-	_ = b.rc.SetReadDeadline(time.Now().Add(time.Second))
+	from := b.lastRecord
+	if from.IsZero() {
+		from = time.Now()
+	}
+	_ = b.rc.SetReadDeadline(from.Add(time.Second))
 	b.reads.Wait()
 	_, _ = io.CopyN(io.Discard, b.src, 256<<10)
 }
@@ -412,6 +424,14 @@ func (g *gate) open(accept bool) {
 	}
 	g.accept = accept
 	close(g.answered)
+}
+
+// relayed notes that the attempt's answer reached the client just now.
+// It is a no-op on a nil gate.
+func (g *gate) relayed() {
+	if g != nil {
+		g.held.lastRecord = time.Now()
+	}
 }
 
 func (g *gate) Read(p []byte) (int, error) {

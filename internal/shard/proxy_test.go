@@ -70,6 +70,7 @@ func TestFrontSessionEndsBeforeBody(t *testing.T) {
 	}()
 	// Three rows pass the 40-byte cap; the client then sends nothing more
 	// and keeps its body open.
+	start := time.Now()
 	if _, err := io.WriteString(pw, strings.Repeat("[0.5,0.5,0.5,0.5]\n", 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +86,12 @@ func TestFrontSessionEndsBeforeBody(t *testing.T) {
 	resp.Body.Close()
 	if len(records) != 2 || len(errs) != 1 || !strings.Contains(errs[0], "40-byte session limit") {
 		t.Fatalf("capped session: %d records, errs %v; want 2 and the limit record", len(records), errs)
+	}
+	// The shard lingers a second on the idle body and the front lingers
+	// alongside it, so the response ends about a second after the limit
+	// record, as on a standalone server, not after two lingers in series.
+	if took := time.Since(start); took > 1600*time.Millisecond {
+		t.Errorf("capped session reached EOF after %v, want under 1.6s", took)
 	}
 	pw.Close()
 
