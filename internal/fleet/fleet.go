@@ -485,20 +485,6 @@ func (f *Fleet) Put(name string, m *hics.Model, q Quota, makeDefault bool) error
 	return nil
 }
 
-// SetDefault routes unnamed requests to the named model.
-func (f *Fleet) SetDefault(name string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.models[name]; !ok {
-		return &NotFoundError{Name: name}
-	}
-	f.defaultName = name
-	if f.dir != "" {
-		return f.writeManifestLocked()
-	}
-	return nil
-}
-
 // Delete unloads the named model: the name disappears immediately (new
 // Acquires fail), in-flight Handles drain — bounded by ctx — and then
 // the persisted model file is removed. A drain cut short by ctx still

@@ -530,7 +530,10 @@ func TestFitKNNAllocs(t *testing.T) {
 // TestFitReusesNeighborhoods: a LOF fit takes its n·k neighborhood slab
 // from a pool, so a second fit of the same shape allocates less than the
 // slab's size, and its scores are bit-identical to the first. The
-// collector is off during the pin: a collection empties the pool.
+// collector is off during the pin: a collection empties the pool. So is
+// every processor but one: a pool keeps its last Put in a per-processor
+// slot that no other processor's Get can take, so a goroutine moved to
+// another processor between the fits would miss the slab.
 func TestFitReusesNeighborhoods(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops items under -race; the pin runs in non-race builds")
@@ -544,6 +547,7 @@ func TestFitReusesNeighborhoods(t *testing.T) {
 		}
 		return scores
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	first := fit()
 	var before, after runtime.MemStats

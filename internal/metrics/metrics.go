@@ -19,8 +19,9 @@
 // duplicate or malformed name — registration is init-time programmer
 // intent, not runtime input. The package-level Default registry is the
 // one process-wide instance every instrumented layer (internal/serve,
-// internal/stream, internal/parallel) registers into and /metrics
-// serves; tests that need isolation construct their own Registry.
+// the root package's streams, internal/parallel) registers into and
+// /metrics serves; tests that need isolation construct their own
+// Registry.
 //
 // All metric types are safe for concurrent use; updates are lock-free
 // atomics on the hot path.

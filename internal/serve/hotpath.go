@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -105,7 +106,7 @@ func (p *streamParser) parseLine() ([]float64, error) {
 // seeded with the already-consumed line so the decoder sees the byte
 // stream exactly as if it had owned it from the start.
 func (p *streamParser) fallback() ([]float64, error) {
-	p.dec = json.NewDecoder(io.MultiReader(newByteReader(p.line), p.br))
+	p.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(p.line), p.br))
 	return p.nextFallback()
 }
 
@@ -115,24 +116,6 @@ func (p *streamParser) nextFallback() ([]float64, error) {
 		return nil, err
 	}
 	return row, nil
-}
-
-// byteReader is bytes.NewReader without retaining-semantics surprises:
-// the fallback seed is read exactly once, so a minimal forward reader
-// over the scratch slice suffices.
-type byteReader struct {
-	b []byte
-}
-
-func newByteReader(b []byte) *byteReader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
 
 // appendRow parses one canonical NDJSON row — optional ASCII spaces, a

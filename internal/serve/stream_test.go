@@ -122,7 +122,8 @@ func TestStreamEndpointRefits(t *testing.T) {
 }
 
 // TestStreamEndpointErrors: option and row validation surface as a 400
-// (before streaming) or a terminal error record (mid-stream).
+// (before streaming); a bad row, a score JSON cannot carry and a failed
+// refit mid-stream end it with a terminal error record.
 func TestStreamEndpointErrors(t *testing.T) {
 	m := fitModel(t)
 	srv := httptest.NewServer(New(Config{Model: m}))
@@ -154,32 +155,123 @@ func TestStreamEndpointErrors(t *testing.T) {
 		}
 	}
 
-	// A malformed row mid-stream: the rows before it are scored, then a
-	// terminal error record ends the stream.
-	body := "[0.5,0.5,0.5,0.5]\nnot json\n[0.5,0.5,0.5,0.5]\n"
-	resp2, records, lines := postStream(t, srv, "/stream", body)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("mid-stream error status %d", resp2.StatusCode)
+	// Mid-stream failures: the rows before the failure are scored, then
+	// exactly one terminal error record ends the stream, and the session
+	// closes its detector and its stream.
+	dupSrv := httptest.NewServer(New(Config{Model: duplicateModel(t)}))
+	defer dupSrv.Close()
+	// A refit of the wide model searches 12 attributes and takes tens of
+	// milliseconds, so with a refit after every arrival the one-second
+	// budget runs out in the middle of one.
+	wide := wideRows(9, 300)
+	slowSrv := httptest.NewServer(New(Config{Model: fitWideModel(t), RequestTimeout: time.Second}))
+	defer slowSrv.Close()
+	for _, tc := range []struct {
+		name       string
+		srv        *httptest.Server
+		path, body string
+		// minRecords and maxRecords bound the rows scored before the
+		// error record, which must contain wantErr.
+		minRecords, maxRecords int
+		wantErr                string
+		refitFails             bool
+	}{
+		{"malformed row", srv, "/stream", "[0.5,0.5,0.5,0.5]\nnot json\n[0.5,0.5,0.5,0.5]\n", 1, 1, "invalid row", false},
+		{"short row", srv, "/stream", "[0.5,0.5]\n", 0, 0, "row 0 has 2 attributes, want 4", false},
+		// Non-finite input cannot even be encoded as JSON; the decode
+		// failure is a terminal error record, not a silent NaN score.
+		{"1e999 row", srv, "/stream", "[1e999,0.5,0.5,0.5]\n", 0, 0, "invalid row", false},
+		// A novel row among the duplicate model's piles of duplicates
+		// scores +Inf, which JSON cannot carry.
+		{"non-representable score", dupSrv, "/stream", "[0.5,0.5,0]\n[0.5,0.5,1]\n[0.5,0.5,0.25]\n", 2, 2, "row 2: score not representable", false},
+		// The window fills at arrival 49, which triggers the first refit
+		// and withholds its result if the refit fails.
+		{"refit past the budget", slowSrv, "/stream?window=50&refit_every=1", ndjsonRows(t, wide), 49, len(wide) - 1, "compute budget", true},
+	} {
+		streams0 := mActiveStreams.Total()
+		before := scrapeMetrics(t, tc.srv)
+		resp, records, lines := postStream(t, tc.srv, tc.path, tc.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d, want 200", tc.name, resp.StatusCode)
+		}
+		if len(records) < tc.minRecords || len(records) > tc.maxRecords {
+			t.Errorf("%s: scored %d rows before the error, want %d to %d", tc.name, len(records), tc.minRecords, tc.maxRecords)
+		}
+		for i, rec := range records {
+			if rec.Index != i {
+				t.Errorf("%s: record %d has index %d", tc.name, i, rec.Index)
+				break
+			}
+		}
+		last := ""
+		if len(lines) > 0 {
+			last = lines[len(lines)-1]
+		}
+		if len(lines) != len(records)+1 || !strings.Contains(last, `"error"`) || !strings.Contains(last, tc.wantErr) {
+			t.Errorf("%s: %d lines ending %q, want the records then one error record naming %q",
+				tc.name, len(lines), last, tc.wantErr)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		var after map[string]float64
+		for {
+			after = scrapeMetrics(t, tc.srv)
+			settled := mActiveStreams.Total() <= streams0 &&
+				after["hics_stream_detectors_active"] <= before["hics_stream_detectors_active"]
+			if settled || time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := mActiveStreams.Total(); n > streams0 {
+			t.Errorf("%s: hicsd_streams_active = %v after the session, want %v", tc.name, n, streams0)
+		}
+		if got, want := after["hics_stream_detectors_active"], before["hics_stream_detectors_active"]; got > want {
+			t.Errorf("%s: hics_stream_detectors_active = %v after the session, want %v", tc.name, got, want)
+		}
+		failed := after["hics_stream_refit_failures_total"] > before["hics_stream_refit_failures_total"]
+		if failed != tc.refitFails {
+			t.Errorf("%s: a refit failed = %v, want %v", tc.name, failed, tc.refitFails)
+		}
 	}
-	if len(records) != 1 {
-		t.Errorf("scored %d rows before the bad one, want 1: %v", len(records), lines)
-	}
-	if len(lines) != 2 || !strings.Contains(lines[len(lines)-1], `"error"`) {
-		t.Errorf("stream lines = %v, want one record then one error", lines)
-	}
+}
 
-	// A wrong-width row is a terminal error record naming the problem.
-	_, records, lines = postStream(t, srv, "/stream", "[0.5,0.5]\n")
-	if len(records) != 0 || len(lines) != 1 || !strings.Contains(lines[0], `"error"`) {
-		t.Errorf("short row: records %v lines %v, want a single error record", records, lines)
+// duplicateModel is fitted on 60 rows that alternate between two points,
+// so every training neighborhood is a pile of exact duplicates and a
+// novel row scores +Inf.
+func duplicateModel(t *testing.T) *hics.Model {
+	t.Helper()
+	rows := make([][]float64, 60)
+	for i := range rows {
+		rows[i] = []float64{0.5, 0.5, float64(i % 2)}
 	}
+	m, err := hics.Fit(rows, hics.Options{M: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
-	// Non-finite input cannot even be encoded as JSON; the decode failure
-	// is a terminal error record, not a silent NaN score.
-	_, records, lines = postStream(t, srv, "/stream", "[1e999,0.5,0.5,0.5]\n")
-	if len(records) != 0 || len(lines) == 0 || !strings.Contains(lines[0], `"error"`) {
-		t.Errorf("1e999 row: records %v lines %v, want a single error record", records, lines)
+// wideRows draws n uniform rows of 12 attributes.
+func wideRows(seed uint64, n int) [][]float64 {
+	r := rng.New(seed)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, 12)
+		for j := range rows[i] {
+			rows[i][j] = r.Float64()
+		}
 	}
+	return rows
+}
+
+// fitWideModel fits a model on 12 uniform attributes.
+func fitWideModel(t *testing.T) *hics.Model {
+	t.Helper()
+	m, err := hics.Fit(wideRows(8, 100), hics.Options{M: 10, Seed: 8, TopK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestStreamEndpointFlushesPerRow verifies the NDJSON contract end to

@@ -2,11 +2,14 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"hics"
 )
 
 // TestFrontStreamFailsOverDrainedOwner: a session opened after its owner
@@ -115,6 +118,73 @@ func TestFrontSessionEndsBeforeBody(t *testing.T) {
 		if nr.StatusCode != http.StatusOK || len(records) != 4 || len(errs) != 0 {
 			t.Fatalf("session %d after the capped one: %d, %d records, errs %v", i, nr.StatusCode, len(records), errs)
 		}
+	}
+}
+
+// TestFrontNonRepresentableScore: a shard ends a session on a score JSON
+// cannot carry. Through the front, the client gets the rows scored before
+// it and then exactly one terminal record, and the shard's detector and
+// stream gauges return to their baseline.
+func TestFrontNonRepresentableScore(t *testing.T) {
+	// Every neighborhood of this model is a pile of exact duplicates, so
+	// a novel row scores +Inf.
+	rows := make([][]float64, 60)
+	for i := range rows {
+		rows[i] = []float64{0.5, 0.5, float64(i % 2)}
+	}
+	m, err := hics.Fit(rows, hics.Options{M: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, ts := newFront(t, newBackend(t, m))
+	// gauges sums each open-session gauge over its series; the registry
+	// is process-wide, so the front's /metrics shows the shard's.
+	gauges := func() (detectors, streams float64) {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, line := range strings.Split(string(b), "\n") {
+			var v float64
+			if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+				fmt.Sscan(val, &v)
+				switch {
+				case name == "hics_stream_detectors_active":
+					detectors += v
+				case strings.HasPrefix(name, "hicsd_streams_active{"):
+					streams += v
+				}
+			}
+		}
+		return detectors, streams
+	}
+	detectors0, streams0 := gauges()
+
+	resp, err := http.Post(ts.URL+"/stream", "application/x-ndjson",
+		strings.NewReader("[0.5,0.5,0]\n[0.5,0.5,1]\n[0.5,0.5,0.25]\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, errs := readSession(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(records) != 2 || records[1].Index != 1 {
+		t.Errorf("status %d, records %+v; want 200 and arrivals 0 and 1 scored", resp.StatusCode, records)
+	}
+	if len(errs) != 1 || !strings.Contains(errs[0], "row 2: score not representable") {
+		t.Errorf("error records %v, want one naming row 2's score", errs)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		detectors, streams := gauges()
+		if detectors <= detectors0 && streams <= streams0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("open detectors %v, streams %v after the session; want %v, %v", detectors, streams, detectors0, streams0)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -1,4 +1,4 @@
-package stream
+package hics
 
 import (
 	"context"
@@ -34,11 +34,22 @@ func (f fakeModel) ScoreBatchContext(_ context.Context, rows [][]float64) ([]flo
 	return out, nil
 }
 
-// recordingRefit returns a RefitFunc that captures every window it is
+// refitFunc is the signature of Stream.refitHook.
+type refitFunc = func(ctx context.Context, window [][]float64) (streamModel, error)
+
+// testStream wires a stream to a fake model (nil starts it cold) and a
+// refit hook; dims 0 infers the row width from the first arrival.
+func testStream(model streamModel, refit refitFunc, dims int, sopts StreamOptions) *Stream {
+	s := newStream(model, dims, Options{}, sopts)
+	s.refitHook = refit
+	return s
+}
+
+// recordingRefit returns a refit hook that captures every window it is
 // handed (deep-copied) and produces models with increasing generations.
-func recordingRefit(windows *[][][]float64) RefitFunc {
+func recordingRefit(windows *[][][]float64) refitFunc {
 	gen := 0.0
-	return func(_ context.Context, window [][]float64) (Model, error) {
+	return func(_ context.Context, window [][]float64) (streamModel, error) {
 		snap := make([][]float64, len(window))
 		for i, r := range window {
 			snap[i] = append([]float64(nil), r...)
@@ -51,23 +62,21 @@ func recordingRefit(windows *[][][]float64) RefitFunc {
 
 func row(v float64) []float64 { return []float64{v, v} }
 
+// TestNewValidation: the stream options are validated once, naming the
+// field at fault.
 func TestNewValidation(t *testing.T) {
-	refit := func(context.Context, [][]float64) (Model, error) { return fakeModel{}, nil }
 	cases := []struct {
-		name string
-		cfg  Config
-		want string
+		name  string
+		sopts StreamOptions
+		want  string
 	}{
-		{"zero window", Config{Refit: refit}, "Window"},
-		{"negative window", Config{Window: -3, Refit: refit}, "Window"},
-		{"negative refit cadence", Config{Window: 4, RefitEvery: -1, Refit: refit}, "RefitEvery"},
-		{"async without refits", Config{Window: 4, Async: true, Refit: refit}, "Async"},
-		{"cold without refit func", Config{Window: 4}, "Refit"},
-		{"refits without refit func", Config{Window: 4, RefitEvery: 2, Model: fakeModel{}}, "Refit"},
-		{"negative dims", Config{Window: 4, Refit: refit, Dims: -1}, "Dims"},
+		{"zero window", StreamOptions{}, "Window"},
+		{"negative window", StreamOptions{Window: -3}, "Window"},
+		{"negative refit cadence", StreamOptions{Window: 4, RefitEvery: -1}, "RefitEvery"},
+		{"async without refits", StreamOptions{Window: 4, Async: true}, "Async"},
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := tc.sopts.validate(0); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
@@ -78,10 +87,7 @@ func TestNewValidation(t *testing.T) {
 // chronologically ordered ring-buffer content.
 func TestWarmPushScoresAndSlides(t *testing.T) {
 	var windows [][][]float64
-	d, err := New(Config{Model: fakeModel{}, Refit: recordingRefit(&windows), Window: 3, RefitEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testStream(fakeModel{}, recordingRefit(&windows), 0, StreamOptions{Window: 3, RefitEvery: 2})
 	defer d.Close()
 	ctx := context.Background()
 	for i := 0; i < 7; i++ {
@@ -113,8 +119,8 @@ func TestWarmPushScoresAndSlides(t *testing.T) {
 			}
 		}
 	}
-	if d.Refits() != 3 || d.Seen() != 7 || d.WindowLen() != 3 {
-		t.Errorf("Refits=%d Seen=%d WindowLen=%d", d.Refits(), d.Seen(), d.WindowLen())
+	if d.Refits() != 3 || d.Seen() != 7 || len(d.buf) != 3 {
+		t.Errorf("Refits=%d Seen=%d WindowLen=%d", d.Refits(), d.Seen(), len(d.buf))
 	}
 	// Scores after the third refit carry its generation stamp.
 	res, err := d.PushAppend(ctx, row(0), nil)
@@ -130,10 +136,7 @@ func TestWarmPushScoresAndSlides(t *testing.T) {
 // flushes the whole first window with scores from the initial fit.
 func TestColdWarmupFlush(t *testing.T) {
 	var windows [][][]float64
-	d, err := New(Config{Refit: recordingRefit(&windows), Window: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testStream(nil, recordingRefit(&windows), 0, StreamOptions{Window: 3})
 	defer d.Close()
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
@@ -167,10 +170,7 @@ func TestColdWarmupFlush(t *testing.T) {
 }
 
 func TestPushValidation(t *testing.T) {
-	d, err := New(Config{Model: fakeModel{}, Window: 3, Dims: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testStream(fakeModel{}, nil, 2, StreamOptions{Window: 3})
 	defer d.Close()
 	ctx := context.Background()
 	if _, err := d.PushAppend(ctx, nil, nil); err == nil || !strings.Contains(err.Error(), "empty") {
@@ -200,10 +200,7 @@ func TestPushValidation(t *testing.T) {
 // buffer must hold copies.
 func TestRowCopied(t *testing.T) {
 	var windows [][][]float64
-	d, err := New(Config{Model: fakeModel{}, Refit: recordingRefit(&windows), Window: 2, RefitEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testStream(fakeModel{}, recordingRefit(&windows), 0, StreamOptions{Window: 2, RefitEvery: 2})
 	defer d.Close()
 	buf := []float64{1, 1}
 	for i := 0; i < 2; i++ {
@@ -224,14 +221,11 @@ func TestRowCopied(t *testing.T) {
 // surface ctx.Err() from PushAppend, and pushing on with a fresh context
 // recovers.
 func TestSyncRefitCancellation(t *testing.T) {
-	blockRefit := func(ctx context.Context, _ [][]float64) (Model, error) {
+	blockRefit := func(ctx context.Context, _ [][]float64) (streamModel, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	d, err := New(Config{Model: fakeModel{}, Refit: blockRefit, Window: 2, RefitEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testStream(fakeModel{}, blockRefit, 0, StreamOptions{Window: 2, RefitEvery: 2})
 	defer d.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -252,16 +246,13 @@ func TestSyncRefitCancellation(t *testing.T) {
 // working, and the next trigger with a healthy context succeeds.
 func TestSyncRefitRecovers(t *testing.T) {
 	fail := true
-	refit := func(ctx context.Context, _ [][]float64) (Model, error) {
+	refit := func(ctx context.Context, _ [][]float64) (streamModel, error) {
 		if fail {
 			return nil, context.DeadlineExceeded
 		}
 		return fakeModel{gen: 1000}, nil
 	}
-	d, err := New(Config{Model: fakeModel{}, Refit: refit, Window: 2, RefitEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testStream(fakeModel{}, refit, 0, StreamOptions{Window: 2, RefitEvery: 2})
 	defer d.Close()
 	ctx := context.Background()
 	if _, err := d.PushAppend(ctx, row(0), nil); err != nil {
@@ -288,7 +279,7 @@ func TestSyncRefitRecovers(t *testing.T) {
 func TestAsyncRefitKeepsScoring(t *testing.T) {
 	release := make(chan struct{})
 	var refitCalls atomic.Int64
-	refit := func(ctx context.Context, _ [][]float64) (Model, error) {
+	refit := func(ctx context.Context, _ [][]float64) (streamModel, error) {
 		refitCalls.Add(1)
 		select {
 		case <-release:
@@ -297,10 +288,7 @@ func TestAsyncRefitKeepsScoring(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	d, err := New(Config{Model: fakeModel{}, Refit: refit, Window: 2, RefitEvery: 2, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testStream(fakeModel{}, refit, 0, StreamOptions{Window: 2, RefitEvery: 2, Async: true})
 	defer d.Close()
 	ctx := context.Background()
 	// Arrival 1 fills the window and triggers the (blocked) async refit;
@@ -340,11 +328,8 @@ func TestAsyncRefitKeepsScoring(t *testing.T) {
 // PushAppend and on Close.
 func TestAsyncRefitErrorPoisons(t *testing.T) {
 	boom := errors.New("refit exploded")
-	refit := func(context.Context, [][]float64) (Model, error) { return nil, boom }
-	d, err := New(Config{Model: fakeModel{}, Refit: refit, Window: 2, RefitEvery: 2, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	refit := func(context.Context, [][]float64) (streamModel, error) { return nil, boom }
+	d := testStream(fakeModel{}, refit, 0, StreamOptions{Window: 2, RefitEvery: 2, Async: true})
 	ctx := context.Background()
 	if _, err := d.PushAppend(ctx, row(0), nil); err != nil {
 		t.Fatal(err)
@@ -368,14 +353,11 @@ func TestAsyncRefitErrorPoisons(t *testing.T) {
 // outlives the detector.
 func TestCloseAbortsInflightRefit(t *testing.T) {
 	before := runtime.NumGoroutine()
-	refit := func(ctx context.Context, _ [][]float64) (Model, error) {
+	refit := func(ctx context.Context, _ [][]float64) (streamModel, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	d, err := New(Config{Model: fakeModel{}, Refit: refit, Window: 2, RefitEvery: 2, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testStream(fakeModel{}, refit, 0, StreamOptions{Window: 2, RefitEvery: 2, Async: true})
 	ctx := context.Background()
 	if _, err := d.PushAppend(ctx, row(0), nil); err != nil {
 		t.Fatal(err)
@@ -417,10 +399,7 @@ func TestAsyncDrainedMatchesSync(t *testing.T) {
 	}
 	run := func(async bool) []float64 {
 		var windows [][][]float64
-		d, err := New(Config{Model: fakeModel{}, Refit: recordingRefit(&windows), Window: 4, RefitEvery: 3, Async: async})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := testStream(fakeModel{}, recordingRefit(&windows), 0, StreamOptions{Window: 4, RefitEvery: 3, Async: async})
 		defer d.Close()
 		var scores []float64
 		for _, r := range input {
@@ -450,13 +429,10 @@ func TestAsyncDrainedMatchesSync(t *testing.T) {
 	}
 }
 
-// TestDimsInferredFromFirstRow: without Config.Dims the first arrival
-// fixes the width.
+// TestDimsInferredFromFirstRow: without a fixed width (a cold stream has
+// none) the first arrival fixes it.
 func TestDimsInferredFromFirstRow(t *testing.T) {
-	d, err := New(Config{Model: fakeModel{}, Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testStream(fakeModel{}, nil, 0, StreamOptions{Window: 2})
 	defer d.Close()
 	if _, err := d.PushAppend(context.Background(), []float64{1, 2, 3}, nil); err != nil {
 		t.Fatal(err)
@@ -467,10 +443,7 @@ func TestDimsInferredFromFirstRow(t *testing.T) {
 }
 
 func TestZeroRowStream(t *testing.T) {
-	d, err := New(Config{Model: fakeModel{}, Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := testStream(fakeModel{}, nil, 0, StreamOptions{Window: 2})
 	if err := d.Drain(context.Background()); err != nil {
 		t.Errorf("Drain on idle detector: %v", err)
 	}
@@ -479,9 +452,10 @@ func TestZeroRowStream(t *testing.T) {
 	}
 }
 
-// ExampleDetector demonstrates the warm-start flow.
-func ExampleDetector() {
-	d, _ := New(Config{Model: fakeModel{}, Window: 4})
+// ExampleStream_PushAppend demonstrates the warm-start flow: a stream
+// built on a fitted model scores each arrival as soon as it is pushed.
+func ExampleStream_PushAppend() {
+	d := testStream(fakeModel{}, nil, 0, StreamOptions{Window: 4})
 	defer d.Close()
 	res, _ := d.PushAppend(context.Background(), []float64{1, 2}, nil)
 	fmt.Println(res[0].Index, res[0].Score)
