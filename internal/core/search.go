@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"hics/internal/dataset"
 	"hics/internal/parallel"
@@ -64,13 +65,16 @@ func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*SearchR
 
 	result := &SearchResult{}
 	var pool []subspace.Scored
+	// One Scratch per worker serves every level; a worker makes its own
+	// on its first candidate.
+	scratches := make([]*Scratch, parallel.WorkerCount(p.Workers, math.MaxInt))
 
 	candidates := subspace.AllPairs(ds.D())
 	for len(candidates) > 0 {
 		lctx, lspan := trace.StartSpan(ctx, "search.contrast_level")
 		lspan.SetAttr("dim", candidates[0].Dim())
 		lspan.SetAttr("candidates", len(candidates))
-		scored, err := scoreAll(lctx, eval, base, candidates, p.Workers)
+		scored, err := scoreAll(lctx, eval, base, candidates, scratches)
 		if err != nil {
 			lspan.SetError(err)
 			lspan.End()
@@ -113,13 +117,12 @@ func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*SearchR
 // scoreAll evaluates the contrast of every candidate on the shared
 // parallel fan-out, one candidate per work item (contrast costs vary
 // widely with subspace dimensionality, so fine-grained claiming keeps the
-// workers balanced). Each worker lazily allocates one Scratch and reuses
-// it across its candidates.
-func scoreAll(ctx context.Context, eval *Evaluator, base *rng.RNG, candidates []subspace.Subspace, workers int) ([]subspace.Scored, error) {
+// workers balanced), on at most len(scratches) workers. Worker w uses
+// scratches[w], allocating it if it is nil, and leaves it there for the
+// next level.
+func scoreAll(ctx context.Context, eval *Evaluator, base *rng.RNG, candidates []subspace.Subspace, scratches []*Scratch) ([]subspace.Scored, error) {
 	scored := make([]subspace.Scored, len(candidates))
-	workers = parallel.WorkerCount(workers, len(candidates))
-	scratches := make([]*Scratch, workers)
-	err := parallel.ForEach(ctx, len(candidates), workers, 1, func(w, i int) error {
+	err := parallel.ForEach(ctx, len(candidates), len(scratches), 1, func(w, i int) error {
 		sc := scratches[w]
 		if sc == nil {
 			sc = eval.NewScratch()

@@ -18,7 +18,8 @@
 // an out-of-sample point against that state without refitting,
 // following the standard generalization of LOF to query points (the
 // query participates only in its own neighborhood, never in the
-// training statistics).
+// training statistics). FitInto and FitKNNInto write the training scores
+// into a caller's buffer instead, so a fit over many subspaces reuses one.
 package lof
 
 import (
@@ -102,16 +103,29 @@ var hoods = sync.Pool{New: func() any { return new(neighbors.Neighborhoods) }}
 // pass observes ctx between query chunks; the linear follow-up passes
 // run to completion.
 func FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind, workers int) (*Fitted, []float64, error) {
+	scores := make([]float64, ds.N())
+	f, err := FitInto(ctx, ds, dims, minPts, kind, workers, scores)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, scores, nil
+}
+
+// FitInto is FitContext writing the training LOF scores into scores,
+// which must hold one value per object. The fitted state does not keep
+// the buffer, so a caller fitting subspace after subspace folds each
+// subspace's scores and refills the same buffer with the next.
+func FitInto(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind, workers int, scores []float64) (*Fitted, error) {
 	if minPts < 1 {
 		minPts = DefaultMinPts
 	}
-	n := ds.N()
-	if n < 2 {
-		return nil, nil, fmt.Errorf("lof: need at least 2 objects, have %d", n)
+	n, err := checkFit(ds, scores)
+	if err != nil {
+		return nil, err
 	}
 	idx, err := buildIndex(ctx, ds, dims, kind, workers)
 	if err != nil {
-		return nil, nil, fmt.Errorf("lof: %w", err)
+		return nil, fmt.Errorf("lof: %w", err)
 	}
 
 	// Pass 1: materialize neighborhoods and k-distances (batched,
@@ -121,7 +135,7 @@ func FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int
 	defer hoods.Put(h)
 	kdist := make([]float64, n)
 	if err := h.Fill(ctx, idx, minPts, workers, kdist); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	neighborhoods := h.Rows
 
@@ -144,7 +158,6 @@ func FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int
 	}
 
 	// Pass 3: LOF = mean ratio of neighbor lrd to own lrd.
-	scores := make([]float64, n)
 	for i := 0; i < n; i++ {
 		if len(neighborhoods[i]) == 0 {
 			scores[i] = 1
@@ -160,7 +173,20 @@ func FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int
 		}
 		scores[i] = sum / float64(len(neighborhoods[i]))
 	}
-	return newFitted(idx, minPts, kdist, lrd), scores, nil
+	return newFitted(idx, minPts, kdist, lrd), nil
+}
+
+// checkFit validates the shared preconditions of FitInto and FitKNNInto
+// and returns the object count.
+func checkFit(ds *dataset.Dataset, scores []float64) (int, error) {
+	n := ds.N()
+	if n < 2 {
+		return 0, fmt.Errorf("lof: need at least 2 objects, have %d", n)
+	}
+	if len(scores) != n {
+		return 0, fmt.Errorf("lof: score buffer holds %d values for %d objects", len(scores), n)
+	}
+	return n, nil
 }
 
 // NewFitted reassembles a Fitted from persisted state: the (rebuilt)
@@ -281,22 +307,32 @@ type FittedKNN struct {
 // cancellation and a bound on the batch-pass parallelism, mirroring
 // FitContext.
 func FitKNNContext(ctx context.Context, ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind, workers int) (*FittedKNN, []float64, error) {
+	scores := make([]float64, ds.N())
+	f, err := FitKNNInto(ctx, ds, dims, k, kind, workers, scores)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, scores, nil
+}
+
+// FitKNNInto is FitKNNContext writing the training scores into scores,
+// which must hold one value per object, as FitInto does for LOF.
+func FitKNNInto(ctx context.Context, ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind, workers int, scores []float64) (*FittedKNN, error) {
 	if k < 1 {
 		k = DefaultMinPts
 	}
-	n := ds.N()
-	if n < 2 {
-		return nil, nil, fmt.Errorf("lof: need at least 2 objects, have %d", n)
+	if _, err := checkFit(ds, scores); err != nil {
+		return nil, err
 	}
 	idx, err := buildIndex(ctx, ds, dims, kind, workers)
 	if err != nil {
-		return nil, nil, fmt.Errorf("lof: %w", err)
+		return nil, fmt.Errorf("lof: %w", err)
 	}
 	// The score needs one distance sum per object, so no neighborhood is
 	// kept: each is summed as it streams past, in ascending id order.
-	scores := make([]float64, n)
 	err = neighbors.ForEachKNN(ctx, idx, k, workers, func(q int, nb []neighbors.Neighbor, _ float64) {
 		if len(nb) == 0 {
+			scores[q] = 0
 			return
 		}
 		sum := 0.0
@@ -306,9 +342,9 @@ func FitKNNContext(ctx context.Context, ds *dataset.Dataset, dims []int, k int, 
 		scores[q] = sum / float64(len(nb))
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return newFittedKNN(idx, k), scores, nil
+	return newFittedKNN(idx, k), nil
 }
 
 // NewFittedKNN reassembles a FittedKNN from persisted state.

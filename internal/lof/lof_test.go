@@ -577,6 +577,48 @@ func TestFitRejectsTinyDatasetFirst(t *testing.T) {
 	}
 }
 
+// TestFitIntoBuffer: the buffer-filling fits reject a buffer of the wrong
+// length, and overwrite every value of a reused one: scores written over
+// NaNs equal a fresh fit's bit for bit.
+func TestFitIntoBuffer(t *testing.T) {
+	ctx := context.Background()
+	ds := clusterWithOutlier(12, 300)
+	if _, err := FitInto(ctx, ds, []int{0, 1}, 10, neighbors.KindKDTree, 0, make([]float64, ds.N()-1)); err == nil || !strings.Contains(err.Error(), "score buffer") {
+		t.Errorf("FitInto with a short buffer = %v, want the buffer error", err)
+	}
+	if _, err := FitKNNInto(ctx, ds, []int{0, 1}, 10, neighbors.KindKDTree, 0, make([]float64, ds.N()+1)); err == nil || !strings.Contains(err.Error(), "score buffer") {
+		t.Errorf("FitKNNInto with a long buffer = %v, want the buffer error", err)
+	}
+	dirty := func() []float64 {
+		buf := make([]float64, ds.N())
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+		return buf
+	}
+	_, want, err := FitContext(ctx, ds, []int{0, 1}, 10, neighbors.KindKDTree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := dirty()
+	if _, err := FitInto(ctx, ds, []int{0, 1}, 10, neighbors.KindKDTree, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	_, wantKNN, err := FitKNNContext(ctx, ds, []int{0, 1}, 10, neighbors.KindKDTree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotKNN := dirty()
+	if _, err := FitKNNInto(ctx, ds, []int{0, 1}, 10, neighbors.KindKDTree, 0, gotKNN); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(gotKNN[i]) != math.Float64bits(wantKNN[i]) {
+			t.Fatalf("object %d: FitInto %v, FitKNNInto %v; fresh fits %v, %v", i, got[i], gotKNN[i], want[i], wantKNN[i])
+		}
+	}
+}
+
 func TestNewFittedValidation(t *testing.T) {
 	ds := clusterWithOutlier(12, 20)
 	idx, err := neighbors.New(ds, []int{0, 1}, neighbors.KindBrute)

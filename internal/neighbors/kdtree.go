@@ -10,7 +10,8 @@ import (
 // KDTree is the space-partitioning backend: a median-split k-d tree stored
 // implicitly in a permutation of the object ids (the node of segment
 // [lo,hi) sits at its midpoint, children are the two half-segments), so
-// the tree's shape is one []int with zero per-node allocation. Segments of
+// the tree's shape is one []int32 with zero per-node allocation: four
+// bytes per object, which New's size check keeps sufficient. Segments of
 // at most leafSize ids are leaves, scanned linearly. Coordinates are read
 // from the shared dataset columns, never copied; only each internal
 // node's split value is kept a second time, in one heap-numbered array
@@ -29,7 +30,7 @@ import (
 type KDTree struct {
 	cols   [][]float64
 	n      int
-	ids    []int
+	ids    []int32
 	splits []float64 // split value of internal node i (root 1, children 2i and 2i+1)
 }
 
@@ -52,9 +53,9 @@ type segment struct{ lo, hi, depth int }
 // nthElement call reads and reorders only its own segment, so the
 // resulting permutation, and hence the tree, is the serial build's.
 func newKDTree(cols [][]float64, n, workers int) *KDTree {
-	ids := make([]int, n)
+	ids := make([]int32, n)
 	for i := range ids {
-		ids[i] = i
+		ids[i] = int32(i)
 	}
 	t := &KDTree{cols: cols, n: n, ids: ids}
 	workers = parallel.WorkerCount(workers, n)
@@ -205,13 +206,14 @@ func (t *KDTree) search(lo, hi, depth, node, exclude int, sc *Scratch) {
 // k-best buffer. The squared distance is accumulated in subspace column
 // order exactly like the brute backend and dist; the two- and
 // three-column loops spell that sum out (0 + x is x for x >= 0).
-func (t *KDTree) scan(ids []int, exclude int, sc *Scratch) {
+func (t *KDTree) scan(ids []int32, exclude int, sc *Scratch) {
 	kb, qv := &sc.knn, sc.qv
 	bound := kb.bound
 	switch len(t.cols) {
 	case 2:
 		c0, c1, q0, q1 := t.cols[0], t.cols[1], qv[0], qv[1]
-		for _, id := range ids {
+		for _, id32 := range ids {
+			id := int(id32)
 			d0, d1 := c0[id]-q0, c1[id]-q1
 			if d2 := float64(d0*d0) + float64(d1*d1); d2 <= bound && id != exclude {
 				kb.push(id, d2)
@@ -220,7 +222,8 @@ func (t *KDTree) scan(ids []int, exclude int, sc *Scratch) {
 		}
 	case 3:
 		c0, c1, c2, q0, q1, q2 := t.cols[0], t.cols[1], t.cols[2], qv[0], qv[1], qv[2]
-		for _, id := range ids {
+		for _, id32 := range ids {
+			id := int(id32)
 			d0, d1, e := c0[id]-q0, c1[id]-q1, c2[id]-q2
 			if d2 := float64(d0*d0) + float64(d1*d1) + float64(e*e); d2 <= bound && id != exclude {
 				kb.push(id, d2)
@@ -228,7 +231,8 @@ func (t *KDTree) scan(ids []int, exclude int, sc *Scratch) {
 			}
 		}
 	default:
-		for _, id := range ids {
+		for _, id32 := range ids {
+			id := int(id32)
 			if id == exclude {
 				continue
 			}
@@ -250,7 +254,7 @@ func (t *KDTree) scan(ids []int, exclude int, sc *Scratch) {
 // tie-break makes all keys distinct, keeping quickselect linear on
 // constant columns (where ids arrive pre-sorted and median-of-three
 // pivoting behaves).
-func nthElement(ids []int, lo, hi, k int, col []float64) {
+func nthElement(ids []int32, lo, hi, k int, col []float64) {
 	hi--
 	for lo < hi {
 		p := partitionIDs(ids, lo, hi, col)
@@ -266,14 +270,14 @@ func nthElement(ids []int, lo, hi, k int, col []float64) {
 }
 
 // idLess orders object ids by column value, ties by id.
-func idLess(col []float64, a, b int) bool {
+func idLess(col []float64, a, b int32) bool {
 	if col[a] != col[b] {
 		return col[a] < col[b]
 	}
 	return a < b
 }
 
-func partitionIDs(ids []int, lo, hi int, col []float64) int {
+func partitionIDs(ids []int32, lo, hi int, col []float64) int {
 	mid := lo + (hi-lo)/2
 	// Median-of-three: order ids[lo], ids[mid], ids[hi].
 	if idLess(col, ids[mid], ids[lo]) {
@@ -287,13 +291,19 @@ func partitionIDs(ids []int, lo, hi int, col []float64) int {
 	}
 	pivot := ids[mid]
 	ids[mid], ids[hi-1] = ids[hi-1], ids[mid]
-	i := lo
-	for j := lo; j < hi-1; j++ {
-		if idLess(col, ids[j], pivot) {
-			ids[i], ids[j] = ids[j], ids[i]
+	// The scan is idLess against the pivot with its value loaded once,
+	// over a subslice the compiler can range without bounds checks.
+	pv := col[pivot]
+	seg := ids[lo : hi-1]
+	i := 0
+	for j, id := range seg {
+		if v := col[id]; v < pv || (v == pv && id < pivot) {
+			seg[j] = seg[i]
+			seg[i] = id
 			i++
 		}
 	}
+	i += lo
 	ids[i], ids[hi-1] = ids[hi-1], ids[i]
 	return i
 }

@@ -6,9 +6,9 @@
 // interface with two interchangeable backends:
 //
 //   - Brute: the O(N·|S|) linear scan, streaming every distance through
-//     the same k-best buffer as the tree — optimal for small N and for
-//     high-dimensional subspaces, where space partitioning degenerates to
-//     a linear scan anyway.
+//     the same k-best buffer as the tree — optimal below AutoMinN = 64
+//     objects and on subspaces of more than AutoMaxDim = 10 dimensions,
+//     where space partitioning degenerates to a linear scan anyway.
 //   - KDTree: a median-split k-d tree with bucketed leaves — sub-linear
 //     queries in the low-dimensional subspaces the HiCS search actually
 //     selects, turning the O(N²) ranking hot path into O(N log N) in
@@ -36,10 +36,11 @@
 // consumer: all neighborhoods in one n·k slab, reusable across fits, and
 // KNNAllContext is Fill into fresh storage.
 //
-// KindAuto picks the backend per (N, |S|) — callers that do not care get
-// the fast path automatically, and callers that must preserve the paper's
-// quadratic ranking-step complexity (the shape its runtime figures Fig. 5
-// and Fig. 6 are calibrated against) can pin KindBrute. Note that batch
+// KindAuto picks the backend per (N, |S|), with thresholds measured by
+// BenchmarkAutoCrossover — callers that do not care get the fast path
+// automatically, and callers that must preserve the paper's quadratic
+// ranking-step complexity (the shape its runtime figures Fig. 5 and
+// Fig. 6 are calibrated against) can pin KindBrute. Note that batch
 // queries (ForEachKNN, KNNAllContext) are parallelized across CPUs on
 // every backend, so absolute wall-clock scales with the core count either
 // way.
@@ -47,6 +48,7 @@ package neighbors
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -99,11 +101,14 @@ func ParseKind(s string) (Kind, error) {
 	return KindAuto, fmt.Errorf("neighbors: unknown index kind %q (want auto, kdtree or brute)", s)
 }
 
-// Auto-selection thresholds: below AutoMinN the scan's cache behaviour wins
-// outright, and above AutoMaxDim the tree visits nearly every node anyway
-// (curse of dimensionality).
+// Auto-selection thresholds: below AutoMinN the scan costs no more than
+// the tree, and above AutoMaxDim the tree visits nearly every node anyway
+// (curse of dimensionality). BenchmarkAutoCrossover sets AutoMinN: from
+// N = 64 the tree's build plus all-kNN pass and its point queries are
+// faster than the scan's on 2 and 4 dimensions and within about 7% on 8,
+// while at N = 32 the scan is as fast or faster.
 const (
-	AutoMinN   = 256
+	AutoMinN   = 64
 	AutoMaxDim = 10
 )
 
@@ -166,7 +171,8 @@ func newScratch(dims int) *Scratch {
 // New builds an index over the given subspace dimensions of ds. KindAuto
 // resolves to KindKDTree when the subspace has at most AutoMaxDim
 // dimensions and the dataset at least AutoMinN objects, else KindBrute.
-// A k-d tree is built with one worker per CPU.
+// A k-d tree is built with one worker per CPU. A dataset of more than
+// math.MaxInt32 objects fails with ErrTooManyObjects.
 func New(ds *dataset.Dataset, dims []int, kind Kind) (Index, error) {
 	return NewWorkers(ds, dims, kind, 0)
 }
@@ -175,11 +181,14 @@ func New(ds *dataset.Dataset, dims []int, kind Kind) (Index, error) {
 // (workers <= 0 means one per CPU, 1 builds on the calling goroutine).
 // The index is identical for every worker count.
 func NewWorkers(ds *dataset.Dataset, dims []int, kind Kind, workers int) (Index, error) {
+	n := ds.N()
+	if err := checkSize(n); err != nil {
+		return nil, err
+	}
 	cols, err := selectCols(ds, dims)
 	if err != nil {
 		return nil, err
 	}
-	n := ds.N()
 	if kind == KindAuto {
 		if len(dims) <= AutoMaxDim && n >= AutoMinN {
 			kind = KindKDTree
@@ -194,6 +203,19 @@ func NewWorkers(ds *dataset.Dataset, dims []int, kind Kind, workers int) (Index,
 		return newKDTree(cols, n, workers), nil
 	}
 	return nil, fmt.Errorf("neighbors: invalid index kind %d", kind)
+}
+
+// ErrTooManyObjects is returned by New for a dataset with more objects
+// than an int32 can number: the k-d tree stores its id permutation as
+// []int32.
+var ErrTooManyObjects = errors.New("neighbors: more objects than an int32 id can number")
+
+// checkSize is New's object-count check.
+func checkSize(n int) error {
+	if int64(n) > math.MaxInt32 {
+		return fmt.Errorf("%w: have %d, at most %d", ErrTooManyObjects, n, math.MaxInt32)
+	}
+	return nil
 }
 
 func selectCols(ds *dataset.Dataset, dims []int) ([][]float64, error) {
@@ -236,7 +258,7 @@ func dist(cols [][]float64, i, j int) float64 {
 // order never changes an answer: each query is independent.
 func ForEachKNN(ctx context.Context, ix Index, k, workers int, fn func(q int, nb []Neighbor, kdist float64)) error {
 	n := ix.N()
-	var order []int
+	var order []int32
 	if t, ok := ix.(*KDTree); ok {
 		order = t.ids
 	}
@@ -258,7 +280,7 @@ func ForEachKNN(ctx context.Context, ix Index, k, workers int, fn func(q int, nb
 		}
 		q := i
 		if order != nil {
-			q = order[i]
+			q = int(order[i])
 		}
 		nb, kd := ix.KNN(q, k, st.sc, st.buf)
 		fn(q, nb, kd)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -78,6 +79,22 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(ds, []int{9}, kind); err == nil {
 			t.Errorf("%v: out-of-range dim should fail", kind)
 		}
+	}
+}
+
+// TestCheckSize: New refuses a dataset whose object ids overflow the
+// k-d tree's int32 permutation. The check runs before any column is read,
+// so it is tested on the count alone.
+func TestCheckSize(t *testing.T) {
+	n := math.MaxInt32
+	if err := checkSize(n); err != nil {
+		t.Errorf("checkSize(MaxInt32) = %v, want nil", err)
+	}
+	if strconv.IntSize == 32 {
+		t.Skip("an int cannot count past MaxInt32")
+	}
+	if err := checkSize(n + 1); !errors.Is(err, ErrTooManyObjects) {
+		t.Errorf("checkSize(MaxInt32+1) = %v, want ErrTooManyObjects", err)
 	}
 }
 
@@ -491,9 +508,9 @@ func TestForEachKNNLeafOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var order []int
+	var order []int32
 	if err := ForEachKNN(context.Background(), ix, 5, 1, func(q int, _ []Neighbor, _ float64) {
-		order = append(order, q)
+		order = append(order, int32(q))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -848,12 +865,12 @@ func TestNthElement(t *testing.T) {
 		for i := range col {
 			col[i] = math.Floor(r.Float64() * 3) // constant-ish columns
 		}
-		ids := make([]int, n)
+		ids := make([]int32, n)
 		for i := range ids {
-			ids[i] = i
+			ids[i] = int32(i)
 		}
 		k := r.Intn(n)
-		want := append([]int(nil), ids...)
+		want := append([]int32(nil), ids...)
 		sort.Slice(want, func(a, b int) bool { return idLess(col, want[a], want[b]) })
 		nthElement(ids, 0, n, k, col)
 		if ids[k] != want[k] {
@@ -984,4 +1001,52 @@ func BenchmarkKNNLargeK(b *testing.B) {
 			nb, _ = ix.KNNPoint([]float64{0, 0}, 1000, sc, nb)
 		}
 	})
+}
+
+// BenchmarkAutoCrossover times both backends at the sizes around
+// AutoMinN, on one worker at k = 10: "fit" is a build plus the all-kNN
+// pass a fit runs on each subspace, "point" one out-of-sample query, as
+// a served row makes on each subspace. AutoMinN is the smallest of these
+// N at which the tree wins both on 2 and 4 dimensions (docs/methods.md
+// lists the medians).
+func BenchmarkAutoCrossover(b *testing.B) {
+	for _, n := range []int{32, 64, 128, 256} {
+		for _, d := range []int{2, 4, 8} {
+			ds := randomDataset(1, n, d, 0)
+			dims := allDims(d)
+			r := rng.New(2)
+			points := make([][]float64, 64)
+			for i := range points {
+				points[i] = make([]float64, d)
+				for j := range points[i] {
+					points[i][j] = r.Float64()
+				}
+			}
+			for _, kind := range []Kind{KindBrute, KindKDTree} {
+				name := fmt.Sprintf("n=%d/d=%d/%v", n, d, kind)
+				b.Run(name+"/fit", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						ix, err := NewWorkers(ds, dims, kind, 1)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if err := ForEachKNN(context.Background(), ix, 10, 1, func(int, []Neighbor, float64) {}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				ix, err := New(ds, dims, kind)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Run(name+"/point", func(b *testing.B) {
+					sc := ix.NewScratch()
+					var nb []Neighbor
+					for i := 0; i < b.N; i++ {
+						nb, _ = ix.KNNPoint(points[i%len(points)], 10, sc, nb)
+					}
+				})
+			}
+		}
+	}
 }

@@ -101,12 +101,13 @@ type FittedScorer interface {
 // FitScorer is implemented by scorers that support the fit/score split.
 type FitScorer interface {
 	Scorer
-	// Fit freezes the scorer's state on one subspace and returns the
-	// training objects' batch scores (bit-for-bit what Score returns).
-	// ctx and workers act as in Score. The scores are not retained by the
-	// fitted state — the caller folds them into its aggregate and drops
-	// them.
-	Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) (FittedScorer, []float64, error)
+	// Fit freezes the scorer's state on one subspace and writes the
+	// training objects' batch scores (bit-for-bit what Score returns) into
+	// scores, which holds one value per object. ctx and workers act as in
+	// Score. The fitted state does not retain scores: Pipeline.Fit folds
+	// them into its aggregate and refills the same buffer for the next
+	// subspace.
+	Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) (FittedScorer, error)
 }
 
 // FittedLOFScorer is the fitted form of LOFScorer. The exported fields
@@ -127,12 +128,12 @@ func (f *FittedLOFScorer) ScorePoint(full []float64) float64 {
 }
 
 // Fit implements FitScorer.
-func (s LOFScorer) Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) (FittedScorer, []float64, error) {
-	st, scores, err := lof.FitContext(ctx, ds, dims, s.MinPts, s.Index, workers)
+func (s LOFScorer) Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) (FittedScorer, error) {
+	st, err := lof.FitInto(ctx, ds, dims, s.MinPts, s.Index, workers, scores)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &FittedLOFScorer{Subspace: append([]int(nil), dims...), State: st}, scores, nil
+	return &FittedLOFScorer{Subspace: append([]int(nil), dims...), State: st}, nil
 }
 
 // FittedKNNScorer is the fitted form of KNNScorer.
@@ -152,12 +153,12 @@ func (f *FittedKNNScorer) ScorePoint(full []float64) float64 {
 }
 
 // Fit implements FitScorer.
-func (s KNNScorer) Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) (FittedScorer, []float64, error) {
-	st, scores, err := lof.FitKNNContext(ctx, ds, dims, s.K, s.Index, workers)
+func (s KNNScorer) Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) (FittedScorer, error) {
+	st, err := lof.FitKNNInto(ctx, ds, dims, s.K, s.Index, workers, scores)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &FittedKNNScorer{Subspace: append([]int(nil), dims...), State: st}, scores, nil
+	return &FittedKNNScorer{Subspace: append([]int(nil), dims...), State: st}, nil
 }
 
 var (
@@ -421,8 +422,11 @@ type FittedPipeline struct {
 // state. The pipeline's scorer must implement FitScorer. The returned
 // training scores equal Rank's scores exactly: the per-subspace batch
 // scores come from the same fitting passes and the aggregation applies the
-// identical operation sequence. Like Rank, ctx is observed throughout the
-// subspace search and between per-subspace fitting passes.
+// identical operation sequence. Each subspace's scores are written into
+// one buffer, folded, and overwritten by the next subspace's, so a fit
+// allocates beyond the kept model state only that buffer and the
+// aggregate. Like Rank, ctx is observed throughout the subspace search and
+// between per-subspace fitting passes.
 func (p Pipeline) Fit(ctx context.Context, ds *dataset.Dataset) (*FittedPipeline, error) {
 	subspaces, err := p.resolve(ctx, ds)
 	if err != nil {
@@ -434,6 +438,7 @@ func (p Pipeline) Fit(ctx context.Context, ds *dataset.Dataset) (*FittedPipeline
 	}
 	fitted := make([]FittedScorer, len(subspaces))
 	acc := newAccumulator(p.Agg, ds.N())
+	scores := make([]float64, ds.N())
 	// The fitting pass mirrors Rank's scoring span; per-subspace
 	// neighbor-index builds nest underneath.
 	fctx, span := trace.StartSpan(ctx, "ranking.fit")
@@ -445,7 +450,7 @@ func (p Pipeline) Fit(ctx context.Context, ds *dataset.Dataset) (*FittedPipeline
 			span.SetError(err)
 			return nil, err
 		}
-		f, scores, err := fs.Fit(fctx, ds, sc.S, p.Workers)
+		f, err := fs.Fit(fctx, ds, sc.S, p.Workers, scores)
 		if err != nil {
 			span.SetError(err)
 			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {

@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"hics/internal/core"
 	"hics/internal/dataset"
 	"hics/internal/eval"
 	"hics/internal/neighbors"
+	"hics/internal/race"
 	"hics/internal/randsub"
+	"hics/internal/rng"
 	"hics/internal/subspace"
 	"hics/internal/synth"
 )
@@ -386,6 +390,67 @@ func TestPipelineIndexOverride(t *testing.T) {
 		}
 		if got := fp.Scorers[0].(*FittedLOFScorer).State.Kind(); got != kind {
 			t.Errorf("fit pinned to %v ran on %v", kind, got)
+		}
+	}
+}
+
+// fixedSearcher selects the same subspaces on every search.
+type fixedSearcher []subspace.Scored
+
+func (f fixedSearcher) Search(context.Context, *dataset.Dataset) ([]subspace.Scored, error) {
+	return f, nil
+}
+func (fixedSearcher) Name() string { return "fixed" }
+
+// TestFitAllocatesKeptStateOnly pins what each subspace adds to a fit's
+// allocations: the state the model keeps, but no N-sized slice of
+// training scores, since every subspace writes its scores into the one
+// buffer Fit owns. On a brute index the kept state is the LOF
+// k-distances and lrds (16 bytes per object), and nothing N-sized for
+// the kNN score. The slack is two bytes per object, a quarter of a score
+// slice. One worker at GOMAXPROCS 1 with the collector off, so the LOF
+// neighborhood pool keeps its slab between subspaces.
+func TestFitAllocatesKeptStateOnly(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items under -race; the pin runs in non-race builds")
+	}
+	const n = 3000
+	r := rng.New(5)
+	cols := [][]float64{make([]float64, n), make([]float64, n)}
+	for i := 0; i < n; i++ {
+		cols[0][i], cols[1][i] = r.Float64(), r.Float64()
+	}
+	ds := dataset.MustNew(nil, cols)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		scorer Scorer
+		kept   int // bytes per object the fitted state keeps per subspace
+	}{
+		{KNNScorer{K: 10, Index: neighbors.KindBrute}, 0},
+		{LOFScorer{MinPts: 10, Index: neighbors.KindBrute}, 16},
+	} {
+		fitBytes := func(subspaces int) uint64 {
+			sel := make(fixedSearcher, subspaces)
+			for i := range sel {
+				sel[i] = subspace.Scored{S: subspace.New(0, 1)}
+			}
+			p := Pipeline{Searcher: sel, Scorer: c.scorer, Workers: 1}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := p.Fit(context.Background(), ds); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		fitBytes(1) // fills the neighborhood pool
+		one, nine := fitBytes(1), fitBytes(9)
+		perSubspace := float64(nine-one) / 8
+		t.Logf("%s: %d bytes for one subspace, %.0f per further one", c.scorer.Name(), one, perSubspace)
+		if limit := float64((c.kept + 2) * n); perSubspace > limit {
+			t.Errorf("%s: each further subspace allocates %.0f bytes, want at most %.0f (kept state plus %d bytes)",
+				c.scorer.Name(), perSubspace, limit, 2*n)
 		}
 	}
 }

@@ -931,12 +931,14 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	defer st.Close()
-	ctx, cancel := s.cfg.requestContext(r)
-	defer cancel()
+	// Deferred calls run last first: the session stays counted until
+	// Close has joined a refit goroutine that outlives it.
 	model := h.Name()
 	mActiveStreams.With(model).Add(1)
 	defer mActiveStreams.With(model).Add(-1)
+	defer st.Close()
+	ctx, cancel := s.cfg.requestContext(r)
+	defer cancel()
 	defer func() {
 		log.Debug("stream session closed", "model", model, "rows", st.Seen(), "refits", st.Refits(),
 			"window", sopts.Window, "refit_every", sopts.RefitEvery, "async", sopts.Async)

@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -399,6 +402,100 @@ func TestStreamEndpointClientDisconnect(t *testing.T) {
 	}
 	if n := mActiveStreams.Total(); n > baseline {
 		t.Errorf("active_streams = %v after disconnect, want %v", n, baseline)
+	}
+}
+
+// holdRefitHandler is a slog handler that holds the first "stream refit
+// complete" record until release is closed. Stream.refit logs it on the
+// refit goroutine after the fit, so holding it keeps the goroutine alive.
+type holdRefitHandler struct {
+	held, release chan struct{}
+	once          *sync.Once
+}
+
+func (h holdRefitHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h holdRefitHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "stream refit complete" {
+		h.once.Do(func() {
+			close(h.held)
+			<-h.release
+		})
+	}
+	return nil
+}
+
+func (h holdRefitHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h holdRefitHandler) WithGroup(string) slog.Handler      { return h }
+
+// TestStreamGaugesWaitForRefit: when a client drops a session whose async
+// refit is still running, hicsd_streams_active keeps the session and
+// hics_stream_detectors_active its detector until the refit has ended and
+// Close has joined it; then both return to their baselines.
+func TestStreamGaugesWaitForRefit(t *testing.T) {
+	h := holdRefitHandler{held: make(chan struct{}), release: make(chan struct{}), once: new(sync.Once)}
+	released := false
+	defer func() {
+		if !released {
+			close(h.release)
+		}
+	}()
+	srv := httptest.NewServer(New(Config{Model: fitModel(t), Logger: slog.New(h)}))
+	defer srv.Close()
+
+	streams0 := mActiveStreams.Total()
+	detectors0 := scrapeMetrics(t, srv)["hics_stream_detectors_active"]
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/stream?window=20&refit_every=20&async=1", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	r := rng.New(7)
+	for i := 0; i < 20; i++ {
+		if _, err := fmt.Fprintf(pw, "[%v,%v,%v,%v]\n", r.Float64(), r.Float64(), r.Float64(), r.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-h.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the session's async refit never completed its fit")
+	}
+	// Drop the client while the refit goroutine is held: the handler
+	// returns and its deferred Close waits on the refit.
+	cancel()
+	pw.CloseWithError(context.Canceled)
+	<-ended
+	time.Sleep(100 * time.Millisecond)
+	if n := mActiveStreams.Total(); n != streams0+1 {
+		t.Errorf("hicsd_streams_active = %v while the refit runs, want %v", n, streams0+1)
+	}
+	if n := scrapeMetrics(t, srv)["hics_stream_detectors_active"]; n != detectors0+1 {
+		t.Errorf("hics_stream_detectors_active = %v while the refit runs, want %v", n, detectors0+1)
+	}
+	close(h.release)
+	released = true
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		streams, detectors := mActiveStreams.Total(), scrapeMetrics(t, srv)["hics_stream_detectors_active"]
+		if streams == streams0 && detectors == detectors0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after the refit: hicsd_streams_active = %v (want %v), hics_stream_detectors_active = %v (want %v)",
+				streams, streams0, detectors, detectors0)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -508,9 +508,10 @@ func (s *Stream) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	mDetectorsActive.Add(-1)
 	s.cancel()
 	s.wg.Wait()
+	// The detector counts as active until its refit goroutine is joined.
+	mDetectorsActive.Add(-1)
 	s.mu.Lock()
 	sticky := s.err
 	s.mu.Unlock()

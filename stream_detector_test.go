@@ -390,6 +390,45 @@ func TestCloseAbortsInflightRefit(t *testing.T) {
 	}
 }
 
+// TestCloseCountsDetectorUntilRefitJoined: a refit that ignores the
+// cancellation keeps Close waiting, and hics_stream_detectors_active
+// keeps counting the detector until the refit has ended and Close joined
+// it.
+func TestCloseCountsDetectorUntilRefitJoined(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	refit := func(context.Context, [][]float64) (streamModel, error) {
+		close(started)
+		<-release
+		return fakeModel{}, nil
+	}
+	d := testStream(fakeModel{}, refit, 0, StreamOptions{Window: 2, RefitEvery: 2, Async: true})
+	active := mDetectorsActive.Value()
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		if _, err := d.PushAppend(ctx, row(float64(i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-started
+	done := make(chan error, 1)
+	go func() { done <- d.Close() }()
+	select {
+	case err := <-done:
+		t.Fatalf("Close returned %v while its refit was still running", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := mDetectorsActive.Value(); got != active {
+		t.Errorf("hics_stream_detectors_active = %v while the refit runs, want %v", got, active)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("Close = %v, want nil", err)
+	}
+	if got := mDetectorsActive.Value(); got != active-1 {
+		t.Errorf("hics_stream_detectors_active = %v after Close, want %v", got, active-1)
+	}
+}
+
 // TestAsyncDrainedMatchesSync: draining after every push makes the async
 // score sequence bit-identical to the synchronous one.
 func TestAsyncDrainedMatchesSync(t *testing.T) {
