@@ -132,7 +132,7 @@ func benchLOF(b *testing.B, kind neighbors.Kind) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := lof.ScoresContext(context.Background(), ds, dims, 10, kind, 0); err != nil {
+					if _, _, err := lof.FitContext(context.Background(), ds, dims, 10, kind, 0); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -485,7 +485,8 @@ func LOFScores(rows [][]float64, minPts int) ([]float64, error) {
 	if minPts <= 0 {
 		minPts = lof.DefaultMinPts
 	}
-	return lof.ScoresContext(context.Background(), ds, subspace.Full(ds.D()), minPts, neighbors.KindAuto, 0)
+	_, scores, err := lof.FitContext(context.Background(), ds, subspace.Full(ds.D()), minPts, neighbors.KindAuto, 0)
+	return scores, err
 }
 
 // SearcherNames lists the subspace-search method names Options.Search

@@ -205,56 +205,31 @@ func paramSweepData(cfg Config, reps int) ([]*dataset.Labeled, error) {
 // Fig7 reproduces "Dependence on the number of statistical tests (M)" for
 // both statistical instantiations HiCS_WT and HiCS_KS.
 func Fig7(ctx context.Context, w io.Writer, cfg Config) error {
-	sz := cfg.sizing()
-	ms, reps := sz.fig7Ms, sz.paramReps
-	data, err := paramSweepData(cfg, reps)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "# Fig 7 — AUC [%] vs number of statistical tests M")
-	fmt.Fprintf(w, "%-10s", "variant")
-	for _, m := range ms {
-		fmt.Fprintf(w, " %8s", fmt.Sprintf("M=%d", m))
-	}
-	fmt.Fprintln(w)
-	for _, tt := range []core.Test{core.WelchT, core.KolmogorovSmirnov} {
-		name := "HiCS_WT"
-		if tt == core.KolmogorovSmirnov {
-			name = "HiCS_KS"
-		}
-		fmt.Fprintf(w, "%-10s", name)
-		for _, m := range ms {
-			var aucs []float64
-			for _, l := range data {
-				p := hicsParams(cfg.Seed)
-				p.M = m
-				p.Test = tt
-				auc, _, err := rankAUC(ctx, cfg.hicsVariant(p), l)
-				if err != nil {
-					return err
-				}
-				aucs = append(aucs, auc)
-			}
-			mean, _ := eval.MeanStd(aucs)
-			fmt.Fprintf(w, " %8.1f", 100*mean)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+	return paramSweep(ctx, w, cfg, "# Fig 7 — AUC [%] vs number of statistical tests M", cfg.sizing().fig7Ms,
+		func(m int) string { return fmt.Sprintf("M=%d", m) },
+		func(p *core.Params, m int) { p.M = m })
 }
 
 // Fig8 reproduces "Dependence on the size of the test statistic (α)".
 func Fig8(ctx context.Context, w io.Writer, cfg Config) error {
-	sz := cfg.sizing()
-	alphas, reps := sz.fig8Alphas, sz.paramReps
-	data, err := paramSweepData(cfg, reps)
+	return paramSweep(ctx, w, cfg, "# Fig 8 — AUC [%] vs test statistic size alpha", cfg.sizing().fig8Alphas,
+		func(a float64) string { return fmt.Sprintf("a=%.2f", a) },
+		func(p *core.Params, a float64) { p.Alpha = a })
+}
+
+// paramSweep prints the mean AUC of HiCS_WT and HiCS_KS over the
+// parameter-sweep datasets for each value of one search parameter: set
+// applies a value to the paper's defaults, and label heads its column.
+func paramSweep[T any](ctx context.Context, w io.Writer, cfg Config, title string, values []T,
+	label func(T) string, set func(*core.Params, T)) error {
+	data, err := paramSweepData(cfg, cfg.sizing().paramReps)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "# Fig 8 — AUC [%] vs test statistic size alpha")
+	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-10s", "variant")
-	for _, a := range alphas {
-		fmt.Fprintf(w, " %8s", fmt.Sprintf("a=%.2f", a))
+	for _, v := range values {
+		fmt.Fprintf(w, " %8s", label(v))
 	}
 	fmt.Fprintln(w)
 	for _, tt := range []core.Test{core.WelchT, core.KolmogorovSmirnov} {
@@ -263,11 +238,11 @@ func Fig8(ctx context.Context, w io.Writer, cfg Config) error {
 			name = "HiCS_KS"
 		}
 		fmt.Fprintf(w, "%-10s", name)
-		for _, a := range alphas {
+		for _, v := range values {
 			var aucs []float64
 			for _, l := range data {
 				p := hicsParams(cfg.Seed)
-				p.Alpha = a
+				set(&p, v)
 				p.Test = tt
 				auc, _, err := rankAUC(ctx, cfg.hicsVariant(p), l)
 				if err != nil {

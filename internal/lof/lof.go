@@ -11,15 +11,16 @@
 // kind (neighbors.KindAuto selects one automatically). Backends are
 // bit-for-bit equivalent, so the choice only affects speed.
 //
-// Beyond the batch scorers the package supports a fit/score split:
-// FitContext (resp. FitKNNContext) freezes the per-subspace state a
-// query needs — the neighbor index plus, for LOF, the training
-// k-distances and local reachability densities — and ScoreQuery scores
-// an out-of-sample point against that state without refitting,
-// following the standard generalization of LOF to query points (the
-// query participates only in its own neighborhood, never in the
-// training statistics). FitInto and FitKNNInto write the training scores
-// into a caller's buffer instead, so a fit over many subspaces reuses one.
+// Each score has one batch entry point, which also freezes the
+// per-subspace state a query needs: FitInto (LOF) and FitKNNInto (average
+// kNN distance) write the training scores into a caller's buffer, so a
+// pass over many subspaces refills one, and return the neighbor index
+// plus, for LOF, the training k-distances and local reachability
+// densities. FitContext and FitKNNContext are the same fits returning a
+// fresh score slice. ScoreQuery scores an out-of-sample point against the
+// frozen state without refitting, following the standard generalization
+// of LOF to query points (the query participates only in its own
+// neighborhood, never in the training statistics).
 package lof
 
 import (
@@ -37,24 +38,6 @@ import (
 // experiments when nothing else is specified.
 const DefaultMinPts = 10
 
-// ScoresContext computes the Local Outlier Factor of every object w.r.t.
-// the given subspace dims, using the requested neighbor-index backend
-// (neighbors.KindAuto selects one automatically). minPts is the
-// neighborhood size (MinPts in the original paper); values below 1 fall
-// back to DefaultMinPts.
-//
-// Duplicate-heavy data is handled per the original definition: a point
-// whose neighborhood has zero reachability distance gets an infinite local
-// reachability density, and ratios ∞/∞ resolve to 1.
-//
-// workers bounds the batch-pass parallelism (<= 0 means one per CPU),
-// and a cancelled ctx stops the neighborhood pass within one chunk of
-// queries per worker. Results are bit-for-bit independent of both.
-func ScoresContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind, workers int) ([]float64, error) {
-	_, scores, err := FitContext(ctx, ds, dims, minPts, kind, workers)
-	return scores, err
-}
-
 // buildIndex constructs the neighbor index on up to workers goroutines
 // under a trace span, so a traced request shows each per-subspace index
 // build as its own phase (the dominant cost for the tree backend). ctx
@@ -70,18 +53,21 @@ func buildIndex(ctx context.Context, ds *dataset.Dataset, dims []int, kind neigh
 	return idx, err
 }
 
-// Fitted is the frozen state of a LOF fit on one subspace: the neighbor
-// index over the training objects plus their k-distances and local
-// reachability densities. It scores out-of-sample points via ScoreQuery
-// and is safe for concurrent queries. Training scores are returned by
-// FitContext but not retained — query scoring only needs kdist and lrd.
-type Fitted struct {
-	idx    neighbors.Index
-	minPts int
-	kdist  []float64
-	lrd    []float64
-
+// fittedIndex is the out-of-sample query plumbing Fitted and FittedKNN
+// share: the neighbor index over the training objects, the neighborhood
+// size, pooled per-query scratch, and the owning type's scoring kernel.
+// Its methods are safe for concurrent queries.
+type fittedIndex struct {
+	idx     neighbors.Index
+	k       int
+	kern    kernel
 	scratch sync.Pool // *queryScratch, per concurrent query
+}
+
+// kernel turns a query's neighborhood among the training objects into
+// its score.
+type kernel interface {
+	scoreNeighbors(nb []neighbors.Neighbor) float64
 }
 
 type queryScratch struct {
@@ -90,18 +76,61 @@ type queryScratch struct {
 	proj []float64
 }
 
+func (f *fittedIndex) init(idx neighbors.Index, k int, kern kernel) {
+	f.idx, f.k, f.kern = idx, k, kern
+	f.scratch.New = func() any { return &queryScratch{sc: idx.NewScratch()} }
+}
+
+// Kind reports the resolved neighbor-index backend of the fit.
+func (f *fittedIndex) Kind() neighbors.Kind { return f.idx.Kind() }
+
+// N returns the number of training objects.
+func (f *fittedIndex) N() int { return f.idx.N() }
+
+// ScoreQuery scores an out-of-sample point q, given in subspace
+// coordinates (one value per fitted dimension), against the training
+// state. Safe for concurrent use.
+func (f *fittedIndex) ScoreQuery(q []float64) float64 {
+	s := f.scratch.Get().(*queryScratch)
+	defer f.scratch.Put(s)
+	return f.score(q, s)
+}
+
+// ScoreQueryAt is ScoreQuery for a full-space point, projected onto dims
+// into pooled scratch — the allocation-free form for serving hot paths.
+func (f *fittedIndex) ScoreQueryAt(full []float64, dims []int) float64 {
+	s := f.scratch.Get().(*queryScratch)
+	defer f.scratch.Put(s)
+	proj := s.proj[:0]
+	for _, d := range dims {
+		proj = append(proj, full[d])
+	}
+	s.proj = proj
+	return f.score(proj, s)
+}
+
+func (f *fittedIndex) score(q []float64, s *queryScratch) float64 {
+	nb, _ := f.idx.KNNPoint(q, f.k, s.sc, s.buf[:0])
+	s.buf = nb
+	return f.kern.scoreNeighbors(nb)
+}
+
+// Fitted is the frozen state of a LOF fit on one subspace: the neighbor
+// index over the training objects plus their k-distances and local
+// reachability densities. Training scores are written by the fit but not
+// retained — query scoring only needs kdist and lrd.
+type Fitted struct {
+	fittedIndex
+	kdist []float64
+	lrd   []float64
+}
+
 // hoods recycles the neighborhood storage of LOF fits: a fit of many
 // subspaces of one dataset fills the same n·k slab over and over.
 var hoods = sync.Pool{New: func() any { return new(neighbors.Neighborhoods) }}
 
-// FitContext runs the batch LOF passes on the given subspace and freezes
-// the state an out-of-sample query needs, returning it together with the
-// training LOF scores — bit-for-bit the ScoresContext result
-// (ScoresContext is implemented on top of FitContext). workers bounds the
-// parallelism of the index build and the batch pass (<= 0 means one per
-// CPU, 1 runs both on the calling goroutine). The dominant neighborhood
-// pass observes ctx between query chunks; the linear follow-up passes
-// run to completion.
+// FitContext is FitInto returning the training LOF scores in a fresh
+// slice.
 func FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind, workers int) (*Fitted, []float64, error) {
 	scores := make([]float64, ds.N())
 	f, err := FitInto(ctx, ds, dims, minPts, kind, workers, scores)
@@ -111,10 +140,24 @@ func FitContext(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int
 	return f, scores, nil
 }
 
-// FitInto is FitContext writing the training LOF scores into scores,
-// which must hold one value per object. The fitted state does not keep
-// the buffer, so a caller fitting subspace after subspace folds each
-// subspace's scores and refills the same buffer with the next.
+// FitInto runs the batch LOF passes on the subspace dims, writes every
+// object's Local Outlier Factor into scores (one value per object), and
+// freezes the state an out-of-sample query needs. minPts is the
+// neighborhood size (MinPts in the original paper); values below 1 fall
+// back to DefaultMinPts. kind selects the neighbor-index backend
+// (neighbors.KindAuto selects one automatically). The fitted state does
+// not keep the buffer, so a caller scoring subspace after subspace folds
+// each subspace's scores and refills the same buffer with the next.
+//
+// Duplicate-heavy data is handled per the original definition: a point
+// whose neighborhood has zero reachability distance gets an infinite local
+// reachability density, and ratios ∞/∞ resolve to 1.
+//
+// workers bounds the parallelism of the index build and the batch pass
+// (<= 0 means one per CPU, 1 runs both on the calling goroutine). The
+// dominant neighborhood pass observes ctx between query chunks; the
+// linear follow-up passes run to completion. Results are bit-for-bit
+// independent of both.
 func FitInto(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int, kind neighbors.Kind, workers int, scores []float64) (*Fitted, error) {
 	if minPts < 1 {
 		minPts = DefaultMinPts
@@ -141,37 +184,12 @@ func FitInto(ctx context.Context, ds *dataset.Dataset, dims []int, minPts int, k
 
 	// Pass 2: local reachability densities.
 	lrd := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		for _, nb := range neighborhoods[i] {
-			reach := nb.Dist
-			if kdist[nb.ID] > reach {
-				reach = kdist[nb.ID]
-			}
-			sum += reach
-		}
-		if sum == 0 || len(neighborhoods[i]) == 0 {
-			lrd[i] = math.Inf(1)
-		} else {
-			lrd[i] = float64(len(neighborhoods[i])) / sum
-		}
+	for i, nb := range neighborhoods {
+		lrd[i] = reachDensity(nb, kdist)
 	}
-
 	// Pass 3: LOF = mean ratio of neighbor lrd to own lrd.
-	for i := 0; i < n; i++ {
-		if len(neighborhoods[i]) == 0 {
-			scores[i] = 1
-			continue
-		}
-		sum := 0.0
-		for _, nb := range neighborhoods[i] {
-			r := lrd[nb.ID] / lrd[i]
-			if math.IsInf(lrd[nb.ID], 1) && math.IsInf(lrd[i], 1) {
-				r = 1
-			}
-			sum += r
-		}
-		scores[i] = sum / float64(len(neighborhoods[i]))
+	for i, nb := range neighborhoods {
+		scores[i] = meanRatio(nb, lrd, lrd[i])
 	}
 	return newFitted(idx, minPts, kdist, lrd), nil
 }
@@ -204,19 +222,13 @@ func NewFitted(idx neighbors.Index, minPts int, kdist, lrd []float64) (*Fitted, 
 }
 
 func newFitted(idx neighbors.Index, minPts int, kdist, lrd []float64) *Fitted {
-	f := &Fitted{idx: idx, minPts: minPts, kdist: kdist, lrd: lrd}
-	f.scratch.New = func() any { return &queryScratch{sc: idx.NewScratch()} }
+	f := &Fitted{kdist: kdist, lrd: lrd}
+	f.init(idx, minPts, f)
 	return f
 }
 
 // MinPts returns the effective neighborhood size of the fit.
-func (f *Fitted) MinPts() int { return f.minPts }
-
-// Kind reports the resolved neighbor-index backend of the fit.
-func (f *Fitted) Kind() neighbors.Kind { return f.idx.Kind() }
-
-// N returns the number of training objects.
-func (f *Fitted) N() int { return f.idx.N() }
+func (f *Fitted) MinPts() int { return f.k }
 
 // KDist returns the training k-distances (shared slice, read-only).
 func (f *Fitted) KDist() []float64 { return f.kdist }
@@ -225,87 +237,58 @@ func (f *Fitted) KDist() []float64 { return f.kdist }
 // read-only).
 func (f *Fitted) LRD() []float64 { return f.lrd }
 
-// ScoreQuery computes the LOF of an out-of-sample point q (given in
-// subspace coordinates, one value per fitted dimension) against the
-// training state: the query's neighborhood is found among the training
-// objects, its reachability distances use the frozen training k-distances,
-// and the score is the mean ratio of neighbor lrd to the query's own lrd —
-// exactly the batch formula with the query as an extra, non-indexed
-// object. Safe for concurrent use.
-func (f *Fitted) ScoreQuery(q []float64) float64 {
-	s := f.scratch.Get().(*queryScratch)
-	defer f.scratch.Put(s)
-	return f.scoreQuery(q, s)
+// scoreNeighbors is the LOF of a query with neighborhood nb: the batch
+// formula with the query as an extra, non-indexed object, whose
+// reachability distances use the frozen training k-distances.
+func (f *Fitted) scoreNeighbors(nb []neighbors.Neighbor) float64 {
+	return meanRatio(nb, f.lrd, reachDensity(nb, f.kdist))
 }
 
-// ScoreQueryAt is ScoreQuery for a full-space point, projected onto dims
-// into pooled scratch — the allocation-free form for serving hot paths.
-func (f *Fitted) ScoreQueryAt(full []float64, dims []int) float64 {
-	s := f.scratch.Get().(*queryScratch)
-	defer f.scratch.Put(s)
-	proj := s.proj[:0]
-	for _, d := range dims {
-		proj = append(proj, full[d])
+// reachDensity is the local reachability density of an object with
+// neighborhood nb: infinite when every reachability distance is zero, per
+// the original definition for duplicate-heavy data.
+func reachDensity(nb []neighbors.Neighbor, kdist []float64) float64 {
+	sum := 0.0
+	for _, x := range nb {
+		reach := x.Dist
+		if kdist[x.ID] > reach {
+			reach = kdist[x.ID]
+		}
+		sum += reach
 	}
-	s.proj = proj
-	return f.scoreQuery(proj, s)
+	if sum == 0 || len(nb) == 0 {
+		return math.Inf(1)
+	}
+	return float64(len(nb)) / sum
 }
 
-func (f *Fitted) scoreQuery(q []float64, s *queryScratch) float64 {
-	nb, _ := f.idx.KNNPoint(q, f.minPts, s.sc, s.buf[:0])
-	s.buf = nb
+// meanRatio is the LOF of an object with neighborhood nb and density own:
+// the mean ratio of its neighbors' densities to own, where ∞/∞ is 1. An
+// empty neighborhood scores 1.
+func meanRatio(nb []neighbors.Neighbor, lrd []float64, own float64) float64 {
 	if len(nb) == 0 {
 		return 1
 	}
 	sum := 0.0
 	for _, x := range nb {
-		reach := x.Dist
-		if f.kdist[x.ID] > reach {
-			reach = f.kdist[x.ID]
-		}
-		sum += reach
-	}
-	lrdq := math.Inf(1)
-	if sum != 0 {
-		lrdq = float64(len(nb)) / sum
-	}
-	total := 0.0
-	for _, x := range nb {
-		r := f.lrd[x.ID] / lrdq
-		if math.IsInf(f.lrd[x.ID], 1) && math.IsInf(lrdq, 1) {
+		r := lrd[x.ID] / own
+		if math.IsInf(lrd[x.ID], 1) && math.IsInf(own, 1) {
 			r = 1
 		}
-		total += r
+		sum += r
 	}
-	return total / float64(len(nb))
-}
-
-// KNNScoresContext computes the average distance to the k nearest
-// neighbors of every object in the given subspace — a simple
-// density-based score that is monotone in "outlierness" like LOF but
-// cheaper and non-local — using the requested neighbor-index backend
-// (neighbors.KindAuto selects one automatically). Cancellation and the
-// worker bound mirror ScoresContext.
-func KNNScoresContext(ctx context.Context, ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind, workers int) ([]float64, error) {
-	_, scores, err := FitKNNContext(ctx, ds, dims, k, kind, workers)
-	return scores, err
+	return sum / float64(len(nb))
 }
 
 // FittedKNN is the frozen state of an average-kNN-distance fit on one
 // subspace. Unlike LOF the score needs no per-object training statistics —
-// the neighbor index alone answers queries. Safe for concurrent queries.
+// the neighbor index alone answers queries.
 type FittedKNN struct {
-	idx neighbors.Index
-	k   int
-
-	scratch sync.Pool // *queryScratch
+	fittedIndex
 }
 
-// FitKNNContext freezes the neighbor index for out-of-sample queries and
-// returns it together with the batch average-kNN-distance training
-// scores — bit-for-bit the KNNScoresContext result — with cooperative
-// cancellation and a bound on the batch-pass parallelism, mirroring
-// FitContext.
+// FitKNNContext is FitKNNInto returning the training scores in a fresh
+// slice.
 func FitKNNContext(ctx context.Context, ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind, workers int) (*FittedKNN, []float64, error) {
 	scores := make([]float64, ds.N())
 	f, err := FitKNNInto(ctx, ds, dims, k, kind, workers, scores)
@@ -315,8 +298,12 @@ func FitKNNContext(ctx context.Context, ds *dataset.Dataset, dims []int, k int, 
 	return f, scores, nil
 }
 
-// FitKNNInto is FitKNNContext writing the training scores into scores,
-// which must hold one value per object, as FitInto does for LOF.
+// FitKNNInto writes the average distance of every object to its k
+// nearest neighbors in the subspace dims into scores — a simple
+// density-based score that is monotone in "outlierness" like LOF but
+// cheaper and non-local — and freezes the neighbor index for
+// out-of-sample queries. k below 1 falls back to DefaultMinPts; the
+// buffer, backend, cancellation and worker bound act as in FitInto.
 func FitKNNInto(ctx context.Context, ds *dataset.Dataset, dims []int, k int, kind neighbors.Kind, workers int, scores []float64) (*FittedKNN, error) {
 	if k < 1 {
 		k = DefaultMinPts
@@ -331,15 +318,7 @@ func FitKNNInto(ctx context.Context, ds *dataset.Dataset, dims []int, k int, kin
 	// The score needs one distance sum per object, so no neighborhood is
 	// kept: each is summed as it streams past, in ascending id order.
 	err = neighbors.ForEachKNN(ctx, idx, k, workers, func(q int, nb []neighbors.Neighbor, _ float64) {
-		if len(nb) == 0 {
-			scores[q] = 0
-			return
-		}
-		sum := 0.0
-		for _, x := range nb {
-			sum += x.Dist
-		}
-		scores[q] = sum / float64(len(nb))
+		scores[q] = meanDist(nb)
 	})
 	if err != nil {
 		return nil, err
@@ -356,45 +335,18 @@ func NewFittedKNN(idx neighbors.Index, k int) (*FittedKNN, error) {
 }
 
 func newFittedKNN(idx neighbors.Index, k int) *FittedKNN {
-	f := &FittedKNN{idx: idx, k: k}
-	f.scratch.New = func() any { return &queryScratch{sc: idx.NewScratch()} }
+	f := &FittedKNN{}
+	f.init(idx, k, f)
 	return f
 }
 
-// K returns the effective neighborhood size of the fit.
-func (f *FittedKNN) K() int { return f.k }
+// scoreNeighbors is the average distance from a query to its
+// neighborhood nb among the training objects.
+func (f *FittedKNN) scoreNeighbors(nb []neighbors.Neighbor) float64 { return meanDist(nb) }
 
-// Kind reports the resolved neighbor-index backend of the fit.
-func (f *FittedKNN) Kind() neighbors.Kind { return f.idx.Kind() }
-
-// N returns the number of training objects.
-func (f *FittedKNN) N() int { return f.idx.N() }
-
-// ScoreQuery computes the average distance from the out-of-sample point q
-// (in subspace coordinates) to its k nearest training objects. Safe for
-// concurrent use.
-func (f *FittedKNN) ScoreQuery(q []float64) float64 {
-	s := f.scratch.Get().(*queryScratch)
-	defer f.scratch.Put(s)
-	return f.scoreQuery(q, s)
-}
-
-// ScoreQueryAt is ScoreQuery for a full-space point, projected onto dims
-// into pooled scratch.
-func (f *FittedKNN) ScoreQueryAt(full []float64, dims []int) float64 {
-	s := f.scratch.Get().(*queryScratch)
-	defer f.scratch.Put(s)
-	proj := s.proj[:0]
-	for _, d := range dims {
-		proj = append(proj, full[d])
-	}
-	s.proj = proj
-	return f.scoreQuery(proj, s)
-}
-
-func (f *FittedKNN) scoreQuery(q []float64, s *queryScratch) float64 {
-	nb, _ := f.idx.KNNPoint(q, f.k, s.sc, s.buf[:0])
-	s.buf = nb
+// meanDist is the average distance to the neighbors in nb; 0 when nb is
+// empty.
+func meanDist(nb []neighbors.Neighbor) float64 {
 	if len(nb) == 0 {
 		return 0
 	}

@@ -33,7 +33,7 @@ func clusterWithOutlier(seed uint64, n int) *dataset.Dataset {
 
 func TestLOFFlagsObviousOutlier(t *testing.T) {
 	ds := clusterWithOutlier(1, 60)
-	scores, err := ScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0)
+	_, scores, err := FitContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLOFUniformScoresNearOne(t *testing.T) {
 		}
 	}
 	ds := dataset.MustNew(nil, [][]float64{x, y})
-	scores, err := ScoresContext(context.Background(), ds, []int{0, 1}, 6, neighbors.KindAuto, 0)
+	_, scores, err := FitContext(context.Background(), ds, []int{0, 1}, 6, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestLOFSubspaceRestriction(t *testing.T) {
 	y[n] = 50
 	ds := dataset.MustNew(nil, [][]float64{x, y})
 
-	sub, err := ScoresContext(context.Background(), ds, []int{0}, 10, neighbors.KindAuto, 0)
+	_, sub, err := FitContext(context.Background(), ds, []int{0}, 10, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestLOFDuplicatePoints(t *testing.T) {
 	// for the duplicated points rather than NaN.
 	x := []float64{1, 1, 1, 1, 1, 9}
 	ds := dataset.MustNew(nil, [][]float64{x})
-	scores, err := ScoresContext(context.Background(), ds, []int{0}, 3, neighbors.KindAuto, 0)
+	_, scores, err := FitContext(context.Background(), ds, []int{0}, 3, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,25 +128,25 @@ func TestLOFDuplicatePoints(t *testing.T) {
 
 func TestLOFErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1}})
-	if _, err := ScoresContext(context.Background(), ds, []int{0}, 3, neighbors.KindAuto, 0); err == nil {
+	if _, _, err := FitContext(context.Background(), ds, []int{0}, 3, neighbors.KindAuto, 0); err == nil {
 		t.Error("single object should fail")
 	}
 	ds2 := dataset.MustNew(nil, [][]float64{{1, 2}})
-	if _, err := ScoresContext(context.Background(), ds2, []int{7}, 3, neighbors.KindAuto, 0); err == nil {
+	if _, _, err := FitContext(context.Background(), ds2, []int{7}, 3, neighbors.KindAuto, 0); err == nil {
 		t.Error("bad dimension should fail")
 	}
-	if _, err := ScoresContext(context.Background(), ds2, nil, 3, neighbors.KindAuto, 0); err == nil {
+	if _, _, err := FitContext(context.Background(), ds2, nil, 3, neighbors.KindAuto, 0); err == nil {
 		t.Error("empty subspace should fail")
 	}
 }
 
 func TestLOFDefaultMinPts(t *testing.T) {
 	ds := clusterWithOutlier(3, 40)
-	a, err := ScoresContext(context.Background(), ds, []int{0, 1}, 0, neighbors.KindAuto, 0) // falls back to default
+	_, a, err := FitContext(context.Background(), ds, []int{0, 1}, 0, neighbors.KindAuto, 0) // falls back to default
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ScoresContext(context.Background(), ds, []int{0, 1}, DefaultMinPts, neighbors.KindAuto, 0)
+	_, b, err := FitContext(context.Background(), ds, []int{0, 1}, DefaultMinPts, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestLOFDefaultMinPts(t *testing.T) {
 
 func TestKNNScoresOutlier(t *testing.T) {
 	ds := clusterWithOutlier(4, 50)
-	scores, err := KNNScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0)
+	_, scores, err := FitKNNContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +173,10 @@ func TestKNNScoresOutlier(t *testing.T) {
 
 func TestKNNScoresErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1}})
-	if _, err := KNNScoresContext(context.Background(), ds, []int{0}, 3, neighbors.KindAuto, 0); err == nil {
+	if _, _, err := FitKNNContext(context.Background(), ds, []int{0}, 3, neighbors.KindAuto, 0); err == nil {
 		t.Error("single object should fail")
 	}
-	if _, err := KNNScoresContext(context.Background(), dataset.MustNew(nil, [][]float64{{1, 2}}), nil, 3, neighbors.KindAuto, 0); err == nil {
+	if _, _, err := FitKNNContext(context.Background(), dataset.MustNew(nil, [][]float64{{1, 2}}), nil, 3, neighbors.KindAuto, 0); err == nil {
 		t.Error("empty dims should fail")
 	}
 }
@@ -194,7 +194,7 @@ func TestQuickLOFFinite(t *testing.T) {
 			y[i] = r.Normal()
 		}
 		ds := dataset.MustNew(nil, [][]float64{x, y})
-		scores, err := ScoresContext(context.Background(), ds, []int{0, 1}, 5, neighbors.KindAuto, 0)
+		_, scores, err := FitContext(context.Background(), ds, []int{0, 1}, 5, neighbors.KindAuto, 0)
 		if err != nil {
 			return false
 		}
@@ -223,7 +223,7 @@ func TestQuickLOFScaleInvariant(t *testing.T) {
 			y[i] = r.Normal()
 		}
 		ds := dataset.MustNew(nil, [][]float64{x, y})
-		a, err := ScoresContext(context.Background(), ds, []int{0, 1}, 5, neighbors.KindAuto, 0)
+		_, a, err := FitContext(context.Background(), ds, []int{0, 1}, 5, neighbors.KindAuto, 0)
 		if err != nil {
 			return false
 		}
@@ -234,7 +234,7 @@ func TestQuickLOFScaleInvariant(t *testing.T) {
 			ys[i] = 3*y[i] + 7
 		}
 		ds2 := dataset.MustNew(nil, [][]float64{xs, ys})
-		b, err := ScoresContext(context.Background(), ds2, []int{0, 1}, 5, neighbors.KindAuto, 0)
+		_, b, err := FitContext(context.Background(), ds2, []int{0, 1}, 5, neighbors.KindAuto, 0)
 		if err != nil {
 			return false
 		}
@@ -256,15 +256,15 @@ func TestScoresIndexEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		for _, n := range []int{30, 150, 400} {
 			ds := clusterWithOutlier(seed, n)
-			brute, err := ScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0)
+			_, brute, err := FitContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tree, err := ScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindKDTree, 0)
+			_, tree, err := FitContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindKDTree, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			auto, err := ScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0)
+			_, auto, err := FitContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,11 +282,11 @@ func TestScoresIndexEquivalence(t *testing.T) {
 
 func TestKNNScoresIndexEquivalence(t *testing.T) {
 	ds := clusterWithOutlier(6, 300)
-	brute, err := KNNScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0)
+	_, brute, err := FitKNNContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := KNNScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindKDTree, 0)
+	_, tree, err := FitKNNContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindKDTree, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,8 @@ func TestKNNScoresIndexEquivalence(t *testing.T) {
 func TestFitScoresMatchBatch(t *testing.T) {
 	ds := clusterWithOutlier(7, 120)
 	for _, kind := range []neighbors.Kind{neighbors.KindBrute, neighbors.KindKDTree} {
-		batch, err := ScoresContext(context.Background(), ds, []int{0, 1}, 10, kind, 0)
+		batch := make([]float64, ds.N())
+		_, err := FitInto(context.Background(), ds, []int{0, 1}, 10, kind, 0, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,7 +401,8 @@ func TestScoreQueryConcurrent(t *testing.T) {
 
 func TestFitKNNMatchesBatchAndQueries(t *testing.T) {
 	ds := clusterWithOutlier(11, 90)
-	batch, err := KNNScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0)
+	batch := make([]float64, ds.N())
+	_, err := FitKNNInto(context.Background(), ds, []int{0, 1}, 10, neighbors.KindBrute, 0, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +666,7 @@ func BenchmarkLOF1000x3(b *testing.B) {
 	ds := dataset.MustNew(nil, cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ScoresContext(context.Background(), ds, []int{0, 1, 2}, 10, neighbors.KindAuto, 0); err != nil {
+		if _, _, err := FitContext(context.Background(), ds, []int{0, 1, 2}, 10, neighbors.KindAuto, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -238,18 +238,20 @@ type Scorer struct {
 	Index neighbors.Kind
 }
 
-// Score implements ranking.Scorer. The mining runs sequentially on the
-// calling goroutine, so neither ctx nor workers is consulted.
-func (s Scorer) Score(_ context.Context, ds *dataset.Dataset, dims []int, _ int) ([]float64, error) {
+// Score implements ranking.Scorer. The buffer may hold a previous
+// subspace's scores, so it is cleared before the mined outliers are
+// written. The mining runs sequentially on the calling goroutine, so
+// neither ctx nor workers is consulted.
+func (s Scorer) Score(_ context.Context, ds *dataset.Dataset, dims []int, _ int, scores []float64) error {
 	out, _, err := TopOutliers(ds, dims, Params{K: s.K, TopN: s.TopN, Seed: s.Seed, Index: s.Index})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	scores := make([]float64, ds.N())
+	clear(scores)
 	for _, o := range out {
 		scores[o.ID] = o.Score
 	}
-	return scores, nil
+	return nil
 }
 
 // Name implements ranking.Scorer.

@@ -62,7 +62,7 @@ func TestTopOutliersMatchesExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exhaustive reference: full kNN scores, take top 5.
-	ref, err := lof.KNNScoresContext(context.Background(), ds, []int{0, 1}, 8, neighbors.KindAuto, 0)
+	_, ref, err := lof.FitKNNContext(context.Background(), ds, []int{0, 1}, 8, neighbors.KindAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,8 @@ func TestTopOutliersClamps(t *testing.T) {
 func TestScorerAdapter(t *testing.T) {
 	ds := blob(7, 100, 2)
 	s := Scorer{K: 8, TopN: 5, Seed: 2}
-	scores, err := s.Score(context.Background(), ds, []int{0, 1}, 0)
+	scores := make([]float64, ds.N())
+	err := s.Score(context.Background(), ds, []int{0, 1}, 0, scores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func BenchmarkORCAvsExhaustive(b *testing.B) {
 	})
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := lof.KNNScoresContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0); err != nil {
+			if _, _, err := lof.FitKNNContext(context.Background(), ds, []int{0, 1}, 10, neighbors.KindAuto, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -40,16 +40,16 @@ type Scorer struct {
 // Score implements ranking.Scorer: one non-negative outlierness value per
 // object, higher = more outlying. The density pass runs sequentially on
 // the calling goroutine, so neither ctx nor workers is consulted.
-func (s Scorer) Score(_ context.Context, ds *dataset.Dataset, dims []int, _ int) ([]float64, error) {
+func (s Scorer) Score(_ context.Context, ds *dataset.Dataset, dims []int, _ int, scores []float64) error {
 	// Pin the brute backend: OUTRES only takes pairwise distances (Dist),
 	// so a k-d tree would be built per subspace and never queried.
 	idx, err := neighbors.New(ds, dims, neighbors.KindBrute)
 	if err != nil {
-		return nil, fmt.Errorf("outres: %w", err)
+		return fmt.Errorf("outres: %w", err)
 	}
 	n := ds.N()
 	if n < 3 {
-		return nil, fmt.Errorf("outres: need at least 3 objects, have %d", n)
+		return fmt.Errorf("outres: need at least 3 objects, have %d", n)
 	}
 	scale := s.BandwidthScale
 	if scale <= 0 {
@@ -87,7 +87,6 @@ func (s Scorer) Score(_ context.Context, ds *dataset.Dataset, dims []int, _ int)
 	globalStd := math.Sqrt(math.Max(globalVar, 0))
 
 	// Pass 2: significance-scaled negative deviation from the local mean.
-	scores := make([]float64, n)
 	buf := make([]float64, 0, 64)
 	for i := 0; i < n; i++ {
 		mean, std := globalMean, globalStd
@@ -102,12 +101,12 @@ func (s Scorer) Score(_ context.Context, ds *dataset.Dataset, dims []int, _ int)
 		if std == 0 {
 			std = 1e-12
 		}
-		dev := (mean - dens[i]) / (2 * std)
-		if dev > 0 {
+		scores[i] = 0
+		if dev := (mean - dens[i]) / (2 * std); dev > 0 {
 			scores[i] = dev
 		}
 	}
-	return scores, nil
+	return nil
 }
 
 // Name implements ranking.Scorer.

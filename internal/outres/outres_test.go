@@ -25,7 +25,7 @@ func clusterWithOutlier(seed uint64, n int) (*dataset.Dataset, int) {
 
 func TestScoreFlagsOutlier(t *testing.T) {
 	ds, out := clusterWithOutlier(1, 150)
-	scores, err := Scorer{}.Score(context.Background(), ds, []int{0, 1}, 0)
+	scores, err := score(Scorer{}, ds, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestScoreFlagsOutlier(t *testing.T) {
 
 func TestScoresNonNegative(t *testing.T) {
 	ds, _ := clusterWithOutlier(2, 100)
-	scores, err := Scorer{}.Score(context.Background(), ds, []int{0, 1}, 0)
+	scores, err := score(Scorer{}, ds, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestScoresNonNegative(t *testing.T) {
 
 func TestBandwidthScaleChangesScores(t *testing.T) {
 	ds, _ := clusterWithOutlier(3, 120)
-	a, err := Scorer{BandwidthScale: 0.5}.Score(context.Background(), ds, []int{0, 1}, 0)
+	a, err := score(Scorer{BandwidthScale: 0.5}, ds, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Scorer{BandwidthScale: 2}.Score(context.Background(), ds, []int{0, 1}, 0)
+	b, err := score(Scorer{BandwidthScale: 2}, ds, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestBandwidthScaleChangesScores(t *testing.T) {
 
 func TestScoreErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1, 2}})
-	if _, err := (Scorer{}).Score(context.Background(), ds, []int{0}, 0); err == nil {
+	if _, err := score(Scorer{}, ds, []int{0}); err == nil {
 		t.Error("tiny dataset should fail")
 	}
 	ds2 := dataset.MustNew(nil, [][]float64{{1, 2, 3, 4}})
-	if _, err := (Scorer{}).Score(context.Background(), ds2, []int{9}, 0); err == nil {
+	if _, err := score(Scorer{}, ds2, []int{9}); err == nil {
 		t.Error("bad dims should fail")
 	}
 }
@@ -118,7 +118,7 @@ func TestQualityOnBenchmark(t *testing.T) {
 		}
 	}
 	ds := dataset.MustNew(nil, [][]float64{x, y})
-	scores, err := Scorer{}.Score(context.Background(), ds, []int{0, 1}, 0)
+	scores, err := score(Scorer{}, ds, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestQuickScoresSane(t *testing.T) {
 			y[i] = r.Float64()
 		}
 		ds := dataset.MustNew(nil, [][]float64{x, y})
-		scores, err := Scorer{}.Score(context.Background(), ds, []int{0, 1}, 0)
+		scores, err := score(Scorer{}, ds, []int{0, 1})
 		if err != nil {
 			return false
 		}
@@ -157,4 +157,10 @@ func TestQuickScoresSane(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// score runs s on a fresh buffer.
+func score(s Scorer, ds *dataset.Dataset, dims []int) ([]float64, error) {
+	scores := make([]float64, ds.N())
+	return scores, s.Score(context.Background(), ds, dims, 0, scores)
 }

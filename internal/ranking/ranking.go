@@ -41,14 +41,43 @@ type SubspaceSearcher interface {
 // Scorer is step 2: compute per-object outlier scores within one
 // projection. Higher scores mean more outlying.
 type Scorer interface {
-	// Score scores every object of ds in the projection dims. A scorer
+	// Score writes the score of every object of ds in the projection dims
+	// into scores, which holds one value per object and may hold a
+	// previous subspace's scores: every entry is overwritten. A scorer
 	// with a parallel batch pass bounds it by workers (<= 0 means one per
 	// CPU) and observes ctx cooperatively; its scores must be bit-for-bit
 	// identical whatever the worker count. Sequential scorers may ignore
 	// both arguments.
-	Score(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) ([]float64, error)
+	Score(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) error
 	// Name identifies the method in reports.
 	Name() string
+}
+
+// FitScorer is implemented by scorers that support the fit/score split.
+type FitScorer interface {
+	Scorer
+	// Fit is Score that also freezes the scorer's state on the subspace.
+	// The state does not retain scores.
+	Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) (FittedState, error)
+}
+
+// FittedState is the frozen per-subspace state of a FitScorer: it scores
+// out-of-sample points without refitting and is safe for concurrent
+// calls. LOFScorer freezes a *lof.Fitted, KNNScorer a *lof.FittedKNN.
+type FittedState interface {
+	// ScoreQueryAt scores a full-space point projected onto dims.
+	ScoreQueryAt(full []float64, dims []int) float64
+	// Kind reports the neighbor-index backend the state queries.
+	Kind() neighbors.Kind
+}
+
+// FittedSubspace is the fitted form of one subspace. The exported fields
+// allow model persistence layers to disassemble and reassemble the state.
+type FittedSubspace struct {
+	// Subspace is the fitted projection (ascending attribute indices).
+	Subspace []int
+	// State is the frozen scorer state on that projection.
+	State FittedState
 }
 
 // LOFScorer scores with the Local Outlier Factor, the paper's reference
@@ -63,8 +92,14 @@ type LOFScorer struct {
 }
 
 // Score implements Scorer.
-func (s LOFScorer) Score(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) ([]float64, error) {
-	return lof.ScoresContext(ctx, ds, dims, s.MinPts, s.Index, workers)
+func (s LOFScorer) Score(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) error {
+	_, err := lof.FitInto(ctx, ds, dims, s.MinPts, s.Index, workers, scores)
+	return err
+}
+
+// Fit implements FitScorer.
+func (s LOFScorer) Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) (FittedState, error) {
+	return lof.FitInto(ctx, ds, dims, s.MinPts, s.Index, workers, scores)
 }
 
 // Name implements Scorer.
@@ -80,86 +115,18 @@ type KNNScorer struct {
 }
 
 // Score implements Scorer.
-func (s KNNScorer) Score(ctx context.Context, ds *dataset.Dataset, dims []int, workers int) ([]float64, error) {
-	return lof.KNNScoresContext(ctx, ds, dims, s.K, s.Index, workers)
+func (s KNNScorer) Score(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) error {
+	_, err := lof.FitKNNInto(ctx, ds, dims, s.K, s.Index, workers, scores)
+	return err
+}
+
+// Fit implements FitScorer.
+func (s KNNScorer) Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) (FittedState, error) {
+	return lof.FitKNNInto(ctx, ds, dims, s.K, s.Index, workers, scores)
 }
 
 // Name implements Scorer.
 func (s KNNScorer) Name() string { return "kNN" }
-
-// FittedScorer is the frozen step-2 state for one subspace: it scores
-// out-of-sample points without refitting. Implementations are safe for
-// concurrent ScorePoint calls.
-type FittedScorer interface {
-	// Dims returns the subspace the scorer was fitted on.
-	Dims() []int
-	// ScorePoint scores a full-space point, projecting it onto the fitted
-	// subspace internally.
-	ScorePoint(full []float64) float64
-}
-
-// FitScorer is implemented by scorers that support the fit/score split.
-type FitScorer interface {
-	Scorer
-	// Fit freezes the scorer's state on one subspace and writes the
-	// training objects' batch scores (bit-for-bit what Score returns) into
-	// scores, which holds one value per object. ctx and workers act as in
-	// Score. The fitted state does not retain scores: Pipeline.Fit folds
-	// them into its aggregate and refills the same buffer for the next
-	// subspace.
-	Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) (FittedScorer, error)
-}
-
-// FittedLOFScorer is the fitted form of LOFScorer. The exported fields
-// allow model persistence layers to disassemble and reassemble the state.
-type FittedLOFScorer struct {
-	// Subspace is the fitted projection (ascending attribute indices).
-	Subspace []int
-	// State is the frozen LOF state on that projection.
-	State *lof.Fitted
-}
-
-// Dims implements FittedScorer.
-func (f *FittedLOFScorer) Dims() []int { return f.Subspace }
-
-// ScorePoint implements FittedScorer.
-func (f *FittedLOFScorer) ScorePoint(full []float64) float64 {
-	return f.State.ScoreQueryAt(full, f.Subspace)
-}
-
-// Fit implements FitScorer.
-func (s LOFScorer) Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) (FittedScorer, error) {
-	st, err := lof.FitInto(ctx, ds, dims, s.MinPts, s.Index, workers, scores)
-	if err != nil {
-		return nil, err
-	}
-	return &FittedLOFScorer{Subspace: append([]int(nil), dims...), State: st}, nil
-}
-
-// FittedKNNScorer is the fitted form of KNNScorer.
-type FittedKNNScorer struct {
-	// Subspace is the fitted projection (ascending attribute indices).
-	Subspace []int
-	// State is the frozen kNN-distance state on that projection.
-	State *lof.FittedKNN
-}
-
-// Dims implements FittedScorer.
-func (f *FittedKNNScorer) Dims() []int { return f.Subspace }
-
-// ScorePoint implements FittedScorer.
-func (f *FittedKNNScorer) ScorePoint(full []float64) float64 {
-	return f.State.ScoreQueryAt(full, f.Subspace)
-}
-
-// Fit implements FitScorer.
-func (s KNNScorer) Fit(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) (FittedScorer, error) {
-	st, err := lof.FitKNNInto(ctx, ds, dims, s.K, s.Index, workers, scores)
-	if err != nil {
-		return nil, err
-	}
-	return &FittedKNNScorer{Subspace: append([]int(nil), dims...), State: st}, nil
-}
 
 var (
 	_ FitScorer = LOFScorer{}
@@ -360,38 +327,15 @@ func (p Pipeline) resolve(ctx context.Context, ds *dataset.Dataset) ([]subspace.
 	return subspaces, nil
 }
 
-// Rank runs the two-step pipeline on ds. Per-subspace scores are folded
-// into the aggregate as they are produced, so only one score slice is
-// alive at a time. The subspace search observes ctx throughout its Monte
-// Carlo loops, and the scoring step checks ctx between subspaces.
+// Rank runs the two-step pipeline on ds. The subspace search observes
+// ctx throughout its Monte Carlo loops, and the scoring step checks ctx
+// between subspaces.
 func (p Pipeline) Rank(ctx context.Context, ds *dataset.Dataset) (*Result, error) {
-	subspaces, err := p.resolve(ctx, ds)
+	subspaces, scores, _, err := p.run(ctx, ds, false)
 	if err != nil {
 		return nil, err
 	}
-	acc := newAccumulator(p.Agg, ds.N())
-	// One span covers the whole per-subspace scoring pass; individual
-	// neighbor-index builds inside the scorer open their own children.
-	sctx, span := trace.StartSpan(ctx, "ranking.score")
-	span.SetAttr("scorer", p.Scorer.Name())
-	span.SetAttr("subspaces", len(subspaces))
-	defer span.End()
-	for _, sc := range subspaces {
-		if err := ctx.Err(); err != nil {
-			span.SetError(err)
-			return nil, err
-		}
-		scores, err := p.Scorer.Score(sctx, ds, sc.S, p.Workers)
-		if err != nil {
-			span.SetError(err)
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("ranking: scoring %v with %s: %w", sc.S, p.Scorer.Name(), err)
-		}
-		acc.fold(scores)
-	}
-	return &Result{Scores: acc.finish(), Subspaces: subspaces}, nil
+	return &Result{Scores: scores, Subspaces: subspaces}, nil
 }
 
 // FittedPipeline is the frozen outcome of Pipeline.Fit: the selected
@@ -404,7 +348,7 @@ type FittedPipeline struct {
 	// aggregate.
 	Subspaces []subspace.Scored
 	// Scorers holds the frozen step-2 state, parallel to Subspaces.
-	Scorers []FittedScorer
+	Scorers []FittedSubspace
 	// Agg is the aggregation the fit used.
 	Agg Aggregation
 	// Train is the aggregated training score per object — bit-for-bit the
@@ -420,54 +364,74 @@ type FittedPipeline struct {
 
 // Fit runs the subspace search once and freezes the per-subspace scorer
 // state. The pipeline's scorer must implement FitScorer. The returned
-// training scores equal Rank's scores exactly: the per-subspace batch
-// scores come from the same fitting passes and the aggregation applies the
-// identical operation sequence. Each subspace's scores are written into
-// one buffer, folded, and overwritten by the next subspace's, so a fit
-// allocates beyond the kept model state only that buffer and the
-// aggregate. Like Rank, ctx is observed throughout the subspace search and
-// between per-subspace fitting passes.
+// training scores equal Rank's scores exactly: both run the same
+// per-subspace pass, and a fit only keeps each subspace's state as well.
+// Like Rank, ctx is observed throughout the subspace search and between
+// per-subspace fitting passes.
 func (p Pipeline) Fit(ctx context.Context, ds *dataset.Dataset) (*FittedPipeline, error) {
-	subspaces, err := p.resolve(ctx, ds)
+	subspaces, train, fitted, err := p.run(ctx, ds, true)
 	if err != nil {
 		return nil, err
-	}
-	fs, ok := p.Scorer.(FitScorer)
-	if !ok {
-		return nil, fmt.Errorf("ranking: scorer %s does not support the fit/score split", p.Scorer.Name())
-	}
-	fitted := make([]FittedScorer, len(subspaces))
-	acc := newAccumulator(p.Agg, ds.N())
-	scores := make([]float64, ds.N())
-	// The fitting pass mirrors Rank's scoring span; per-subspace
-	// neighbor-index builds nest underneath.
-	fctx, span := trace.StartSpan(ctx, "ranking.fit")
-	span.SetAttr("scorer", fs.Name())
-	span.SetAttr("subspaces", len(subspaces))
-	defer span.End()
-	for j, sc := range subspaces {
-		if err := ctx.Err(); err != nil {
-			span.SetError(err)
-			return nil, err
-		}
-		f, err := fs.Fit(fctx, ds, sc.S, p.Workers, scores)
-		if err != nil {
-			span.SetError(err)
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("ranking: fitting %v with %s: %w", sc.S, fs.Name(), err)
-		}
-		fitted[j] = f
-		acc.fold(scores)
 	}
 	return &FittedPipeline{
 		Subspaces: subspaces,
 		Scorers:   fitted,
 		Agg:       p.Agg,
-		Train:     acc.finish(),
+		Train:     train,
 		D:         ds.D(),
 	}, nil
+}
+
+// run is the pass Rank and Fit share: the subspace search, then one
+// N-sized buffer that each selected subspace's scores overwrite and the
+// accumulator folds in subspace order, so a pass allocates beyond the
+// scorers' own work only that buffer and the aggregate. With fit set,
+// each subspace is fitted instead of scored and its frozen state kept.
+func (p Pipeline) run(ctx context.Context, ds *dataset.Dataset, fit bool) ([]subspace.Scored, []float64, []FittedSubspace, error) {
+	subspaces, err := p.resolve(ctx, ds)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	name, verb := "ranking.score", "scoring"
+	var fs FitScorer
+	var fitted []FittedSubspace
+	if fit {
+		var ok bool
+		if fs, ok = p.Scorer.(FitScorer); !ok {
+			return nil, nil, nil, fmt.Errorf("ranking: scorer %s does not support the fit/score split", p.Scorer.Name())
+		}
+		name, verb = "ranking.fit", "fitting"
+		fitted = make([]FittedSubspace, len(subspaces))
+	}
+	acc := newAccumulator(p.Agg, ds.N())
+	scores := make([]float64, ds.N())
+	// One span covers the whole per-subspace pass; individual
+	// neighbor-index builds inside the scorer open their own children.
+	sctx, span := trace.StartSpan(ctx, name)
+	span.SetAttr("scorer", p.Scorer.Name())
+	span.SetAttr("subspaces", len(subspaces))
+	defer span.End()
+	for j, sc := range subspaces {
+		err := ctx.Err()
+		if err == nil {
+			if fit {
+				fitted[j].Subspace = append([]int(nil), sc.S...)
+				fitted[j].State, err = fs.Fit(sctx, ds, sc.S, p.Workers, scores)
+			} else {
+				err = p.Scorer.Score(sctx, ds, sc.S, p.Workers, scores)
+			}
+		}
+		if err != nil {
+			span.SetError(err)
+			// ctx.Err() passes through unwrapped, as in resolve.
+			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+				return nil, nil, nil, err
+			}
+			return nil, nil, nil, fmt.Errorf("ranking: %s %v with %s: %w", verb, sc.S, p.Scorer.Name(), err)
+		}
+		acc.fold(scores)
+	}
+	return subspaces, acc.finish(), fitted, nil
 }
 
 // ScorePoint scores one out-of-sample full-space point: every fitted
@@ -484,7 +448,7 @@ func (fp *FittedPipeline) ScorePoint(point []float64) (float64, error) {
 	}
 	vals := (*buf)[:0]
 	for _, f := range fp.Scorers {
-		vals = append(vals, f.ScorePoint(point))
+		vals = append(vals, f.State.ScoreQueryAt(point, f.Subspace))
 	}
 	res := aggregatePoint(fp.Agg, vals)
 	*buf = vals
@@ -538,8 +502,8 @@ func (p PCAPipeline) Rank(ctx context.Context, ds *dataset.Dataset) (*Result, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	scores, err := p.Scorer.Score(ctx, proj, subspace.Full(k), 0)
-	if err != nil {
+	scores := make([]float64, proj.N())
+	if err := p.Scorer.Score(ctx, proj, subspace.Full(k), 0, scores); err != nil {
 		return nil, fmt.Errorf("ranking: PCA scoring: %w", err)
 	}
 	return &Result{Scores: scores, Subspaces: []subspace.Scored{{S: subspace.Full(k)}}}, nil

@@ -11,6 +11,7 @@ import (
 	"hics/internal/core"
 	"hics/internal/dataset"
 	"hics/internal/eval"
+	"hics/internal/lof"
 	"hics/internal/neighbors"
 	"hics/internal/race"
 	"hics/internal/randsub"
@@ -336,8 +337,8 @@ func TestFitErrors(t *testing.T) {
 
 type unfittableScorer struct{}
 
-func (unfittableScorer) Score(context.Context, *dataset.Dataset, []int, int) ([]float64, error) {
-	return nil, nil
+func (unfittableScorer) Score(context.Context, *dataset.Dataset, []int, int, []float64) error {
+	return nil
 }
 func (unfittableScorer) Name() string { return "unfittable" }
 
@@ -388,7 +389,7 @@ func TestPipelineIndexOverride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fp.Scorers[0].(*FittedLOFScorer).State.Kind(); got != kind {
+		if got := fp.Scorers[0].State.(*lof.Fitted).Kind(); got != kind {
 			t.Errorf("fit pinned to %v ran on %v", kind, got)
 		}
 	}
@@ -451,6 +452,60 @@ func TestFitAllocatesKeptStateOnly(t *testing.T) {
 		if limit := float64((c.kept + 2) * n); perSubspace > limit {
 			t.Errorf("%s: each further subspace allocates %.0f bytes, want at most %.0f (kept state plus %d bytes)",
 				c.scorer.Name(), perSubspace, limit, 2*n)
+		}
+	}
+}
+
+// TestRankAllocatesLikeFit pins that Rank scores every subspace into one
+// reused buffer, as Fit does: each further subspace may allocate under
+// Rank at most what it allocates under Fit, which also keeps the fitted
+// state, plus two bytes per object. A fresh score slice per subspace
+// would add eight. On the k-d tree, one worker at GOMAXPROCS 1 with the
+// collector off, as in TestFitAllocatesKeptStateOnly.
+func TestRankAllocatesLikeFit(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items under -race; the pin runs in non-race builds")
+	}
+	const n = 3000
+	r := rng.New(5)
+	cols := [][]float64{make([]float64, n), make([]float64, n)}
+	for i := 0; i < n; i++ {
+		cols[0][i], cols[1][i] = r.Float64(), r.Float64()
+	}
+	ds := dataset.MustNew(nil, cols)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	rank := func(p Pipeline) error { _, err := p.Rank(ctx, ds); return err }
+	fit := func(p Pipeline) error { _, err := p.Fit(ctx, ds); return err }
+	for _, scorer := range []Scorer{
+		KNNScorer{K: 10, Index: neighbors.KindKDTree},
+		LOFScorer{MinPts: 10, Index: neighbors.KindKDTree},
+	} {
+		// perSubspace is what each subspace beyond the first allocates.
+		perSubspace := func(run func(Pipeline) error) float64 {
+			bytes := func(subspaces int) uint64 {
+				sel := make(fixedSearcher, subspaces)
+				for i := range sel {
+					sel[i] = subspace.Scored{S: subspace.New(0, 1)}
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := run(Pipeline{Searcher: sel, Scorer: scorer, Workers: 1}); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			bytes(1) // fills the neighborhood pool
+			one, nine := bytes(1), bytes(9)
+			return float64(nine-one) / 8
+		}
+		r, f := perSubspace(rank), perSubspace(fit)
+		t.Logf("%s: each further subspace allocates %.0f bytes under Rank, %.0f under Fit", scorer.Name(), r, f)
+		if r > f+2*n {
+			t.Errorf("%s: each further subspace allocates %.0f bytes under Rank, %.0f under Fit; want at most %d more",
+				scorer.Name(), r, f, 2*n)
 		}
 	}
 }

@@ -1,13 +1,18 @@
 package registry
 
 import (
+	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"hics/internal/core"
+	"hics/internal/dataset"
 	"hics/internal/neighbors"
 	"hics/internal/ranking"
+	"hics/internal/subspace"
+	"hics/internal/synth"
 )
 
 func TestNames(t *testing.T) {
@@ -145,5 +150,64 @@ func TestNewPipelineWiring(t *testing.T) {
 	}
 	if sc := pipe.Scorer.(ranking.KNNScorer); sc.K != 5 || sc.Index != neighbors.KindKDTree {
 		t.Errorf("scorer option not threaded: %+v", pipe.Scorer)
+	}
+}
+
+// fixedSubspaces selects the same subspaces on every search.
+type fixedSubspaces []subspace.Scored
+
+func (f fixedSubspaces) Search(context.Context, *dataset.Dataset) ([]subspace.Scored, error) {
+	return f, nil
+}
+func (fixedSubspaces) Name() string { return "fixed" }
+
+// freshBuffer hands its scorer a newly allocated buffer for every
+// subspace, so no subspace's scores can leak into the next one's.
+type freshBuffer struct{ ranking.Scorer }
+
+func (f freshBuffer) Score(ctx context.Context, ds *dataset.Dataset, dims []int, workers int, scores []float64) error {
+	fresh := make([]float64, len(scores))
+	if err := f.Scorer.Score(ctx, ds, dims, workers, fresh); err != nil {
+		return err
+	}
+	copy(scores, fresh)
+	return nil
+}
+
+// TestRankReusedBufferMatchesFresh: Rank refills one buffer subspace
+// after subspace, so every registered scorer must overwrite all of it.
+// Ranking through that reused buffer must match, bit for bit, the fold of
+// freshly allocated per-subspace scores. ORCA scores only its mined
+// outliers, which differ between subspaces, so it must zero the rest.
+func TestRankReusedBufferMatchesFresh(t *testing.T) {
+	b, err := synth.Generate(synth.Config{N: 300, D: 6, MinSubspaceDim: 2, MaxSubspaceDim: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := b.Data.Data
+	sel := fixedSubspaces{
+		{S: subspace.New(0, 1)}, {S: subspace.New(2, 3)}, {S: subspace.New(4, 5)}, {S: subspace.New(1, 3, 5)},
+	}
+	for _, name := range ScorerNames() {
+		sc, err := NewScorer(name, ScorerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, agg := range []ranking.Aggregation{ranking.Average, ranking.Max, ranking.Product} {
+			reused, err := ranking.Pipeline{Searcher: sel, Scorer: sc, Agg: agg}.Rank(context.Background(), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := ranking.Pipeline{Searcher: sel, Scorer: freshBuffer{sc}, Agg: agg}.Rank(context.Background(), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range fresh.Scores {
+				if math.Float64bits(reused.Scores[i]) != math.Float64bits(fresh.Scores[i]) {
+					t.Fatalf("%s, %v: object %d scores %v through the reused buffer, %v through fresh ones",
+						name, agg, i, reused.Scores[i], fresh.Scores[i])
+				}
+			}
+		}
 	}
 }

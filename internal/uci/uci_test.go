@@ -131,7 +131,7 @@ func TestDifficultyProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores, err := lof.ScoresContext(context.Background(), l.Data, subspace.Full(l.Data.D()), 10, neighbors.KindAuto, 0)
+		_, scores, err := lof.FitContext(context.Background(), l.Data, subspace.Full(l.Data.D()), 10, neighbors.KindAuto, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -393,17 +393,16 @@ func (m *Model) Save(w io.Writer) error {
 	for d := range mf.Cols {
 		mf.Cols[d] = m.ds.Col(d)
 	}
-	for i, fs := range m.fp.Scorers {
-		sv := savedSubspace{Dims: fs.Dims(), Contrast: m.subspaces[i].Contrast}
-		switch f := fs.(type) {
-		case *ranking.FittedLOFScorer:
-			sv.IndexKind = f.State.Kind().String()
-			sv.KDist = f.State.KDist()
-			sv.LRD = f.State.LRD()
-		case *ranking.FittedKNNScorer:
-			sv.IndexKind = f.State.Kind().String()
+	for i, f := range m.fp.Scorers {
+		sv := savedSubspace{Dims: f.Subspace, Contrast: m.subspaces[i].Contrast, IndexKind: f.State.Kind().String()}
+		switch st := f.State.(type) {
+		case *lof.Fitted:
+			sv.KDist = st.KDist()
+			sv.LRD = st.LRD()
+		case *lof.FittedKNN:
+			// The kNN state is its index, rebuilt on load.
 		default:
-			return fmt.Errorf("hics: cannot persist scorer type %T", fs)
+			return fmt.Errorf("hics: cannot persist scorer type %T", st)
 		}
 		mf.Subspaces[i] = sv
 	}
@@ -493,7 +492,7 @@ func assembleModel(mf modelFileV2, version uint32) (*Model, error) {
 	}
 	fp := &ranking.FittedPipeline{
 		Subspaces: make([]subspace.Scored, len(mf.Subspaces)),
-		Scorers:   make([]ranking.FittedScorer, len(mf.Subspaces)),
+		Scorers:   make([]ranking.FittedSubspace, len(mf.Subspaces)),
 		Agg:       agg,
 		Train:     mf.TrainScores,
 		D:         mf.D,
@@ -523,24 +522,21 @@ func assembleModel(mf modelFileV2, version uint32) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hics: loading model subspace %d: %w", i, err)
 		}
+		var st ranking.FittedState
 		switch mf.Scorer {
 		case "knn":
-			st, err := lof.NewFittedKNN(idx, mf.MinPts)
-			if err != nil {
-				return nil, fmt.Errorf("hics: loading model subspace %d: %w", i, err)
-			}
-			fp.Scorers[i] = &ranking.FittedKNNScorer{Subspace: sv.Dims, State: st}
+			st, err = lof.NewFittedKNN(idx, mf.MinPts)
 		case "lof":
-			st, err := lof.NewFitted(idx, mf.MinPts, sv.KDist, sv.LRD)
-			if err != nil {
-				return nil, fmt.Errorf("hics: loading model subspace %d: %w", i, err)
-			}
-			fp.Scorers[i] = &ranking.FittedLOFScorer{Subspace: sv.Dims, State: st}
+			st, err = lof.NewFitted(idx, mf.MinPts, sv.KDist, sv.LRD)
 		default:
 			// Unreachable: ScorerSupportsFit admitted only lof and knn. A
 			// newly registered FitScorer must extend this switch.
 			return nil, fmt.Errorf("hics: model file records scorer %q with no rebuild path", mf.Scorer)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("hics: loading model subspace %d: %w", i, err)
+		}
+		fp.Scorers[i] = ranking.FittedSubspace{Subspace: sv.Dims, State: st}
 		fp.Subspaces[i] = subspace.Scored{S: subspace.New(sv.Dims...), Score: sv.Contrast}
 		m.subspaces[i] = Subspace{Dims: append([]int(nil), sv.Dims...), Contrast: sv.Contrast}
 	}

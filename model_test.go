@@ -8,9 +8,9 @@ import (
 	"sync"
 	"testing"
 
+	"hics/internal/lof"
 	"hics/internal/neighbors"
 	"hics/internal/race"
-	"hics/internal/ranking"
 	"hics/internal/rng"
 )
 
@@ -124,8 +124,8 @@ func TestModelScoreZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range m.fp.Scorers {
-		if kind := f.(*ranking.FittedLOFScorer).State.Kind(); kind != neighbors.KindKDTree {
-			t.Fatalf("subspace %v is served by %v, want kdtree", f.Dims(), kind)
+		if kind := f.State.(*lof.Fitted).Kind(); kind != neighbors.KindKDTree {
+			t.Fatalf("subspace %v is served by %v, want kdtree", f.Subspace, kind)
 		}
 	}
 	i := 0
@@ -153,16 +153,16 @@ func TestFitPinsNeighborIndex(t *testing.T) {
 			}
 			for _, f := range m.fp.Scorers {
 				var got neighbors.Kind
-				switch f := f.(type) {
-				case *ranking.FittedLOFScorer:
-					got = f.State.Kind()
-				case *ranking.FittedKNNScorer:
-					got = f.State.Kind()
+				switch st := f.State.(type) {
+				case *lof.Fitted:
+					got = st.Kind()
+				case *lof.FittedKNN:
+					got = st.Kind()
 				default:
-					t.Fatalf("%s: unexpected fitted scorer %T", scorer, f)
+					t.Fatalf("%s: unexpected fitted scorer %T", scorer, st)
 				}
 				if got != want {
-					t.Errorf("%s with NeighborIndex %q: subspace %v is served by %v", scorer, want, f.Dims(), got)
+					t.Errorf("%s with NeighborIndex %q: subspace %v is served by %v", scorer, want, f.Subspace, got)
 				}
 			}
 		}
