@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"hics/internal/dataset"
@@ -533,7 +534,8 @@ func (e *Evaluator) deviation(attr int, cond []float64) float64 {
 		if len(cond) < 2 {
 			return 0
 		}
-		return stats.MannWhitneyDeviation(e.sortedVals[attr], cond)
+		slices.Sort(cond)
+		return 1 - stats.MannWhitneySorted(e.sortedVals[attr], cond).P
 	case CramerVonMises:
 		if len(cond) == 0 {
 			return 0

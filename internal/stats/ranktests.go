@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -20,41 +21,50 @@ type MannWhitneyResult struct {
 // no normality assumption, unlike KS it targets location shifts
 // specifically.
 func MannWhitneyTest(a, b []float64) MannWhitneyResult {
+	sa := slices.Clone(a)
+	sb := slices.Clone(b)
+	slices.Sort(sa)
+	slices.Sort(sb)
+	return MannWhitneySorted(sa, sb)
+}
+
+// MannWhitneySorted is MannWhitneyTest for samples that are already
+// sorted ascending. It merges the two samples in one pass, walking each
+// tie group across both sides, in O(len(a)+len(b)).
+func MannWhitneySorted(a, b []float64) MannWhitneyResult {
 	na, nb := float64(len(a)), float64(len(b))
 	if len(a) == 0 || len(b) == 0 {
 		return MannWhitneyResult{P: 1}
 	}
-	type obs struct {
-		v     float64
-		fromA bool
-	}
-	all := make([]obs, 0, len(a)+len(b))
-	for _, v := range a {
-		all = append(all, obs{v, true})
-	}
-	for _, v := range b {
-		all = append(all, obs{v, false})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-
-	// Midranks and tie correction term Σ(t³−t).
-	n := len(all)
+	// Midranks and tie correction term Σ(t³−t), group by group in
+	// ascending value order; the midrank is added once per member of a.
 	rankSumA := 0.0
 	tieTerm := 0.0
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && all[j+1].v == all[i].v {
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		// The group's first member is consumed before the equality walks,
+		// so a NaN (equal to nothing) forms a group of its own.
+		first, i0 := i+j, i
+		var v float64
+		if j >= len(b) || (i < len(a) && a[i] <= b[j]) {
+			v = a[i]
+			i++
+		} else {
+			v = b[j]
 			j++
 		}
-		mid := float64(i+j)/2 + 1
-		t := float64(j - i + 1)
-		tieTerm += t*t*t - t
-		for k := i; k <= j; k++ {
-			if all[k].fromA {
-				rankSumA += mid
-			}
+		for i < len(a) && a[i] == v {
+			i++
 		}
-		i = j + 1
+		for j < len(b) && b[j] == v {
+			j++
+		}
+		last := i + j - 1
+		mid := float64(first+last)/2 + 1
+		t := float64(last - first + 1)
+		tieTerm += t*t*t - t
+		for k := i0; k < i; k++ {
+			rankSumA += mid
+		}
 	}
 	u := rankSumA - na*(na+1)/2
 	mean := na * nb / 2

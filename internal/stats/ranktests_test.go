@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -78,6 +79,12 @@ func TestMannWhitneyDegenerate(t *testing.T) {
 	// All values identical: zero variance, P = 1.
 	if res := MannWhitneyTest([]float64{5, 5, 5}, []float64{5, 5}); res.P != 1 {
 		t.Errorf("all-tied P = %v", res.P)
+	}
+	// A NaN equals nothing, so it must form a group of its own rather
+	// than stall the merge.
+	nan := math.NaN()
+	if res := MannWhitneyTest([]float64{1, nan, 2}, []float64{nan, 1}); res.P < 0 || res.P > 1 {
+		t.Errorf("NaN samples P = %v", res.P)
 	}
 }
 
@@ -208,6 +215,110 @@ func TestQuickMannWhitneyMonotoneInShift(t *testing.T) {
 		return dLarge >= dSmall-0.05
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mannWhitneyReference is MannWhitneyTest as it was before the merge:
+// the pooled samples sorted as one, midranks assigned group by group.
+func mannWhitneyReference(a, b []float64) MannWhitneyResult {
+	na, nb := float64(len(a)), float64(len(b))
+	if len(a) == 0 || len(b) == 0 {
+		return MannWhitneyResult{P: 1}
+	}
+	type obs struct {
+		v     float64
+		fromA bool
+	}
+	all := make([]obs, 0, len(a)+len(b))
+	for _, v := range a {
+		all = append(all, obs{v, true})
+	}
+	for _, v := range b {
+		all = append(all, obs{v, false})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+	n := len(all)
+	rankSumA := 0.0
+	tieTerm := 0.0
+	for i := 0; i < n; {
+		j := i
+		for j+1 < n && all[j+1].v == all[i].v {
+			j++
+		}
+		mid := float64(i+j)/2 + 1
+		t := float64(j - i + 1)
+		tieTerm += t*t*t - t
+		for k := i; k <= j; k++ {
+			if all[k].fromA {
+				rankSumA += mid
+			}
+		}
+		i = j + 1
+	}
+	u := rankSumA - na*(na+1)/2
+	mean := na * nb / 2
+	nn := na + nb
+	variance := na * nb / 12 * ((nn + 1) - tieTerm/(nn*(nn-1)))
+	if variance <= 0 {
+		return MannWhitneyResult{U: u, Z: 0, P: 1}
+	}
+	z := (u - mean)
+	switch {
+	case z > 0.5:
+		z -= 0.5
+	case z < -0.5:
+		z += 0.5
+	default:
+		z = 0
+	}
+	z /= math.Sqrt(variance)
+	p := 2 * (1 - NormalCDF(math.Abs(z)))
+	if p > 1 {
+		p = 1
+	}
+	return MannWhitneyResult{U: u, Z: z, P: p}
+}
+
+// Property: the merged test is bit-for-bit the pooled-sort reference on
+// tie-heavy samples (values from a small set that includes −0 and +0),
+// with a large marginal against a small conditional sample as the
+// contrast calls it, and the other way round.
+func TestQuickMannWhitneyMatchesReference(t *testing.T) {
+	levels := []float64{-1.5, -1, math.Copysign(0, -1), 0, 0.25, 0.5, 2, 3}
+	same := func(x, y MannWhitneyResult) bool {
+		return math.Float64bits(x.U) == math.Float64bits(y.U) &&
+			math.Float64bits(x.Z) == math.Float64bits(y.Z) &&
+			math.Float64bits(x.P) == math.Float64bits(y.P)
+	}
+	f := func(seed uint64, nA, nB, nLevels uint8) bool {
+		r := rng.New(seed)
+		na := int(nA)%300 + 1
+		nb := int(nB)%40 + 1
+		k := int(nLevels)%len(levels) + 1
+		draw := func(n int) []float64 {
+			x := make([]float64, n)
+			for i := range x {
+				if r.Float64() < 0.2 {
+					x[i] = r.Normal() // an untied value now and then
+				} else {
+					x[i] = levels[r.Intn(k)]
+				}
+			}
+			return x
+		}
+		a, b := draw(na), draw(nb)
+		want, back := mannWhitneyReference(a, b), mannWhitneyReference(b, a)
+		if !same(MannWhitneyTest(a, b), want) || !same(MannWhitneyTest(b, a), back) {
+			return false
+		}
+		sa := slices.Clone(a)
+		slices.Sort(sa)
+		sb := slices.Clone(b)
+		slices.Sort(sb)
+		return same(MannWhitneySorted(sa, sb), want) && same(MannWhitneySorted(sb, sa), back)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

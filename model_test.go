@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -522,6 +524,116 @@ func TestLoadModelRejectsUnbuildablePair(t *testing.T) {
 	}
 }
 
+// TestLoadModelParallelDeterministic: the indexes are rebuilt
+// concurrently, yet a load on one CPU and on two reproduces the fitted
+// model bit for bit: its subspaces, its training scores, and Score on
+// held-out and on training rows.
+func TestLoadModelParallelDeterministic(t *testing.T) {
+	rows := demoRows(34, 400, 6)
+	m, err := Fit(rows, Options{M: 20, Seed: 34})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(34)
+	queries := make([][]float64, 40, 40+len(rows))
+	for i := range queries {
+		q := make([]float64, 6)
+		for j := range q {
+			q[j] = r.Float64() * 1.2
+		}
+		queries[i] = q
+	}
+	queries = append(queries, rows...)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		loaded, err := LoadModel(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		if got, want := loaded.Subspaces(), m.Subspaces(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS %d: loaded subspaces %v, want %v", procs, got, want)
+		}
+		want := m.TrainingScores()
+		for i, s := range loaded.TrainingScores() {
+			if math.Float64bits(s) != math.Float64bits(want[i]) {
+				t.Fatalf("GOMAXPROCS %d: training score %d = %v, want %v", procs, i, s, want[i])
+			}
+		}
+		for i, q := range queries {
+			a, err := m.Score(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := loaded.Score(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("GOMAXPROCS %d: query %d scores %v loaded, %v fitted", procs, i, b, a)
+			}
+		}
+	}
+}
+
+// TestLoadModelNamesLowestBadSubspace: a file with several bad subspaces
+// is refused naming the lowest-numbered one, as a serial load would.
+func TestLoadModelNamesLowestBadSubspace(t *testing.T) {
+	m, err := Fit(demoRows(35, 300, 6), Options{M: 20, Seed: 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(m.Subspaces()); n < 6 {
+		t.Fatalf("the fit selected %d subspaces, the test needs at least 6", n)
+	}
+	bad := rewriteModelFile(t, m, func(mf *modelFileV2) {
+		mf.Subspaces[2].IndexKind = "lsh"
+		mf.Subspaces[5].IndexKind = "lsh"
+	})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		_, err := LoadModel(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "subspace 2:") {
+			t.Errorf("GOMAXPROCS %d: error %v, want one naming subspace 2", procs, err)
+		}
+	}
+}
+
+// TestLoadModelRejectsBadDims: a subspace's dims must be strictly
+// ascending within [0, D), as Fit writes them. Repeated dims once loaded
+// and scored in a subspace other than the recorded one.
+func TestLoadModelRejectsBadDims(t *testing.T) {
+	m, err := Fit(demoRows(36, 200, 4), Options{M: 20, Seed: 36})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		dims []int
+		want string
+	}{
+		{[]int{1, 1}, "not strictly ascending"},
+		{[]int{2, 1}, "not strictly ascending"},
+		{[]int{0, 4}, "out of range"},
+		{[]int{-1, 2}, "out of range"},
+		{nil, "empty subspace"},
+	} {
+		file := rewriteModelFile(t, m, func(mf *modelFileV2) { mf.Subspaces[0].Dims = c.dims })
+		_, err := LoadModel(bytes.NewReader(file))
+		if err == nil {
+			t.Errorf("dims %v: the file loaded", c.dims)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "subspace 0:") || !strings.Contains(msg, c.want) {
+			t.Errorf("dims %v: error %q should name subspace 0 and say %q", c.dims, msg, c.want)
+		}
+	}
+}
+
 // rewriteModelFile saves m, applies mutate to the decoded payload and
 // returns the re-encoded file.
 func rewriteModelFile(t *testing.T, m *Model, mutate func(*modelFileV2)) []byte {
@@ -644,4 +756,28 @@ func TestModelTrainingRowTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkLoadModel measures LoadModel on a default-options model of
+// 2,000 × 12 rows: gob decoding, validation, the training-row table and
+// one rebuilt neighbor index per subspace.
+func BenchmarkLoadModel(b *testing.B) {
+	m, err := Fit(demoRows(12, 2000, 12), Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	raw := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for b.Loop() {
+		if _, err := LoadModel(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+	b.ReportMetric(float64(len(m.Subspaces())), "subspaces")
 }
