@@ -284,9 +284,7 @@ func TestContrastContextCancelled(t *testing.T) {
 }
 
 // TestContrastZeroAllocs pins the Monte Carlo loop allocation-free once
-// its Scratch is warm, on full-data and subsampled estimates. The
-// Mann–Whitney test is left out: stats.MannWhitneyTest allocates its
-// pooled ranking.
+// its Scratch is warm, on full-data and subsampled estimates.
 func TestContrastZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race; the pin runs in non-race builds")
@@ -294,7 +292,7 @@ func TestContrastZeroAllocs(t *testing.T) {
 	ds := correlatedPair(5, 3000, 5)
 	ds.EnsureIndexes()
 	for _, rows := range []int{0, 500} {
-		for _, test := range []Test{WelchT, KolmogorovSmirnov, CramerVonMises} {
+		for _, test := range []Test{WelchT, KolmogorovSmirnov, MannWhitney, CramerVonMises} {
 			e := NewEvaluator(ds, Params{M: 10, Test: test, MaxSampleRows: rows})
 			sc := e.NewScratch()
 			r := rng.New(1)

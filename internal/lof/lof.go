@@ -211,23 +211,14 @@ func checkFit(ds *dataset.Dataset, scores []float64) (int, error) {
 // neighbor index plus the stored k-distances and local reachability
 // densities.
 func NewFitted(idx neighbors.Index, minPts int, kdist, lrd []float64) (*Fitted, error) {
-	if err := CheckFitted(idx.N(), minPts, kdist, lrd); err != nil {
-		return nil, err
+	if minPts < 1 {
+		return nil, fmt.Errorf("lof: fitted state needs minPts >= 1, got %d", minPts)
+	}
+	if len(kdist) != idx.N() || len(lrd) != idx.N() {
+		return nil, fmt.Errorf("lof: fitted state for %d objects has %d k-distances and %d lrd values",
+			idx.N(), len(kdist), len(lrd))
 	}
 	return newFitted(idx, minPts, kdist, lrd), nil
-}
-
-// CheckFitted reports whether NewFitted accepts the persisted state for an
-// index of n objects, without needing the index.
-func CheckFitted(n, minPts int, kdist, lrd []float64) error {
-	if minPts < 1 {
-		return fmt.Errorf("lof: fitted state needs minPts >= 1, got %d", minPts)
-	}
-	if len(kdist) != n || len(lrd) != n {
-		return fmt.Errorf("lof: fitted state for %d objects has %d k-distances and %d lrd values",
-			n, len(kdist), len(lrd))
-	}
-	return nil
 }
 
 func newFitted(idx neighbors.Index, minPts int, kdist, lrd []float64) *Fitted {
@@ -337,18 +328,10 @@ func FitKNNInto(ctx context.Context, ds *dataset.Dataset, dims []int, k int, kin
 
 // NewFittedKNN reassembles a FittedKNN from persisted state.
 func NewFittedKNN(idx neighbors.Index, k int) (*FittedKNN, error) {
-	if err := CheckFittedKNN(k); err != nil {
-		return nil, err
+	if k < 1 {
+		return nil, fmt.Errorf("lof: fitted state needs k >= 1, got %d", k)
 	}
 	return newFittedKNN(idx, k), nil
-}
-
-// CheckFittedKNN reports whether NewFittedKNN accepts neighborhood size k.
-func CheckFittedKNN(k int) error {
-	if k < 1 {
-		return fmt.Errorf("lof: fitted state needs k >= 1, got %d", k)
-	}
-	return nil
 }
 
 func newFittedKNN(idx neighbors.Index, k int) *FittedKNN {

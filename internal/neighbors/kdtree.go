@@ -3,6 +3,7 @@ package neighbors
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"hics/internal/parallel"
 )
@@ -12,10 +13,11 @@ import (
 // [lo,hi) sits at its midpoint, children are the two half-segments), so
 // the tree's shape is one []int32 with zero per-node allocation: four
 // bytes per object, which New's size check keeps sufficient. Segments of
-// at most leafSize ids are leaves, scanned linearly. Coordinates are read
-// from the shared dataset columns, never copied; only each internal
-// node's split value is kept a second time, in one heap-numbered array
-// the descent reads instead of chasing the median's id into its column.
+// at most leafSize ids are leaves, scanned linearly in id order.
+// Coordinates are read from the shared dataset columns, never copied;
+// only each internal node's split value is kept a second time, in one
+// heap-numbered array the descent reads instead of chasing the median's
+// id into its column.
 //
 // A query is one depth-first descent, nearer side of each split first,
 // that offers every visited object within the current bound to a k-best
@@ -112,9 +114,12 @@ func (t *KDTree) split(s segment) int {
 	return mid
 }
 
-// buildRange recursively median-splits ids[lo:hi) on the depth-cycled axis.
+// buildRange recursively median-splits ids[lo:hi) on the depth-cycled
+// axis and sorts each leaf's ids ascending, so a leaf is scanned in id
+// order whatever order the partition left it in.
 func (t *KDTree) buildRange(lo, hi, depth int) {
 	if hi-lo <= leafSize {
+		slices.Sort(t.ids[lo:hi])
 		return
 	}
 	mid := t.split(segment{lo, hi, depth})

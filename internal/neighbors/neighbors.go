@@ -218,26 +218,15 @@ func checkSize(n int) error {
 	return nil
 }
 
-// CheckDims reports whether New accepts dims as a subspace of a dataset
-// with d attributes: at least one dimension, each within [0, d).
-func CheckDims(dims []int, d int) error {
-	if len(dims) == 0 {
-		return fmt.Errorf("neighbors: empty subspace")
-	}
-	for _, j := range dims {
-		if j < 0 || j >= d {
-			return fmt.Errorf("neighbors: dimension %d out of range [0,%d)", j, d)
-		}
-	}
-	return nil
-}
-
 func selectCols(ds *dataset.Dataset, dims []int) ([][]float64, error) {
-	if err := CheckDims(dims, ds.D()); err != nil {
-		return nil, err
+	if len(dims) == 0 {
+		return nil, fmt.Errorf("neighbors: empty subspace")
 	}
 	cols := make([][]float64, len(dims))
 	for k, d := range dims {
+		if d < 0 || d >= ds.D() {
+			return nil, fmt.Errorf("neighbors: dimension %d out of range [0,%d)", d, ds.D())
+		}
 		cols[k] = ds.Col(d)
 	}
 	return cols, nil

@@ -541,6 +541,32 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestKDTreeLeavesInIDOrder: every leaf holds its ids ascending, so the
+// order a query scans a leaf in does not depend on how the partition
+// permuted it.
+func TestKDTreeLeavesInIDOrder(t *testing.T) {
+	for _, n := range []int{1, leafSize, leafSize + 1, 1000, 2*parallelBuildMin + 3} {
+		cols, err := selectCols(randomDataset(59, n, 3, 4), allDims(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := newKDTree(cols, n, 2)
+		var check func(lo, hi int)
+		check = func(lo, hi int) {
+			if hi-lo <= leafSize {
+				if !slices.IsSorted(tree.ids[lo:hi]) {
+					t.Errorf("n=%d: leaf [%d,%d) holds ids %v", n, lo, hi, tree.ids[lo:hi])
+				}
+				return
+			}
+			mid := (lo + hi) / 2
+			check(lo, mid)
+			check(mid+1, hi)
+		}
+		check(0, n)
+	}
+}
+
 // TestKNNAllContextAllocs: the batch pass allocates a fixed number of
 // slices, not one per object. Tie-free data keeps every row in the slab.
 // One worker: AllocsPerRun measures at GOMAXPROCS 1, where a second

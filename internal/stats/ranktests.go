@@ -92,12 +92,6 @@ func MannWhitneySorted(a, b []float64) MannWhitneyResult {
 	return MannWhitneyResult{U: u, Z: z, P: p}
 }
 
-// MannWhitneyDeviation returns 1 − p, the HiCS-style deviation value of
-// the Mann–Whitney test.
-func MannWhitneyDeviation(a, b []float64) float64 {
-	return 1 - MannWhitneyTest(a, b).P
-}
-
 // CramerVonMisesSorted returns the two-sample Cramér–von Mises criterion
 // T for samples that are already sorted ascending, normalized to [0, 1)
 // via T/(T+1) so it can serve directly as a HiCS deviation value. Unlike

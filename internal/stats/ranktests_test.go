@@ -33,7 +33,7 @@ func TestMannWhitneyShifted(t *testing.T) {
 	if res.P > 1e-6 {
 		t.Errorf("shifted distributions P = %v, want ~0", res.P)
 	}
-	if MannWhitneyDeviation(a, b) < 0.999 {
+	if 1-MannWhitneyTest(a, b).P < 0.999 {
 		t.Error("deviation for clear shift should be ~1")
 	}
 }
@@ -50,7 +50,7 @@ func TestMannWhitneySameDistribution(t *testing.T) {
 			a[i] = r.Normal()
 			b[i] = r.Normal()
 		}
-		sum += MannWhitneyDeviation(a, b)
+		sum += 1 - MannWhitneyTest(a, b).P
 	}
 	mean := sum / reps
 	if mean < 0.38 || mean > 0.62 {
@@ -179,8 +179,8 @@ func TestQuickRankDeviationsBoundsAndSymmetry(t *testing.T) {
 		for i := range b {
 			b[i] = r.Normal() + shift
 		}
-		dmw1 := MannWhitneyDeviation(a, b)
-		dmw2 := MannWhitneyDeviation(b, a)
+		dmw1 := 1 - MannWhitneyTest(a, b).P
+		dmw2 := 1 - MannWhitneyTest(b, a).P
 		if dmw1 < 0 || dmw1 > 1 || !almostEq(dmw1, dmw2, 1e-9) {
 			return false
 		}
@@ -210,8 +210,8 @@ func TestQuickMannWhitneyMonotoneInShift(t *testing.T) {
 			small[i] = base[i] + 0.2
 			large[i] = base[i] + 2.0
 		}
-		dSmall := MannWhitneyDeviation(a, small)
-		dLarge := MannWhitneyDeviation(a, large)
+		dSmall := 1 - MannWhitneyTest(a, small).P
+		dLarge := 1 - MannWhitneyTest(a, large).P
 		return dLarge >= dSmall-0.05
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -490,21 +490,6 @@ func assembleModel(mf modelFileV2, version uint32) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hics: loading model: %w", err)
 	}
-	if mf.Scorer != "lof" && mf.Scorer != "knn" {
-		// Unreachable: ScorerSupportsFit admitted only lof and knn. A
-		// newly registered FitScorer must extend checkSubspace and
-		// buildSubspace.
-		return nil, fmt.Errorf("hics: model file records scorer %q with no rebuild path", mf.Scorer)
-	}
-	// Every subspace is validated before any index is built, so a bad file
-	// is refused cheaply and the error names its lowest-numbered bad
-	// subspace.
-	kinds := make([]neighbors.Kind, len(mf.Subspaces))
-	for i, sv := range mf.Subspaces {
-		if kinds[i], err = checkSubspace(&mf, sv); err != nil {
-			return nil, fmt.Errorf("hics: loading model subspace %d: %w", i, err)
-		}
-	}
 	fp := &ranking.FittedPipeline{
 		Subspaces: make([]subspace.Scored, len(mf.Subspaces)),
 		Scorers:   make([]ranking.FittedSubspace, len(mf.Subspaces)),
@@ -523,19 +508,46 @@ func assembleModel(mf modelFileV2, version uint32) (*Model, error) {
 		subspaces:   make([]Subspace, len(mf.Subspaces)),
 		trainScores: mf.TrainScores,
 	}
-	// The neighbor indexes are rebuilt one subspace per claim on all CPUs,
-	// each tree on one worker, and the training-row table is one more
-	// claim. Every claim writes only its own slot and index construction
-	// is deterministic, so the model is the one a serial loop builds; with
-	// one-index claims handed out in order, ForEach reports the
-	// lowest-numbered failing subspace.
-	err = parallel.ForEach(context.Background(), len(mf.Subspaces)+1, 0, 1, func(_, i int) error {
-		if i == len(mf.Subspaces) {
-			m.train = newRowTable(ds)
-			return nil
-		}
+	// The indexes are rebuilt one subspace per claim on all CPUs, each
+	// tree on the claiming goroutine. A claim writes only its own slots
+	// and an index does not depend on the goroutine that built it, so the
+	// model is the one a serial loop builds. Claims are handed out in
+	// index order and every claimed index runs, so of several bad
+	// subspaces the error names the lowest-numbered one.
+	err = parallel.ForEach(context.Background(), len(mf.Subspaces), 0, 1, func(_, i int) error {
 		sv := mf.Subspaces[i]
-		st, err := buildSubspace(&mf, ds, sv, kinds[i])
+		// Rebuilding an approximate-index model on an exact index would
+		// silently change its scores, so such files are refused.
+		if sv.IndexKind == "lsh" {
+			return fmt.Errorf("hics: loading model subspace %d: the approximate lsh neighbor index is no longer supported; refit the model", i)
+		}
+		kind, err := neighbors.ParseKind(sv.IndexKind)
+		if err != nil {
+			return fmt.Errorf("hics: loading model subspace %d: %w", i, err)
+		}
+		// Fit writes each subspace's dims strictly ascending. Repeated or
+		// unordered dims would build an index over a subspace other than
+		// the recorded one; neighbors.NewWorkers checks the range.
+		for k := 1; k < len(sv.Dims); k++ {
+			if sv.Dims[k] <= sv.Dims[k-1] {
+				return fmt.Errorf("hics: loading model subspace %d: dims %v are not strictly ascending", i, sv.Dims)
+			}
+		}
+		idx, err := neighbors.NewWorkers(ds, sv.Dims, kind, 1)
+		if err != nil {
+			return fmt.Errorf("hics: loading model subspace %d: %w", i, err)
+		}
+		var st ranking.FittedState
+		switch mf.Scorer {
+		case "knn":
+			st, err = lof.NewFittedKNN(idx, mf.MinPts)
+		case "lof":
+			st, err = lof.NewFitted(idx, mf.MinPts, sv.KDist, sv.LRD)
+		default:
+			// Unreachable: ScorerSupportsFit admitted only lof and knn. A
+			// newly registered FitScorer must extend this switch.
+			return fmt.Errorf("hics: model file records scorer %q with no rebuild path", mf.Scorer)
+		}
 		if err != nil {
 			return fmt.Errorf("hics: loading model subspace %d: %w", i, err)
 		}
@@ -547,46 +559,6 @@ func assembleModel(mf modelFileV2, version uint32) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.train = newRowTable(ds)
 	return m, nil
-}
-
-// checkSubspace validates one persisted subspace of mf without building
-// anything and returns its index kind. Dims must be strictly ascending
-// within [0, D), as Fit writes them: repeated or unordered dims would
-// build an index whose subspace differs from the recorded one.
-func checkSubspace(mf *modelFileV2, sv savedSubspace) (neighbors.Kind, error) {
-	// Rebuilding an approximate-index model on an exact index would
-	// silently change its scores, so such files are refused.
-	if sv.IndexKind == "lsh" {
-		return 0, errors.New("the approximate lsh neighbor index is no longer supported; refit the model")
-	}
-	kind, err := neighbors.ParseKind(sv.IndexKind)
-	if err != nil {
-		return 0, err
-	}
-	if err := neighbors.CheckDims(sv.Dims, mf.D); err != nil {
-		return 0, err
-	}
-	for k := 1; k < len(sv.Dims); k++ {
-		if sv.Dims[k] <= sv.Dims[k-1] {
-			return 0, fmt.Errorf("dims %v are not strictly ascending", sv.Dims)
-		}
-	}
-	if mf.Scorer == "knn" {
-		return kind, lof.CheckFittedKNN(mf.MinPts)
-	}
-	return kind, lof.CheckFitted(mf.N, mf.MinPts, sv.KDist, sv.LRD)
-}
-
-// buildSubspace rebuilds the neighbor index of a validated subspace on
-// the calling goroutine and wraps it in the scorer's fitted state.
-func buildSubspace(mf *modelFileV2, ds *dataset.Dataset, sv savedSubspace, kind neighbors.Kind) (ranking.FittedState, error) {
-	idx, err := neighbors.NewWorkers(ds, sv.Dims, kind, 1)
-	if err != nil {
-		return nil, err
-	}
-	if mf.Scorer == "knn" {
-		return lof.NewFittedKNN(idx, mf.MinPts)
-	}
-	return lof.NewFitted(idx, mf.MinPts, sv.KDist, sv.LRD)
 }

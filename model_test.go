@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -524,64 +523,9 @@ func TestLoadModelRejectsUnbuildablePair(t *testing.T) {
 	}
 }
 
-// TestLoadModelParallelDeterministic: the indexes are rebuilt
-// concurrently, yet a load on one CPU and on two reproduces the fitted
-// model bit for bit: its subspaces, its training scores, and Score on
-// held-out and on training rows.
-func TestLoadModelParallelDeterministic(t *testing.T) {
-	rows := demoRows(34, 400, 6)
-	m, err := Fit(rows, Options{M: 20, Seed: 34})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(34)
-	queries := make([][]float64, 40, 40+len(rows))
-	for i := range queries {
-		q := make([]float64, 6)
-		for j := range q {
-			q[j] = r.Float64() * 1.2
-		}
-		queries[i] = q
-	}
-	queries = append(queries, rows...)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
-		loaded, err := LoadModel(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
-		}
-		if got, want := loaded.Subspaces(), m.Subspaces(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("GOMAXPROCS %d: loaded subspaces %v, want %v", procs, got, want)
-		}
-		want := m.TrainingScores()
-		for i, s := range loaded.TrainingScores() {
-			if math.Float64bits(s) != math.Float64bits(want[i]) {
-				t.Fatalf("GOMAXPROCS %d: training score %d = %v, want %v", procs, i, s, want[i])
-			}
-		}
-		for i, q := range queries {
-			a, err := m.Score(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := loaded.Score(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("GOMAXPROCS %d: query %d scores %v loaded, %v fitted", procs, i, b, a)
-			}
-		}
-	}
-}
-
-// TestLoadModelNamesLowestBadSubspace: a file with several bad subspaces
-// is refused naming the lowest-numbered one, as a serial load would.
+// TestLoadModelNamesLowestBadSubspace: the subspaces load concurrently,
+// yet a file with several bad subspaces is refused naming the
+// lowest-numbered one, as a serial load would.
 func TestLoadModelNamesLowestBadSubspace(t *testing.T) {
 	m, err := Fit(demoRows(35, 300, 6), Options{M: 20, Seed: 35})
 	if err != nil {
