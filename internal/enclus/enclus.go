@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"hics/internal/dataset"
 	"hics/internal/subspace"
@@ -72,19 +73,28 @@ func (p Params) withDefaults() Params {
 // values outside are clamped into the boundary cells.
 func Entropy(ds *dataset.Dataset, s subspace.Subspace, xi int) float64 {
 	n := ds.N()
-	cells := make(map[uint64]int, n)
-	for i := 0; i < n; i++ {
+	keys := make([]uint64, n)
+	for i := range keys {
 		var key uint64
 		for _, d := range s {
 			key = key*uint64(xi) + uint64(cellOf(ds.Value(i, d), xi))
 		}
-		cells[key]++
+		keys[i] = key
 	}
+	// The cells are summed in key order, so every call rounds alike; a
+	// map's random iteration order would change the result's last bits
+	// from call to call.
+	slices.Sort(keys)
 	h := 0.0
 	invN := 1 / float64(n)
-	for _, c := range cells {
-		p := float64(c) * invN
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && keys[hi] == keys[lo] {
+			hi++
+		}
+		p := float64(hi-lo) * invN
 		h -= p * math.Log2(p)
+		lo = hi
 	}
 	return h
 }

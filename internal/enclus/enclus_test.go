@@ -95,6 +95,20 @@ func TestEntropyClampsOutOfRange(t *testing.T) {
 	}
 }
 
+// Entropy sums its cells in a fixed order, so repeated calls on the same
+// input return one bit pattern.
+func TestEntropyReproducible(t *testing.T) {
+	ds := uniformData(11, 2000, 6)
+	for _, s := range []subspace.Subspace{subspace.New(0, 1), subspace.New(0, 1, 2), subspace.New(1, 3, 4, 5)} {
+		want := math.Float64bits(Entropy(ds, s, DefaultXi))
+		for i := 0; i < 100; i++ {
+			if got := math.Float64bits(Entropy(ds, s, DefaultXi)); got != want {
+				t.Fatalf("Entropy(%v) call %d = %x, first call %x", s, i, got, want)
+			}
+		}
+	}
+}
+
 func TestInterestCorrelatedVsIndependent(t *testing.T) {
 	clus := clusteredPair(4, 1000, 2)
 	unif := uniformData(5, 1000, 2)
