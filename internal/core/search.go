@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"hics/internal/dataset"
 	"hics/internal/parallel"
@@ -64,44 +65,37 @@ func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*SearchR
 	defer span.End()
 
 	result := &SearchResult{}
-	var pool []subspace.Scored
 	// One Scratch per worker serves every level; a worker makes its own
 	// on its first candidate.
 	scratches := make([]*Scratch, parallel.WorkerCount(p.Workers, math.MaxInt))
-
-	candidates := subspace.AllPairs(ds.D())
-	for len(candidates) > 0 {
+	// HiCS always scores the pairs: MaxDim 1 stops after them, as 2 does.
+	maxDim := p.MaxDim
+	if maxDim == 1 {
+		maxDim = 2
+	}
+	levels, err := subspace.LevelWise(ctx, ds.D(), p.Cutoff, maxDim, func(ctx context.Context, candidates []subspace.Subspace) ([]subspace.Scored, error) {
 		lctx, lspan := trace.StartSpan(ctx, "search.contrast_level")
+		defer lspan.End()
 		lspan.SetAttr("dim", candidates[0].Dim())
 		lspan.SetAttr("candidates", len(candidates))
 		scored, err := scoreAll(lctx, eval, base, candidates, scratches)
 		if err != nil {
 			lspan.SetError(err)
-			lspan.End()
-			span.SetError(err)
 			return nil, err
 		}
 		lspan.SetAttr("mc_iterations", len(scored)*p.M)
-		lspan.End()
 		result.Evaluated += len(scored)
 		result.MCIterations += len(scored) * p.M
 		mCandidates.Add(int64(len(scored)))
-
-		retained := subspace.TopK(scored, p.Cutoff)
-		result.Levels = append(result.Levels, retained)
-		pool = append(pool, retained...)
-
-		dim := retained[0].S.Dim()
-		if p.MaxDim > 0 && dim >= p.MaxDim {
-			break
-		}
-		parents := make([]subspace.Subspace, len(retained))
-		for i, sc := range retained {
-			parents[i] = sc.S
-		}
-		candidates = subspace.GenerateCandidates(parents)
+		return scored, nil
+	})
+	if err != nil {
+		span.SetError(err)
+		return nil, err
 	}
+	result.Levels = levels
 
+	pool := slices.Concat(levels...)
 	if !p.DisablePruning {
 		pool = subspace.PruneRedundant(pool)
 	}

@@ -41,7 +41,7 @@ type Params struct {
 	// Xi is the number of equal-width grid intervals per attribute.
 	Xi int
 	// Omega is the entropy threshold: subspaces with H(S) > Omega are
-	// discarded. Zero selects an adaptive threshold (see SearchContext).
+	// discarded. Zero selects an adaptive threshold (see Searcher.Search).
 	Omega float64
 	// MaxDim caps candidate dimensionality.
 	MaxDim int
@@ -121,138 +121,68 @@ func Interest(ds *dataset.Dataset, s subspace.Subspace, xi int) float64 {
 	return sum - Entropy(ds, s, xi)
 }
 
-// Result carries the outcome of an Enclus search.
-type Result struct {
-	// Subspaces holds the retained subspaces ranked by descending interest.
-	Subspaces []subspace.Scored
-	// Evaluated counts entropy evaluations of multi-dimensional candidates.
-	Evaluated int
-}
-
-// SearchContext runs the level-wise Enclus procedure on ds (which must be
-// min-max normalized). When Params.Omega is zero an adaptive threshold is
-// used: the median two-dimensional entropy, which keeps the low-entropy
-// half of the pair candidates — this reproduces the "large number of
-// configurations" tuning the paper describes without per-dataset knobs.
-// ctx is checked between entropy evaluations, so a cancelled context
-// surfaces ctx.Err() within one candidate's worth of work.
-func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*Result, error) {
-	p = p.withDefaults()
-	if ds.D() < 2 {
-		return nil, fmt.Errorf("enclus: need at least 2 attributes, have %d", ds.D())
-	}
-
-	res := &Result{}
-	var pool []subspace.Scored
-
-	// Level 2: all pairs.
-	pairs := subspace.AllPairs(ds.D())
-	level := make([]entScored, 0, len(pairs))
-	entropies := make([]float64, 0, len(pairs))
-	for _, s := range pairs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		h := Entropy(ds, s, p.Xi)
-		res.Evaluated++
-		level = append(level, entScored{s, h})
-		entropies = append(entropies, h)
-	}
-	omega := p.Omega
-	if omega <= 0 {
-		omega = median(entropies)
-	}
-
-	for dim := 2; len(level) > 0 && dim <= p.MaxDim; dim++ {
-		// Keep candidates passing the entropy threshold; rank by interest.
-		var kept []entScored
-		for _, c := range level {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if c.h <= omega {
-				kept = append(kept, c)
-				pool = append(pool, subspace.Scored{S: c.s, Score: Interest(ds, c.s, p.Xi)})
-			}
-		}
-		if len(kept) > p.Cutoff {
-			// Lowest entropy first — the Enclus "good clustering" ordering.
-			sortByEntropy(kept)
-			kept = kept[:p.Cutoff]
-		}
-		if dim == p.MaxDim {
-			break
-		}
-		parents := make([]subspace.Subspace, len(kept))
-		for i, c := range kept {
-			parents[i] = c.s
-		}
-		next := subspace.GenerateCandidates(parents)
-		level = level[:0]
-		for _, s := range next {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			h := Entropy(ds, s, p.Xi)
-			res.Evaluated++
-			// Downward closure: a superspace can only raise entropy, so
-			// candidates above ω are dropped before the next level.
-			if h <= omega {
-				level = append(level, entScored{s, h})
-			}
-		}
-	}
-
-	res.Subspaces = subspace.TopK(pool, p.TopK)
-	return res, nil
-}
-
-func sortByEntropy(cs []entScored) {
-	// insertion sort is fine: cutoff-bounded lists are small
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].h < cs[j-1].h; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
-}
-
-// entScored pairs a candidate with its grid entropy during the level-wise
-// search.
-type entScored struct {
-	s subspace.Subspace
-	h float64
-}
-
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	cp := append([]float64(nil), xs...)
-	// selection by partial sort
-	for i := 0; i <= len(cp)/2; i++ {
-		min := i
-		for j := i + 1; j < len(cp); j++ {
-			if cp[j] < cp[min] {
-				min = j
-			}
-		}
-		cp[i], cp[min] = cp[min], cp[i]
-	}
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
 	return cp[len(cp)/2]
 }
 
-// Searcher adapts SearchContext to the ranking pipeline.
+// Searcher runs the level-wise Enclus search as the two-step pipeline's
+// subspace search step.
 type Searcher struct {
 	Params Params
 }
 
-// Search implements the two-step pipeline's subspace search step.
+// Search runs the level-wise Enclus procedure on ds (which must be min-max
+// normalized) and returns the pooled subspaces ranked by descending
+// interest. A level keeps the candidates with entropy at most ω, up to
+// Cutoff of them with the lowest entropy, the Enclus "good clustering"
+// ordering; by downward closure a superspace can only raise entropy, so
+// the join never revives a dropped candidate. When Params.Omega is zero
+// an adaptive threshold is used: the median two-dimensional entropy,
+// which keeps the low-entropy half of the pair candidates — this
+// reproduces the "large number of configurations" tuning the paper
+// describes without per-dataset knobs. ctx is checked between entropy
+// evaluations, so a cancelled context surfaces ctx.Err() within one
+// candidate's worth of work.
 func (e *Searcher) Search(ctx context.Context, ds *dataset.Dataset) ([]subspace.Scored, error) {
-	res, err := SearchContext(ctx, ds, e.Params)
+	p := e.Params.withDefaults()
+	if ds.D() < 2 {
+		return nil, fmt.Errorf("enclus: need at least 2 attributes, have %d", ds.D())
+	}
+	omega := p.Omega
+	var pool []subspace.Scored
+	_, err := subspace.LevelWise(ctx, ds.D(), p.Cutoff, p.MaxDim, func(ctx context.Context, candidates []subspace.Subspace) ([]subspace.Scored, error) {
+		entropies := make([]float64, len(candidates))
+		for i, s := range candidates {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			entropies[i] = Entropy(ds, s, p.Xi)
+		}
+		if p.Omega <= 0 && candidates[0].Dim() == 2 {
+			omega = median(entropies)
+		}
+		var kept []subspace.Scored
+		for i, s := range candidates {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if h := entropies[i]; h <= omega {
+				pool = append(pool, subspace.Scored{S: s, Score: Interest(ds, s, p.Xi)})
+				// −H as the cutoff key keeps the lowest-entropy candidates.
+				kept = append(kept, subspace.Scored{S: s, Score: -h})
+			}
+		}
+		return kept, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return res.Subspaces, nil
+	return subspace.TopK(pool, p.TopK), nil
 }
 
 // Name identifies the method in experiment reports.

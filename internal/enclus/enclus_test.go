@@ -125,28 +125,28 @@ func TestInterestCorrelatedVsIndependent(t *testing.T) {
 
 func TestSearchFindsClusteredSubspace(t *testing.T) {
 	ds := clusteredPair(6, 800, 6)
-	res, err := SearchContext(context.Background(), ds, Params{TopK: 10})
+	list, err := (&Searcher{Params: Params{TopK: 10}}).Search(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Subspaces) == 0 {
+	if len(list) == 0 {
 		t.Fatal("no subspaces found")
 	}
-	if !res.Subspaces[0].S.SupersetOf(subspace.New(0, 1)) {
-		t.Errorf("top subspace %v does not cover the planted pair", res.Subspaces[0].S)
+	if !list[0].S.SupersetOf(subspace.New(0, 1)) {
+		t.Errorf("top subspace %v does not cover the planted pair", list[0].S)
 	}
 }
 
 func TestSearchRespectsTopKAndMaxDim(t *testing.T) {
 	ds := clusteredPair(7, 300, 5)
-	res, err := SearchContext(context.Background(), ds, Params{TopK: 3, MaxDim: 2})
+	list, err := (&Searcher{Params: Params{TopK: 3, MaxDim: 2}}).Search(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Subspaces) > 3 {
-		t.Errorf("TopK violated: %d", len(res.Subspaces))
+	if len(list) > 3 {
+		t.Errorf("TopK violated: %d", len(list))
 	}
-	for _, sc := range res.Subspaces {
+	for _, sc := range list {
 		if sc.S.Dim() > 2 {
 			t.Errorf("MaxDim violated by %v", sc.S)
 		}
@@ -156,18 +156,18 @@ func TestSearchRespectsTopKAndMaxDim(t *testing.T) {
 func TestSearchExplicitOmega(t *testing.T) {
 	ds := uniformData(8, 200, 4)
 	// Impossible threshold: nothing survives.
-	res, err := SearchContext(context.Background(), ds, Params{Omega: 0.001})
+	list, err := (&Searcher{Params: Params{Omega: 0.001}}).Search(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Subspaces) != 0 {
-		t.Errorf("omega=0.001 should keep nothing, got %d", len(res.Subspaces))
+	if len(list) != 0 {
+		t.Errorf("omega=0.001 should keep nothing, got %d", len(list))
 	}
 }
 
 func TestSearchErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1, 2}})
-	if _, err := SearchContext(context.Background(), ds, Params{}); err == nil {
+	if _, err := (&Searcher{Params: Params{}}).Search(context.Background(), ds); err == nil {
 		t.Error("single attribute should fail")
 	}
 }

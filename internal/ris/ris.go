@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"hics/internal/dataset"
 	"hics/internal/subspace"
@@ -152,33 +153,29 @@ func ballVolume(d int, eps float64) float64 {
 	return v
 }
 
-// Result carries the outcome of a RIS search.
-type Result struct {
-	Subspaces []subspace.Scored // ranked by descending quality
-	Evaluated int               // quality computations performed
+// Searcher runs the level-wise RIS search as the two-step pipeline's
+// subspace search step.
+type Searcher struct {
+	Params Params
 }
 
-// SearchContext runs the level-wise RIS procedure on min-max normalized
-// data. ctx is checked between candidate quality evaluations, so a
-// cancelled context surfaces ctx.Err() within one candidate's O(N²)
-// neighborhood-counting pass.
-func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*Result, error) {
-	p = p.withDefaults()
+// Search runs the level-wise RIS procedure on min-max normalized data and
+// returns the pooled subspaces ranked by descending quality. ctx is
+// checked between candidate quality evaluations, so a cancelled context
+// surfaces ctx.Err() within one candidate's O(N²) neighborhood-counting
+// pass.
+func (r *Searcher) Search(ctx context.Context, ds *dataset.Dataset) ([]subspace.Scored, error) {
+	p := r.Params.withDefaults()
 	if ds.D() < 2 {
 		return nil, fmt.Errorf("ris: need at least 2 attributes, have %d", ds.D())
 	}
-	res := &Result{}
-	var pool []subspace.Scored
-
-	candidates := subspace.AllPairs(ds.D())
-	for dim := 2; len(candidates) > 0 && dim <= p.MaxDim; dim++ {
+	levels, err := subspace.LevelWise(ctx, ds.D(), p.Cutoff, p.MaxDim, func(ctx context.Context, candidates []subspace.Subspace) ([]subspace.Scored, error) {
 		var kept []subspace.Scored
 		for _, s := range candidates {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			q, cores, err := Quality(ds, s, p)
-			res.Evaluated++
 			if err != nil {
 				return nil, err
 			}
@@ -188,34 +185,12 @@ func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*Result,
 				kept = append(kept, subspace.Scored{S: s, Score: q})
 			}
 		}
-		kept = subspace.TopK(kept, p.Cutoff)
-		pool = append(pool, kept...)
-		if dim == p.MaxDim {
-			break
-		}
-		parents := make([]subspace.Subspace, len(kept))
-		for i, sc := range kept {
-			parents[i] = sc.S
-		}
-		candidates = subspace.GenerateCandidates(parents)
-	}
-
-	res.Subspaces = subspace.TopK(pool, p.TopK)
-	return res, nil
-}
-
-// Searcher adapts SearchContext to the ranking pipeline.
-type Searcher struct {
-	Params Params
-}
-
-// Search implements the two-step pipeline's subspace search step.
-func (r *Searcher) Search(ctx context.Context, ds *dataset.Dataset) ([]subspace.Scored, error) {
-	res, err := SearchContext(ctx, ds, r.Params)
+		return kept, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return res.Subspaces, nil
+	return subspace.TopK(slices.Concat(levels...), p.TopK), nil
 }
 
 // Name identifies the method in experiment reports.

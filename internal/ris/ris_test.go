@@ -199,28 +199,28 @@ func TestQualityBadSubspace(t *testing.T) {
 
 func TestSearchFindsClusteredSubspace(t *testing.T) {
 	ds := clusteredPair(5, 500, 5)
-	res, err := SearchContext(context.Background(), ds, Params{TopK: 10})
+	list, err := (&Searcher{Params: Params{TopK: 10}}).Search(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Subspaces) == 0 {
+	if len(list) == 0 {
 		t.Fatal("no subspaces found")
 	}
-	if !res.Subspaces[0].S.SupersetOf(subspace.New(0, 1)) {
-		t.Errorf("top subspace %v does not cover planted pair", res.Subspaces[0].S)
+	if !list[0].S.SupersetOf(subspace.New(0, 1)) {
+		t.Errorf("top subspace %v does not cover planted pair", list[0].S)
 	}
 }
 
 func TestSearchRespectsBounds(t *testing.T) {
 	ds := clusteredPair(6, 300, 5)
-	res, err := SearchContext(context.Background(), ds, Params{TopK: 4, MaxDim: 2, Cutoff: 3})
+	list, err := (&Searcher{Params: Params{TopK: 4, MaxDim: 2, Cutoff: 3}}).Search(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Subspaces) > 4 {
-		t.Errorf("TopK violated: %d", len(res.Subspaces))
+	if len(list) > 4 {
+		t.Errorf("TopK violated: %d", len(list))
 	}
-	for _, sc := range res.Subspaces {
+	for _, sc := range list {
 		if sc.S.Dim() > 2 {
 			t.Errorf("MaxDim violated by %v", sc.S)
 		}
@@ -229,12 +229,12 @@ func TestSearchRespectsBounds(t *testing.T) {
 
 func TestSearchSortedDescending(t *testing.T) {
 	ds := clusteredPair(7, 400, 4)
-	res, err := SearchContext(context.Background(), ds, Params{TopK: -1})
+	list, err := (&Searcher{Params: Params{TopK: -1}}).Search(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.Subspaces); i++ {
-		if res.Subspaces[i].Score > res.Subspaces[i-1].Score {
+	for i := 1; i < len(list); i++ {
+		if list[i].Score > list[i-1].Score {
 			t.Fatal("result not sorted by descending quality")
 		}
 	}
@@ -242,7 +242,7 @@ func TestSearchSortedDescending(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1, 2}})
-	if _, err := SearchContext(context.Background(), ds, Params{}); err == nil {
+	if _, err := (&Searcher{Params: Params{}}).Search(context.Background(), ds); err == nil {
 		t.Error("single attribute should fail")
 	}
 }

@@ -1,10 +1,13 @@
 // Package subspace provides the dimension-set algebra behind the HiCS
 // subspace framework: canonical subspace values, the Apriori-style join
-// that builds (d+1)-dimensional candidates from d-dimensional ones, and
-// the redundancy pruning of dominated subspaces (paper Sec. IV-B).
+// that builds (d+1)-dimensional candidates from d-dimensional ones, the
+// redundancy pruning of dominated subspaces (paper Sec. IV-B), and
+// LevelWise, the level-wise search driver that HiCS, Enclus, RIS and
+// SURFING share; each supplies only its per-level scoring.
 package subspace
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -232,6 +235,39 @@ func samePrefix(a, b Subspace) bool {
 		}
 	}
 	return true
+}
+
+// LevelWise runs the level-wise Apriori search over a d-dimensional space
+// (Agrawal & Srikant, VLDB 1994; paper Sec. IV-B): it scores every pair,
+// keeps the cutoff highest-scoring candidates of the level (all of them
+// when cutoff ≤ 0), joins the kept ones into the next level's candidates
+// and repeats until the join yields nothing. Levels above maxDim are not
+// scored; maxDim ≤ 0 means no bound.
+//
+// score rates one level's candidates. It may drop candidates (a searcher's
+// own rejection rule); the score it returns is the cutoff key. LevelWise
+// returns each scored level's kept candidates, sorted by descending score,
+// and the first error score returns.
+func LevelWise(ctx context.Context, d, cutoff, maxDim int, score func(ctx context.Context, candidates []Subspace) ([]Scored, error)) ([][]Scored, error) {
+	var levels [][]Scored
+	candidates := AllPairs(d)
+	for dim := 2; len(candidates) > 0 && (maxDim <= 0 || dim <= maxDim); dim++ {
+		scored, err := score(ctx, candidates)
+		if err != nil {
+			return nil, err
+		}
+		kept := TopK(scored, cutoff)
+		levels = append(levels, kept)
+		if dim == maxDim {
+			break
+		}
+		parents := make([]Subspace, len(kept))
+		for i, sc := range kept {
+			parents[i] = sc.S
+		}
+		candidates = GenerateCandidates(parents)
+	}
+	return levels, nil
 }
 
 // PruneRedundant removes every d-dimensional subspace T for which the list

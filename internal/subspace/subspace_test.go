@@ -1,6 +1,9 @@
 package subspace
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -162,6 +165,47 @@ func TestGenerateCandidatesEmpty(t *testing.T) {
 	}
 	if GenerateCandidates([]Subspace{New(1, 2)}) != nil {
 		t.Error("single parent should give nil")
+	}
+}
+
+// LevelWise keeps the cutoff best candidates per level, joins them into
+// the next level, stops at maxDim, and passes the callback's error on.
+func TestLevelWise(t *testing.T) {
+	// Lower dims score higher, so the kept pairs share the prefix {0}.
+	negSum := func(_ context.Context, cands []Subspace) ([]Scored, error) {
+		out := make([]Scored, len(cands))
+		for i, s := range cands {
+			out[i] = Scored{S: s}
+			for _, d := range s {
+				out[i].Score -= float64(d)
+			}
+		}
+		return out, nil
+	}
+	for _, tc := range []struct {
+		maxDim int
+		want   string
+	}{
+		{0, "[[{{0, 1} -1} {{0, 2} -2}] [{{0, 1, 2} -3}]]"},
+		{3, "[[{{0, 1} -1} {{0, 2} -2}] [{{0, 1, 2} -3}]]"},
+		{2, "[[{{0, 1} -1} {{0, 2} -2}]]"},
+		{1, "[]"},
+	} {
+		levels, err := LevelWise(context.Background(), 5, 2, tc.maxDim, negSum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(levels); got != tc.want {
+			t.Errorf("maxDim %d: levels %s, want %s", tc.maxDim, got, tc.want)
+		}
+	}
+
+	boom := errors.New("boom")
+	_, err := LevelWise(context.Background(), 5, 2, 0, func(context.Context, []Subspace) ([]Scored, error) {
+		return nil, boom
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v, want the callback's", err)
 	}
 }
 

@@ -16,6 +16,7 @@ package surfing
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"hics/internal/dataset"
 	"hics/internal/neighbors"
@@ -97,67 +98,42 @@ func Quality(ds *dataset.Dataset, s subspace.Subspace, p Params) (float64, error
 	return below / (float64(cnt) * mean), nil
 }
 
-// Result carries the outcome of a SURFING search.
-type Result struct {
-	Subspaces []subspace.Scored // ranked by descending quality
-	Evaluated int
-}
-
-// SearchContext runs the level-wise SURFING procedure. ctx is checked
-// between candidate quality evaluations, so a cancelled context surfaces
-// ctx.Err() within one candidate's k-NN pass.
-func SearchContext(ctx context.Context, ds *dataset.Dataset, p Params) (*Result, error) {
-	p = p.withDefaults()
-	if ds.D() < 2 {
-		return nil, fmt.Errorf("surfing: need at least 2 attributes, have %d", ds.D())
-	}
-	res := &Result{}
-	var pool []subspace.Scored
-
-	candidates := subspace.AllPairs(ds.D())
-	for dim := 2; len(candidates) > 0 && dim <= p.MaxDim; dim++ {
-		var kept []subspace.Scored
-		for _, s := range candidates {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			q, err := Quality(ds, s, p)
-			res.Evaluated++
-			if err != nil {
-				return nil, err
-			}
-			if q > 0 {
-				kept = append(kept, subspace.Scored{S: s, Score: q})
-			}
-		}
-		kept = subspace.TopK(kept, p.Cutoff)
-		pool = append(pool, kept...)
-		if dim == p.MaxDim {
-			break
-		}
-		parents := make([]subspace.Subspace, len(kept))
-		for i, sc := range kept {
-			parents[i] = sc.S
-		}
-		candidates = subspace.GenerateCandidates(parents)
-	}
-
-	res.Subspaces = subspace.TopK(pool, p.TopK)
-	return res, nil
-}
-
-// Searcher adapts SearchContext to the ranking pipeline.
+// Searcher runs the level-wise SURFING search as the two-step pipeline's
+// subspace search step.
 type Searcher struct {
 	Params Params
 }
 
-// Search implements the two-step pipeline's subspace search step.
+// Search runs the level-wise SURFING procedure and returns the pooled
+// subspaces ranked by descending quality; a candidate of zero quality
+// (uniform k-NN distances) does not seed the next level. ctx is checked
+// between candidate quality evaluations, so a cancelled context surfaces
+// ctx.Err() within one candidate's k-NN pass.
 func (s *Searcher) Search(ctx context.Context, ds *dataset.Dataset) ([]subspace.Scored, error) {
-	res, err := SearchContext(ctx, ds, s.Params)
+	p := s.Params.withDefaults()
+	if ds.D() < 2 {
+		return nil, fmt.Errorf("surfing: need at least 2 attributes, have %d", ds.D())
+	}
+	levels, err := subspace.LevelWise(ctx, ds.D(), p.Cutoff, p.MaxDim, func(ctx context.Context, candidates []subspace.Subspace) ([]subspace.Scored, error) {
+		var kept []subspace.Scored
+		for _, c := range candidates {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			q, err := Quality(ds, c, p)
+			if err != nil {
+				return nil, err
+			}
+			if q > 0 {
+				kept = append(kept, subspace.Scored{S: c, Score: q})
+			}
+		}
+		return kept, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return res.Subspaces, nil
+	return subspace.TopK(slices.Concat(levels...), p.TopK), nil
 }
 
 // Name identifies the method in experiment reports.

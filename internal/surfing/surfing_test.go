@@ -83,28 +83,28 @@ func TestQualityErrors(t *testing.T) {
 
 func TestSearchFindsClusteredSubspace(t *testing.T) {
 	ds := clusteredPair(4, 400, 5)
-	res, err := SearchContext(context.Background(), ds, Params{TopK: 10})
+	list, err := (&Searcher{Params: Params{TopK: 10}}).Search(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Subspaces) == 0 {
+	if len(list) == 0 {
 		t.Fatal("no subspaces found")
 	}
-	if !res.Subspaces[0].S.SupersetOf(subspace.New(0, 1)) {
-		t.Errorf("top subspace %v does not cover the planted pair", res.Subspaces[0].S)
+	if !list[0].S.SupersetOf(subspace.New(0, 1)) {
+		t.Errorf("top subspace %v does not cover the planted pair", list[0].S)
 	}
 }
 
 func TestSearchBounds(t *testing.T) {
 	ds := clusteredPair(5, 200, 5)
-	res, err := SearchContext(context.Background(), ds, Params{TopK: 3, MaxDim: 2, Cutoff: 4})
+	list, err := (&Searcher{Params: Params{TopK: 3, MaxDim: 2, Cutoff: 4}}).Search(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Subspaces) > 3 {
-		t.Errorf("TopK violated: %d", len(res.Subspaces))
+	if len(list) > 3 {
+		t.Errorf("TopK violated: %d", len(list))
 	}
-	for _, sc := range res.Subspaces {
+	for _, sc := range list {
 		if sc.S.Dim() > 2 {
 			t.Errorf("MaxDim violated by %v", sc.S)
 		}
@@ -113,12 +113,12 @@ func TestSearchBounds(t *testing.T) {
 
 func TestSearchSorted(t *testing.T) {
 	ds := clusteredPair(6, 300, 4)
-	res, err := SearchContext(context.Background(), ds, Params{TopK: -1})
+	list, err := (&Searcher{Params: Params{TopK: -1}}).Search(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.Subspaces); i++ {
-		if res.Subspaces[i].Score > res.Subspaces[i-1].Score {
+	for i := 1; i < len(list); i++ {
+		if list[i].Score > list[i-1].Score {
 			t.Fatal("not sorted by descending quality")
 		}
 	}
@@ -126,7 +126,7 @@ func TestSearchSorted(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1, 2}})
-	if _, err := SearchContext(context.Background(), ds, Params{}); err == nil {
+	if _, err := (&Searcher{Params: Params{}}).Search(context.Background(), ds); err == nil {
 		t.Error("single attribute should fail")
 	}
 }
