@@ -35,12 +35,9 @@ type Model struct {
 	search  string // registry name of the subspace searcher
 	scorer  string // registry name of the density scorer
 	minPts  int    // effective neighborhood size
-	agg     ranking.Aggregation
 	version uint32 // persistence format the model was loaded from
 	workers int    // ScoreBatch parallelism bound (0 = one per CPU)
 
-	subspaces   []Subspace
-	trainScores []float64
 	// train finds a training row by its exact bit pattern, so scoring a
 	// training row reproduces its batch score: the query is treated as
 	// that object (leave-one-out), not as an extra point that would
@@ -92,19 +89,13 @@ func FitContext(ctx context.Context, rows [][]float64, opts Options) (*Model, er
 		return nil, err
 	}
 	m := &Model{
-		fp:          fp,
-		ds:          ds,
-		search:      search,
-		scorer:      scorer,
-		minPts:      opts.MinPts,
-		agg:         fp.Agg,
-		version:     modelFormatVersion,
-		workers:     opts.Workers,
-		trainScores: fp.Train,
-	}
-	m.subspaces = make([]Subspace, len(fp.Subspaces))
-	for i, sc := range fp.Subspaces {
-		m.subspaces[i] = Subspace{Dims: append([]int(nil), sc.S...), Contrast: sc.Score}
+		fp:      fp,
+		ds:      ds,
+		search:  search,
+		scorer:  scorer,
+		minPts:  opts.MinPts,
+		version: modelFormatVersion,
+		workers: opts.Workers,
 	}
 	m.train = newRowTable(ds)
 	return m, nil
@@ -187,7 +178,7 @@ func (t *rowTable) rowEquals(id int, p []float64) bool {
 func (m *Model) D() int { return m.fp.D }
 
 // N returns the number of training objects.
-func (m *Model) N() int { return len(m.trainScores) }
+func (m *Model) N() int { return len(m.fp.Train) }
 
 // SearchMethod returns the registry name of the subspace searcher the
 // model was fitted with ("hics", "enclus", ...).
@@ -208,9 +199,9 @@ func (m *Model) MinPts() int { return m.minPts }
 // Subspaces returns the high-contrast projections the model scores in,
 // in descending contrast order.
 func (m *Model) Subspaces() []Subspace {
-	out := make([]Subspace, len(m.subspaces))
-	for i, s := range m.subspaces {
-		out[i] = Subspace{Dims: append([]int(nil), s.Dims...), Contrast: s.Contrast}
+	out := make([]Subspace, len(m.fp.Subspaces))
+	for i, sc := range m.fp.Subspaces {
+		out[i] = Subspace{Dims: append([]int(nil), sc.S...), Contrast: sc.Score}
 	}
 	return out
 }
@@ -218,7 +209,7 @@ func (m *Model) Subspaces() []Subspace {
 // TrainingScores returns the aggregated outlier scores of the training
 // objects — bit-for-bit the Rank result for the same data and options.
 func (m *Model) TrainingScores() []float64 {
-	return append([]float64(nil), m.trainScores...)
+	return append([]float64(nil), m.fp.Train...)
 }
 
 // Score computes the outlier score of a single point against the trained
@@ -239,7 +230,7 @@ func (m *Model) Score(point []float64) (float64, error) {
 	// written before the boundary rejected non-finite training data may
 	// still carry such rows.
 	if i, ok := m.train.find(point); ok {
-		return m.trainScores[i], nil
+		return m.fp.Train[i], nil
 	}
 	for j, v := range point {
 		// A NaN coordinate empties every neighborhood and would come back
@@ -383,18 +374,18 @@ func (m *Model) Save(w io.Writer) error {
 		Search:      m.search,
 		Scorer:      m.scorer,
 		MinPts:      m.minPts,
-		Agg:         m.agg.String(),
+		Agg:         m.fp.Agg.String(),
 		N:           m.ds.N(),
 		D:           m.ds.D(),
 		Cols:        make([][]float64, m.ds.D()),
 		Subspaces:   make([]savedSubspace, len(m.fp.Scorers)),
-		TrainScores: m.trainScores,
+		TrainScores: m.fp.Train,
 	}
 	for d := range mf.Cols {
 		mf.Cols[d] = m.ds.Col(d)
 	}
 	for i, f := range m.fp.Scorers {
-		sv := savedSubspace{Dims: f.Subspace, Contrast: m.subspaces[i].Contrast, IndexKind: f.State.Kind().String()}
+		sv := savedSubspace{Dims: f.Subspace, Contrast: m.fp.Subspaces[i].Score, IndexKind: f.State.Kind().String()}
 		switch st := f.State.(type) {
 		case *lof.Fitted:
 			sv.KDist = st.KDist()
@@ -498,15 +489,12 @@ func assembleModel(mf modelFileV2, version uint32) (*Model, error) {
 		D:         mf.D,
 	}
 	m := &Model{
-		fp:          fp,
-		ds:          ds,
-		search:      mf.Search,
-		scorer:      mf.Scorer,
-		minPts:      mf.MinPts,
-		agg:         agg,
-		version:     version,
-		subspaces:   make([]Subspace, len(mf.Subspaces)),
-		trainScores: mf.TrainScores,
+		fp:      fp,
+		ds:      ds,
+		search:  mf.Search,
+		scorer:  mf.Scorer,
+		minPts:  mf.MinPts,
+		version: version,
 	}
 	// The indexes are rebuilt one subspace per claim on all CPUs, each
 	// tree on the claiming goroutine. A claim writes only its own slots
@@ -553,7 +541,6 @@ func assembleModel(mf modelFileV2, version uint32) (*Model, error) {
 		}
 		fp.Scorers[i] = ranking.FittedSubspace{Subspace: sv.Dims, State: st}
 		fp.Subspaces[i] = subspace.Scored{S: subspace.New(sv.Dims...), Score: sv.Contrast}
-		m.subspaces[i] = Subspace{Dims: append([]int(nil), sv.Dims...), Contrast: sv.Contrast}
 		return nil
 	})
 	if err != nil {

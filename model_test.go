@@ -695,7 +695,7 @@ func TestModelTrainingRowTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := tc.m.trainScores[tc.want]; math.Float64bits(s) != math.Float64bits(want) {
+			if want := tc.m.fp.Train[tc.want]; math.Float64bits(s) != math.Float64bits(want) {
 				t.Fatalf("Score = %v, want training score %v", s, want)
 			}
 		})

@@ -201,7 +201,7 @@ func (m *Model) NewStream(sopts StreamOptions) (*Stream, error) {
 		Search:      m.search,
 		Scorer:      m.scorer,
 		MinPts:      m.minPts,
-		Aggregation: m.agg.String(),
+		Aggregation: m.fp.Agg.String(),
 		Workers:     m.workers,
 	}
 	return newStream(m, m.fp.D, opts, sopts), nil
