@@ -2,8 +2,10 @@ package registry
 
 import (
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,19 +14,22 @@ import (
 
 	"hics/internal/core"
 	"hics/internal/enclus"
+	"hics/internal/neighbors"
 	"hics/internal/race"
+	"hics/internal/randsub"
 	"hics/internal/ris"
 	"hics/internal/surfing"
 	"hics/internal/synth"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_searchers.txt from the current searchers")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/golden_*.txt fixtures from the current methods")
 
 // TestGoldenLevelWiseSearchers pins the output of every level-wise
-// searcher (dims and score bits) over a grid of MaxDim, Cutoff and TopK.
-// It covers the edges the searchers handle differently: with MaxDim 1,
-// HiCS returns the scored pairs while Enclus, RIS and SURFING return
-// nothing, and Enclus derives its adaptive ω once, from the pair level.
+// searcher and of RANDSUB (dims and score bits) over a grid of MaxDim,
+// Cutoff and TopK. It covers the edges the searchers handle differently:
+// with MaxDim 1, HiCS returns the scored pairs while Enclus, RIS and
+// SURFING return nothing, Enclus derives its adaptive ω once, from the
+// pair level, and RANDSUB draws 100 subspaces for every TopK ≤ 0.
 // Rewrite the fixture (-update) only for an intended change of output.
 //
 // The pin checks arithmetic, not synchronization, and the race build
@@ -41,7 +46,7 @@ func TestGoldenLevelWiseSearchers(t *testing.T) {
 			t.Fatal(err)
 		}
 		ds := bm.Data.Data
-		for _, name := range []string{"hics", "enclus", "ris", "surfing"} {
+		for _, name := range []string{"hics", "enclus", "ris", "surfing", "randsub"} {
 			for _, maxDim := range []int{0, 1, 2, 3} {
 				for _, cutoff := range []int{0, 5} {
 					for _, topK := range []int{0, -1, 7} {
@@ -50,6 +55,7 @@ func TestGoldenLevelWiseSearchers(t *testing.T) {
 							Enclus:  enclus.Params{MaxDim: maxDim, Cutoff: cutoff, TopK: topK},
 							RIS:     ris.Params{MaxDim: maxDim, Cutoff: cutoff, TopK: topK},
 							Surfing: surfing.Params{MaxDim: maxDim, Cutoff: cutoff, TopK: topK},
+							RandSub: randsub.Params{Count: max(topK, 0), Seed: 3, MaxDim: maxDim},
 						}
 						s, err := NewSearcher(name, o)
 						if err != nil {
@@ -69,12 +75,66 @@ func TestGoldenLevelWiseSearchers(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("testdata", "golden_searchers.txt")
+	checkGolden(t, "golden_searchers.txt", b.String())
+}
+
+// TestGoldenScorers pins the scores of every registered scorer built by
+// name, over a grid of MinPts, neighbor index and ORCA's TopN. Each line
+// holds one FNV-1a hash of the score bits per subspace. The three index
+// kinds must give the same hashes; the grid keeps them separate so a
+// mapping that drops Index shows up as a changed line, not a missing one.
+// Rewrite the fixture (-update) only for an intended change of output.
+func TestGoldenScorers(t *testing.T) {
+	bm, err := synth.Generate(synth.Config{N: 200, D: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := bm.Data.Data
+	subspaces := [][]int{{0, 1}, {2, 3, 4}, {0, 1, 2, 3, 4, 5}}
+	scores := make([]float64, ds.N())
+	var b strings.Builder
+	for _, name := range ScorerNames() {
+		for _, minPts := range []int{0, 5} {
+			for _, kind := range []neighbors.Kind{neighbors.KindAuto, neighbors.KindBrute, neighbors.KindKDTree} {
+				for _, topN := range []int{0, 50} {
+					o := ScorerOptions{
+						LOF:  LOFOptions{MinPts: minPts, Index: kind},
+						KNN:  KNNOptions{K: minPts, Index: kind},
+						ORCA: ORCAOptions{K: minPts, TopN: topN, Seed: 3, Index: kind},
+					}
+					sc, err := NewScorer(name, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&b, "%s MinPts=%d Index=%s TopN=%d:", name, minPts, kind, topN)
+					for _, dims := range subspaces {
+						if err := sc.Score(context.Background(), ds, dims, 0, scores); err != nil {
+							t.Fatalf("%s MinPts=%d Index=%s TopN=%d dims=%v: %v", name, minPts, kind, topN, dims, err)
+						}
+						h := fnv.New64a()
+						for _, v := range scores {
+							h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+						}
+						fmt.Fprintf(&b, " %x", h.Sum64())
+					}
+					b.WriteByte('\n')
+				}
+			}
+		}
+	}
+	checkGolden(t, "golden_scorers.txt", b.String())
+}
+
+// checkGolden compares got line by line with the fixture testdata/name,
+// rewriting the fixture first under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,21 +142,21 @@ func TestGoldenLevelWiseSearchers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := strings.Split(b.String(), "\n")
+	gotLines := strings.Split(got, "\n")
 	wantLines := strings.Split(string(want), "\n")
-	if len(got) != len(wantLines) {
-		t.Fatalf("%d output lines, fixture has %d", len(got), len(wantLines))
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d output lines, fixture has %d", len(gotLines), len(wantLines))
 	}
 	bad := 0
-	for i := range got {
-		if got[i] != wantLines[i] {
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
 			if bad < 3 {
-				t.Errorf("line %d:\n got  %s\n want %s", i+1, got[i], wantLines[i])
+				t.Errorf("line %d:\n got  %s\n want %s", i+1, gotLines[i], wantLines[i])
 			}
 			bad++
 		}
 	}
 	if bad > 0 {
-		t.Fatalf("%d of %d configurations differ from the fixture", bad, len(got)-1)
+		t.Fatalf("%d of %d configurations differ from the fixture", bad, len(gotLines)-1)
 	}
 }
