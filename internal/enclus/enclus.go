@@ -114,11 +114,21 @@ func cellOf(v float64, xi int) int {
 // the subspace under the grid approximation. It is zero for independent
 // attributes and grows with dependence.
 func Interest(ds *dataset.Dataset, s subspace.Subspace, xi int) float64 {
+	marginals := make([]float64, ds.D())
+	for _, d := range s {
+		marginals[d] = Entropy(ds, subspace.New(d), xi)
+	}
+	return interest(marginals, s, Entropy(ds, s, xi))
+}
+
+// interest is Interest from known entropies: marginals[d] = H({d}) for
+// every attribute d of s, and h = H(S).
+func interest(marginals []float64, s subspace.Subspace, h float64) float64 {
 	sum := 0.0
 	for _, d := range s {
-		sum += Entropy(ds, subspace.New(d), xi)
+		sum += marginals[d]
 	}
-	return sum - Entropy(ds, s, xi)
+	return sum - h
 }
 
 func median(xs []float64) float64 {
@@ -153,6 +163,15 @@ func (e *Searcher) Search(ctx context.Context, ds *dataset.Dataset) ([]subspace.
 	if ds.D() < 2 {
 		return nil, fmt.Errorf("enclus: need at least 2 attributes, have %d", ds.D())
 	}
+	// The attributes' entropies are computed once: every pooled
+	// candidate's interest sums them.
+	marginals := make([]float64, ds.D())
+	for d := range marginals {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		marginals[d] = Entropy(ds, subspace.New(d), p.Xi)
+	}
 	omega := p.Omega
 	var pool []subspace.Scored
 	_, err := subspace.LevelWise(ctx, ds.D(), p.Cutoff, p.MaxDim, func(ctx context.Context, candidates []subspace.Subspace) ([]subspace.Scored, error) {
@@ -172,7 +191,7 @@ func (e *Searcher) Search(ctx context.Context, ds *dataset.Dataset) ([]subspace.
 				return nil, err
 			}
 			if h := entropies[i]; h <= omega {
-				pool = append(pool, subspace.Scored{S: s, Score: Interest(ds, s, p.Xi)})
+				pool = append(pool, subspace.Scored{S: s, Score: interest(marginals, s, h)})
 				// −H as the cutoff key keeps the lowest-entropy candidates.
 				kept = append(kept, subspace.Scored{S: s, Score: -h})
 			}
