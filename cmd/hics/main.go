@@ -286,7 +286,7 @@ func runStream(ctx context.Context, in io.Reader, out io.Writer, opts hics.Optio
 func printMethods(w io.Writer) error {
 	fmt.Fprintln(w, "searchers:")
 	for _, name := range registry.SearcherNames() {
-		s, err := registry.NewSearcher(name, registry.SearcherOptions{})
+		s, err := registry.NewSearcher(name, registry.Options{})
 		if err != nil {
 			return err
 		}
@@ -294,7 +294,7 @@ func printMethods(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "scorers:")
 	for _, name := range registry.ScorerNames() {
-		sc, err := registry.NewScorer(name, registry.ScorerOptions{})
+		sc, err := registry.NewScorer(name, registry.Options{})
 		if err != nil {
 			return err
 		}

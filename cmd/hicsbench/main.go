@@ -87,7 +87,7 @@ func run(ctx context.Context, args []string) error {
 			}
 			// Resolve through the registry so the error enumerates the
 			// valid names.
-			if _, err := registry.NewSearcher(name, registry.SearcherOptions{}); err != nil {
+			if _, err := registry.NewSearcher(name, registry.Options{}); err != nil {
 				return err
 			}
 			cfg.Searchers = append(cfg.Searchers, name)

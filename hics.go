@@ -52,16 +52,11 @@ import (
 
 	"hics/internal/core"
 	"hics/internal/dataset"
-	"hics/internal/enclus"
 	"hics/internal/lof"
-	"hics/internal/randsub"
+	"hics/internal/neighbors"
 	"hics/internal/ranking"
 	"hics/internal/registry"
-	"hics/internal/ris"
 	"hics/internal/subspace"
-	"hics/internal/surfing"
-
-	"hics/internal/neighbors"
 )
 
 // Options configures HiCS. The zero value selects the defaults of the
@@ -75,8 +70,10 @@ type Options struct {
 	Alpha float64
 	// CandidateCutoff bounds the candidates retained per Apriori level.
 	CandidateCutoff int
-	// TopK is the number of high-contrast subspaces kept for the ranking
-	// step (-1 keeps all).
+	// TopK is the number of subspaces kept for the ranking step: 0
+	// keeps 100, and -1 keeps every subspace the hics, enclus, ris and
+	// surfing searches pool. The randsub search draws TopK subspaces, or
+	// 100 when TopK is 0 or -1.
 	TopK int
 	// Test selects the deviation function: "welch" (default), "ks",
 	// "mw" (Mann–Whitney U) or "cvm" (Cramér–von Mises).
@@ -100,8 +97,10 @@ type Options struct {
 	// LOF/kNN scorers; 0 means one per CPU. Negative values are rejected.
 	// Results are bit-for-bit independent of the setting.
 	Workers int
-	// MaxDim caps the dimensionality of generated subspace candidates;
-	// 0 means unbounded.
+	// MaxDim caps the dimensionality of the selected subspaces. What 0
+	// means depends on the search: the hics search is unbounded (its
+	// Apriori loop stops by itself), enclus, ris and surfing stop at 6
+	// attributes, and randsub draws up to D−1 of the D attributes.
 	MaxDim int
 	// AdaptiveM is ignored: every candidate subspace spends the full M
 	// Monte Carlo iterations, and setting it changes no result.
@@ -122,10 +121,12 @@ type Options struct {
 	// Search selects the subspace-search method by registry name:
 	// "hics" (default), "enclus", "ris", "randsub", "surfing", or
 	// "fullspace". The empty string keeps the paper's HiCS search.
-	// Method-specific parameters map from the shared fields: TopK,
-	// CandidateCutoff, MaxDim and Seed configure every searcher; M,
-	// Alpha and Test apply to the HiCS search; MinPts doubles as the
-	// density parameter of the RIS and SURFING searches.
+	// Method-specific parameters map from the shared fields: TopK and
+	// MaxDim configure every searcher but fullspace, CandidateCutoff the
+	// level-wise ones (hics, enclus, ris, surfing), and Seed the hics and
+	// randsub searches; M, Alpha, Test and MaxSampleRows apply to the
+	// HiCS search only; MinPts doubles as the density parameter of the
+	// RIS and SURFING searches.
 	Search string
 	// Scorer selects the density scorer of the ranking step by registry
 	// name: "lof" (default), "knn", "orca", or "outres". The empty
@@ -160,7 +161,7 @@ func (o Options) validate() error {
 		return fmt.Errorf("hics: Workers must be non-negative, got %d (0 selects one worker per CPU)", o.Workers)
 	}
 	if o.MaxDim < 0 {
-		return fmt.Errorf("hics: MaxDim must be non-negative, got %d (0 leaves the dimensionality unbounded)", o.MaxDim)
+		return fmt.Errorf("hics: MaxDim must be non-negative, got %d (0 selects the search's default bound)", o.MaxDim)
 	}
 	if o.MaxSampleRows < 0 {
 		return fmt.Errorf("hics: MaxSampleRows must be non-negative, got %d (0 disables contrast subsampling)", o.MaxSampleRows)
@@ -173,11 +174,11 @@ func (o Options) validate() error {
 		return err
 	}
 	if !registry.KnownSearcher(search) {
-		_, err := registry.NewSearcher(search, registry.SearcherOptions{})
+		_, err := registry.NewSearcher(search, registry.Options{})
 		return err
 	}
 	if !registry.KnownScorer(scorer) {
-		_, err := registry.NewScorer(scorer, registry.ScorerOptions{})
+		_, err := registry.NewScorer(scorer, registry.Options{})
 		return err
 	}
 	return nil
@@ -201,34 +202,6 @@ func (o Options) methodNames() (search, scorer string, err error) {
 		return "", "", fmt.Errorf("hics: Scorer %q conflicts with UseKNNScore", o.Scorer)
 	}
 	return search, scorer, nil
-}
-
-// searcherOptions maps the shared option fields onto every registered
-// searcher's option struct; p carries the already-resolved HiCS params.
-func (o Options) searcherOptions(p core.Params) registry.SearcherOptions {
-	count := 0
-	if o.TopK > 0 {
-		count = o.TopK
-	}
-	return registry.SearcherOptions{
-		HiCS:    p,
-		Enclus:  enclus.Params{TopK: o.TopK, Cutoff: o.CandidateCutoff, MaxDim: o.MaxDim},
-		RIS:     ris.Params{TopK: o.TopK, Cutoff: o.CandidateCutoff, MaxDim: o.MaxDim, MinPts: o.MinPts},
-		RandSub: randsub.Params{Count: count, Seed: o.Seed, MaxDim: o.MaxDim},
-		Surfing: surfing.Params{K: o.MinPts, TopK: o.TopK, Cutoff: o.CandidateCutoff, MaxDim: o.MaxDim},
-	}
-}
-
-// scorerOptions maps the shared option fields onto every registered
-// scorer's option struct. kind, the resolved NeighborIndex, is the one
-// place the neighbor backend is pinned: each neighbor-based scorer
-// carries it in its own Index field.
-func (o Options) scorerOptions(kind neighbors.Kind) registry.ScorerOptions {
-	return registry.ScorerOptions{
-		LOF:  registry.LOFOptions{MinPts: o.MinPts, Index: kind},
-		KNN:  registry.KNNOptions{K: o.MinPts, Index: kind},
-		ORCA: registry.ORCAOptions{K: o.MinPts, Seed: o.Seed, Index: kind},
-	}
 }
 
 func (o Options) coreParams() (core.Params, error) {
@@ -275,13 +248,13 @@ func (o Options) pipeline() (ranking.Pipeline, error) {
 		return ranking.Pipeline{}, err
 	}
 	// Workers bounds both the search fan-out (via p) and the scoring
-	// batch passes.
-	return registry.NewPipeline(search, scorer, registry.PipelineOptions{
-		Searchers:    o.searcherOptions(p),
-		Scorers:      o.scorerOptions(kind),
-		Agg:          agg,
-		MaxSubspaces: -1, // every registered searcher already applies TopK
-		Workers:      o.Workers,
+	// batch passes. kind is the one place the neighbor backend is pinned.
+	return registry.NewPipeline(search, scorer, registry.Options{
+		Search:  p,
+		MinPts:  o.MinPts,
+		Index:   kind,
+		Agg:     agg,
+		Workers: o.Workers,
 	})
 }
 
@@ -415,7 +388,7 @@ func SearchSubspacesContext(ctx context.Context, rows [][]float64, opts Options)
 	if err != nil {
 		return nil, err
 	}
-	s, err := registry.NewSearcher(search, opts.searcherOptions(p))
+	s, err := registry.NewSearcher(search, registry.Options{Search: p, MinPts: opts.MinPts})
 	if err != nil {
 		return nil, err
 	}

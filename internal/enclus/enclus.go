@@ -27,10 +27,12 @@ import (
 	"hics/internal/subspace"
 )
 
-// Defaults follow the original publication's suggestions scaled to the
-// unit-normalized data used throughout this repository.
+// Xi is the number of equal-width grid intervals per attribute, the
+// original publication's suggestion for unit-normalized data.
+const Xi = 10
+
+// Defaults of the Params fields.
 const (
-	DefaultXi     = 10  // grid resolution per attribute
 	DefaultMaxDim = 6   // safety bound on candidate dimensionality
 	DefaultTopK   = 100 // subspaces handed to the ranking step
 	DefaultCutoff = 400 // candidates retained per level (runtime bound)
@@ -38,11 +40,6 @@ const (
 
 // Params configures the Enclus search. Zero values select defaults.
 type Params struct {
-	// Xi is the number of equal-width grid intervals per attribute.
-	Xi int
-	// Omega is the entropy threshold: subspaces with H(S) > Omega are
-	// discarded. Zero selects an adaptive threshold (see Searcher.Search).
-	Omega float64
 	// MaxDim caps candidate dimensionality.
 	MaxDim int
 	// TopK bounds the returned list (-1 = all).
@@ -53,9 +50,6 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
-	if p.Xi <= 1 {
-		p.Xi = DefaultXi
-	}
 	if p.MaxDim <= 0 {
 		p.MaxDim = DefaultMaxDim
 	}
@@ -69,15 +63,15 @@ func (p Params) withDefaults() Params {
 }
 
 // Entropy returns the Shannon entropy (in bits) of the ξ-grid histogram of
-// ds projected to subspace s. Data is assumed min-max normalized to [0,1];
-// values outside are clamped into the boundary cells.
-func Entropy(ds *dataset.Dataset, s subspace.Subspace, xi int) float64 {
+// ds projected to subspace s, with ξ = Xi. Data is assumed min-max
+// normalized to [0,1]; values outside are clamped into the boundary cells.
+func Entropy(ds *dataset.Dataset, s subspace.Subspace) float64 {
 	n := ds.N()
 	keys := make([]uint64, n)
 	for i := range keys {
 		var key uint64
 		for _, d := range s {
-			key = key*uint64(xi) + uint64(cellOf(ds.Value(i, d), xi))
+			key = key*Xi + uint64(cellOf(ds.Value(i, d)))
 		}
 		keys[i] = key
 	}
@@ -99,13 +93,13 @@ func Entropy(ds *dataset.Dataset, s subspace.Subspace, xi int) float64 {
 	return h
 }
 
-func cellOf(v float64, xi int) int {
-	c := int(v * float64(xi))
+func cellOf(v float64) int {
+	c := int(v * Xi)
 	if c < 0 {
 		return 0
 	}
-	if c >= xi {
-		return xi - 1
+	if c >= Xi {
+		return Xi - 1
 	}
 	return c
 }
@@ -113,12 +107,12 @@ func cellOf(v float64, xi int) int {
 // Interest returns interest(S) = Σ H({s}) − H(S), the total correlation of
 // the subspace under the grid approximation. It is zero for independent
 // attributes and grows with dependence.
-func Interest(ds *dataset.Dataset, s subspace.Subspace, xi int) float64 {
+func Interest(ds *dataset.Dataset, s subspace.Subspace) float64 {
 	marginals := make([]float64, ds.D())
 	for _, d := range s {
-		marginals[d] = Entropy(ds, subspace.New(d), xi)
+		marginals[d] = Entropy(ds, subspace.New(d))
 	}
-	return interest(marginals, s, Entropy(ds, s, xi))
+	return interest(marginals, s, Entropy(ds, s))
 }
 
 // interest is Interest from known entropies: marginals[d] = H({d}) for
@@ -151,13 +145,12 @@ type Searcher struct {
 // interest. A level keeps the candidates with entropy at most ω, up to
 // Cutoff of them with the lowest entropy, the Enclus "good clustering"
 // ordering; by downward closure a superspace can only raise entropy, so
-// the join never revives a dropped candidate. When Params.Omega is zero
-// an adaptive threshold is used: the median two-dimensional entropy,
-// which keeps the low-entropy half of the pair candidates — this
-// reproduces the "large number of configurations" tuning the paper
-// describes without per-dataset knobs. ctx is checked between entropy
-// evaluations, so a cancelled context surfaces ctx.Err() within one
-// candidate's worth of work.
+// the join never revives a dropped candidate. ω is adaptive: the median
+// two-dimensional entropy, which keeps the low-entropy half of the pair
+// candidates — this reproduces the "large number of configurations"
+// tuning the paper describes without per-dataset knobs. ctx is checked
+// between entropy evaluations, so a cancelled context surfaces ctx.Err()
+// within one candidate's worth of work.
 func (e *Searcher) Search(ctx context.Context, ds *dataset.Dataset) ([]subspace.Scored, error) {
 	p := e.Params.withDefaults()
 	if ds.D() < 2 {
@@ -170,9 +163,9 @@ func (e *Searcher) Search(ctx context.Context, ds *dataset.Dataset) ([]subspace.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		marginals[d] = Entropy(ds, subspace.New(d), p.Xi)
+		marginals[d] = Entropy(ds, subspace.New(d))
 	}
-	omega := p.Omega
+	var omega float64
 	var pool []subspace.Scored
 	_, err := subspace.LevelWise(ctx, ds.D(), p.Cutoff, p.MaxDim, func(ctx context.Context, candidates []subspace.Subspace) ([]subspace.Scored, error) {
 		entropies := make([]float64, len(candidates))
@@ -180,9 +173,9 @@ func (e *Searcher) Search(ctx context.Context, ds *dataset.Dataset) ([]subspace.
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			entropies[i] = Entropy(ds, s, p.Xi)
+			entropies[i] = Entropy(ds, s)
 		}
-		if p.Omega <= 0 && candidates[0].Dim() == 2 {
+		if candidates[0].Dim() == 2 {
 			omega = median(entropies)
 		}
 		var kept []subspace.Scored

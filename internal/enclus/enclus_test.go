@@ -59,8 +59,8 @@ func TestEntropyUniformVsClustered(t *testing.T) {
 	unif := uniformData(1, 1000, 2)
 	clus := clusteredPair(2, 1000, 2)
 	s := subspace.New(0, 1)
-	hU := Entropy(unif, s, 10)
-	hC := Entropy(clus, s, 10)
+	hU := Entropy(unif, s)
+	hC := Entropy(clus, s)
 	if hC >= hU {
 		t.Errorf("clustered entropy %v should be below uniform entropy %v", hC, hU)
 	}
@@ -72,15 +72,15 @@ func TestEntropyUniformVsClustered(t *testing.T) {
 
 func TestEntropySinglePoint(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{0.5}, {0.5}})
-	if h := Entropy(ds, subspace.New(0, 1), 10); h != 0 {
+	if h := Entropy(ds, subspace.New(0, 1)); h != 0 {
 		t.Errorf("single-point entropy = %v, want 0", h)
 	}
 }
 
 func TestEntropyMonotoneInDim(t *testing.T) {
 	ds := uniformData(3, 500, 3)
-	h2 := Entropy(ds, subspace.New(0, 1), 10)
-	h3 := Entropy(ds, subspace.New(0, 1, 2), 10)
+	h2 := Entropy(ds, subspace.New(0, 1))
+	h3 := Entropy(ds, subspace.New(0, 1, 2))
 	if h3 < h2 {
 		t.Errorf("entropy decreased with dimensionality: %v -> %v", h2, h3)
 	}
@@ -89,7 +89,7 @@ func TestEntropyMonotoneInDim(t *testing.T) {
 func TestEntropyClampsOutOfRange(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{-0.5, 1.5, 0.5}})
 	// All values clamp into valid cells; entropy is computable.
-	h := Entropy(ds, subspace.New(0), 10)
+	h := Entropy(ds, subspace.New(0))
 	if math.IsNaN(h) || h < 0 {
 		t.Errorf("entropy with out-of-range data = %v", h)
 	}
@@ -100,9 +100,9 @@ func TestEntropyClampsOutOfRange(t *testing.T) {
 func TestEntropyReproducible(t *testing.T) {
 	ds := uniformData(11, 2000, 6)
 	for _, s := range []subspace.Subspace{subspace.New(0, 1), subspace.New(0, 1, 2), subspace.New(1, 3, 4, 5)} {
-		want := math.Float64bits(Entropy(ds, s, DefaultXi))
+		want := math.Float64bits(Entropy(ds, s))
 		for i := 0; i < 100; i++ {
-			if got := math.Float64bits(Entropy(ds, s, DefaultXi)); got != want {
+			if got := math.Float64bits(Entropy(ds, s)); got != want {
 				t.Fatalf("Entropy(%v) call %d = %x, first call %x", s, i, got, want)
 			}
 		}
@@ -113,8 +113,8 @@ func TestInterestCorrelatedVsIndependent(t *testing.T) {
 	clus := clusteredPair(4, 1000, 2)
 	unif := uniformData(5, 1000, 2)
 	s := subspace.New(0, 1)
-	iC := Interest(clus, s, 10)
-	iU := Interest(unif, s, 10)
+	iC := Interest(clus, s)
+	iU := Interest(unif, s)
 	if iC <= iU {
 		t.Errorf("interest correlated %v <= independent %v", iC, iU)
 	}
@@ -150,18 +150,6 @@ func TestSearchRespectsTopKAndMaxDim(t *testing.T) {
 		if sc.S.Dim() > 2 {
 			t.Errorf("MaxDim violated by %v", sc.S)
 		}
-	}
-}
-
-func TestSearchExplicitOmega(t *testing.T) {
-	ds := uniformData(8, 200, 4)
-	// Impossible threshold: nothing survives.
-	list, err := (&Searcher{Params: Params{Omega: 0.001}}).Search(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 0 {
-		t.Errorf("omega=0.001 should keep nothing, got %d", len(list))
 	}
 }
 
@@ -205,7 +193,7 @@ func TestQuickEntropyBounds(t *testing.T) {
 		n := int(nRaw%100) + 1
 		d := int(dRaw%3) + 1
 		ds := uniformData(seed, n, d)
-		h := Entropy(ds, subspace.Full(d), 10)
+		h := Entropy(ds, subspace.Full(d))
 		if h < 0 || math.IsNaN(h) {
 			return false
 		}

@@ -29,7 +29,7 @@ func AblationWTvsKS(ctx context.Context, w io.Writer, cfg Config) error {
 		for _, l := range data {
 			p := hicsParams(cfg.Seed)
 			p.Test = tt
-			auc, elapsed, err := rankAUC(ctx, cfg.hicsVariant(p), l)
+			auc, elapsed, err := rankAUC(ctx, pipeline("hics", "lof", p), l)
 			if err != nil {
 				return err
 			}
@@ -57,7 +57,7 @@ func AblationAggregation(ctx context.Context, w io.Writer, cfg Config) error {
 	for _, agg := range []ranking.Aggregation{ranking.Average, ranking.Max} {
 		var aucs []float64
 		for _, l := range data {
-			pipe := cfg.pipeline("hics", "lof", cfg.Seed)
+			pipe := pipeline("hics", "lof", hicsParams(cfg.Seed))
 			pipe.Agg = agg
 			auc, _, err := rankAUC(ctx, pipe, l)
 			if err != nil {
@@ -86,7 +86,7 @@ func AblationPruning(ctx context.Context, w io.Writer, cfg Config) error {
 		for _, l := range data {
 			p := hicsParams(cfg.Seed)
 			p.DisablePruning = disable
-			auc, _, err := rankAUC(ctx, cfg.hicsVariant(p), l)
+			auc, _, err := rankAUC(ctx, pipeline("hics", "lof", p), l)
 			if err != nil {
 				return err
 			}
@@ -114,7 +114,7 @@ func AblationScorer(ctx context.Context, w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "%-10s %10s %12s\n", "scorer", "AUC", "runtime")
 	for _, scorer := range []string{"lof", "knn"} {
 		var aucs, secs []float64
-		pipe := cfg.pipeline("hics", scorer, cfg.Seed)
+		pipe := pipeline("hics", scorer, hicsParams(cfg.Seed))
 		for _, l := range data {
 			auc, elapsed, err := rankAUC(ctx, pipe, l)
 			if err != nil {

@@ -14,13 +14,9 @@ import (
 	"strings"
 
 	"hics/internal/core"
-	"hics/internal/enclus"
 	"hics/internal/neighbors"
-	"hics/internal/randsub"
 	"hics/internal/ranking"
 	"hics/internal/registry"
-	"hics/internal/ris"
-	"hics/internal/surfing"
 )
 
 // displayName strips the scorer suffix from pipeline names so tables use
@@ -42,8 +38,6 @@ type Config struct {
 	Medium bool
 	// Seed drives dataset generation and all Monte Carlo loops.
 	Seed uint64
-	// MinPts is the shared LOF neighborhood size (0 = 10, as everywhere).
-	MinPts int
 	// Searchers restricts the subspace-method competitor set to these
 	// registry names; nil selects the paper's set (hics, enclus, ris,
 	// randsub). The full-space LOF baseline and the PCA variants of the
@@ -104,53 +98,30 @@ func (c Config) sizing() sizing {
 	}
 }
 
-func (c Config) minPts() int {
-	if c.MinPts > 0 {
-		return c.MinPts
-	}
-	return 10
-}
-
 // hicsParams returns the paper-default HiCS parameters with the given seed.
 func hicsParams(seed uint64) core.Params {
 	return core.Params{M: core.DefaultM, Alpha: core.DefaultAlpha, Cutoff: core.DefaultCutoff, TopK: core.DefaultTopK, Seed: seed}
 }
 
-// searcherOptions carries the paper's per-method search parameters: every
-// competitor gets the "best 100 subspaces" budget of Sec. V.
-func (c Config) searcherOptions(seed uint64) registry.SearcherOptions {
-	return registry.SearcherOptions{
-		HiCS:    hicsParams(seed),
-		Enclus:  enclus.Params{TopK: 100},
-		RIS:     ris.Params{TopK: 100},
-		RandSub: randsub.Params{Count: 100, Seed: seed},
-		Surfing: surfing.Params{K: c.minPts(), TopK: 100},
-	}
-}
-
-// scorerOptions carries the paper's scorer parameterization, pinned to the
-// brute-force neighbor index: the runtime figures (Fig. 5, Fig. 6, Fig. 9)
-// are calibrated against the quadratic ranking step, and letting the
-// automatic index selection swap in the k-d tree would silently change the
-// measured curves (scores are bit-identical either way).
-func (c Config) scorerOptions() registry.ScorerOptions {
-	return registry.ScorerOptions{
-		LOF:    registry.LOFOptions{MinPts: c.minPts(), Index: neighbors.KindBrute},
-		KNN:    registry.KNNOptions{K: c.minPts(), Index: neighbors.KindBrute},
-		ORCA:   registry.ORCAOptions{K: c.minPts(), TopN: 50, Seed: c.Seed, Index: neighbors.KindBrute},
-		OUTRES: registry.OUTRESOptions{},
-	}
+// options carries the paper's evaluation setting for search parameters
+// p: every competitor gets the level-wise budget and the "best 100
+// subspaces" of Sec. V through p, and every scorer the shared MinPts 10.
+// ORCA mines 50 outliers per subspace. The scorers are pinned to the
+// brute-force neighbor index: the runtime figures (Fig. 5, Fig. 6,
+// Fig. 9) are calibrated against the quadratic ranking step, and letting
+// the automatic index selection swap in the k-d tree would silently
+// change the measured curves (scores are bit-identical either way).
+func options(p core.Params) registry.Options {
+	return registry.Options{Search: p, MinPts: 10, Index: neighbors.KindBrute, TopN: 50}
 }
 
 // pipeline resolves one registry (searcher, scorer) name pair with the
-// shared evaluation options. Method names reaching this point were either
-// written as literals here or validated at the cmd/hicsbench boundary, so
-// a resolution failure is a programming error.
-func (c Config) pipeline(search, scorer string, seed uint64) ranking.Pipeline {
-	pipe, err := registry.NewPipeline(search, scorer, registry.PipelineOptions{
-		Searchers: c.searcherOptions(seed),
-		Scorers:   c.scorerOptions(),
-	})
+// shared evaluation options for search parameters p. Method names
+// reaching this point were either written as literals here or validated
+// at the cmd/hicsbench boundary, so a resolution failure is a
+// programming error.
+func pipeline(search, scorer string, p core.Params) ranking.Pipeline {
+	pipe, err := registry.NewPipeline(search, scorer, options(p))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
@@ -161,30 +132,15 @@ func (c Config) pipeline(search, scorer string, seed uint64) ranking.Pipeline {
 // options, for the pipelines assembled outside the two-step registry
 // matrix (PCA).
 func (c Config) scorer(name string) ranking.Scorer {
-	sc, err := registry.NewScorer(name, c.scorerOptions())
+	sc, err := registry.NewScorer(name, options(hicsParams(c.Seed)))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	return sc
 }
 
-// hicsVariant builds a HiCS+LOF pipeline with custom search parameters,
-// for the parameter sweeps (Fig. 7–9) and statistical-test ablations.
-func (c Config) hicsVariant(p core.Params) ranking.Pipeline {
-	so := c.searcherOptions(p.Seed)
-	so.HiCS = p
-	pipe, err := registry.NewPipeline("hics", "lof", registry.PipelineOptions{
-		Searchers: so,
-		Scorers:   c.scorerOptions(),
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return pipe
-}
-
 // newLOF builds the full-space LOF baseline.
-func newLOF(cfg Config) ranking.Pipeline { return cfg.pipeline("fullspace", "lof", cfg.Seed) }
+func newLOF(cfg Config) ranking.Pipeline { return pipeline("fullspace", "lof", hicsParams(cfg.Seed)) }
 
 // newPCALOF1 reduces to 50% of the attributes before full-space LOF. PCA
 // transforms objects instead of selecting attribute subsets, so it stays
@@ -212,12 +168,11 @@ func newPCALOF2(cfg Config) ranking.PCAPipeline {
 type cacheKey struct {
 	quick, medium bool
 	seed          uint64
-	minPts        int
 	searchers     string
 }
 
 func (c Config) key() cacheKey {
-	return cacheKey{c.Quick, c.Medium, c.Seed, c.MinPts, strings.Join(c.searcherSet(), ",")}
+	return cacheKey{c.Quick, c.Medium, c.Seed, strings.Join(c.searcherSet(), ",")}
 }
 
 // searcherSet resolves the Config's subspace-method selection.
@@ -234,7 +189,7 @@ func (c Config) searcherSet() []string {
 func subspaceCompetitors(cfg Config, seed uint64) []ranking.Ranker {
 	var out []ranking.Ranker
 	for _, name := range cfg.searcherSet() {
-		out = append(out, cfg.pipeline(name, "lof", seed))
+		out = append(out, pipeline(name, "lof", hicsParams(seed)))
 	}
 	return out
 }

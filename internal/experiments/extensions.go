@@ -24,7 +24,7 @@ func ExtTests(ctx context.Context, w io.Writer, cfg Config) error {
 	for _, tt := range []core.Test{core.WelchT, core.KolmogorovSmirnov, core.MannWhitney, core.CramerVonMises} {
 		p := hicsParams(cfg.Seed)
 		p.Test = tt
-		pipe := cfg.hicsVariant(p)
+		pipe := pipeline("hics", "lof", p)
 		var aucs, secs []float64
 		for _, l := range data {
 			auc, elapsed, err := rankAUC(ctx, pipe, l)
@@ -66,7 +66,7 @@ func ExtScorers(ctx context.Context, w io.Writer, cfg Config) error {
 		{"OUTRES-prod", "outres", ranking.Product},
 	}
 	for _, e := range entries {
-		pipe := cfg.pipeline("hics", e.scorer, cfg.Seed)
+		pipe := pipeline("hics", e.scorer, hicsParams(cfg.Seed))
 		pipe.Agg = e.agg
 		var aucs, secs []float64
 		for _, l := range data {
@@ -96,7 +96,7 @@ func ExtSearchers(ctx context.Context, w io.Writer, cfg Config) error {
 	fmt.Fprintln(w, "# Extension — subspace searchers incl. SURFING (LOF ranking)")
 	fmt.Fprintf(w, "%-10s %10s %12s\n", "searcher", "AUC", "runtime")
 	for _, name := range []string{"hics", "enclus", "ris", "surfing", "randsub"} {
-		pipe := cfg.pipeline(name, "lof", cfg.Seed)
+		pipe := pipeline(name, "lof", hicsParams(cfg.Seed))
 		var aucs, secs []float64
 		for _, l := range data {
 			auc, elapsed, err := rankAUC(ctx, pipe, l)
@@ -124,7 +124,7 @@ func ExtPrecision(ctx context.Context, w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintln(w, "# Extension — precision metrics (average precision, P@n)")
 	fmt.Fprintf(w, "%-10s %10s %10s %10s\n", "method", "AUC", "AP", "P@n")
-	for _, r := range []ranking.Ranker{newLOF(cfg), cfg.pipeline("hics", "lof", cfg.Seed), cfg.pipeline("enclus", "lof", cfg.Seed), cfg.pipeline("randsub", "lof", cfg.Seed)} {
+	for _, r := range []ranking.Ranker{newLOF(cfg), pipeline("hics", "lof", hicsParams(cfg.Seed)), pipeline("enclus", "lof", hicsParams(cfg.Seed)), pipeline("randsub", "lof", hicsParams(cfg.Seed))} {
 		var aucs, aps, patns []float64
 		for _, l := range data {
 			res, err := r.Rank(ctx, l.Data)

@@ -244,7 +244,7 @@ func paramSweep[T any](ctx context.Context, w io.Writer, cfg Config, title strin
 				p := hicsParams(cfg.Seed)
 				set(&p, v)
 				p.Test = tt
-				auc, _, err := rankAUC(ctx, cfg.hicsVariant(p), l)
+				auc, _, err := rankAUC(ctx, pipeline("hics", "lof", p), l)
 				if err != nil {
 					return err
 				}
@@ -275,7 +275,7 @@ func Fig9(ctx context.Context, w io.Writer, cfg Config) error {
 		for _, l := range data {
 			p := hicsParams(cfg.Seed)
 			p.Cutoff = cut
-			auc, elapsed, err := rankAUC(ctx, cfg.hicsVariant(p), l)
+			auc, elapsed, err := rankAUC(ctx, pipeline("hics", "lof", p), l)
 			if err != nil {
 				return err
 			}

@@ -30,17 +30,14 @@ import (
 )
 
 // Scorer is an adaptive kernel-density outlier scorer implementing the
-// ranking pipeline's Scorer interface.
-type Scorer struct {
-	// BandwidthScale multiplies the dimensionality-adaptive bandwidth
-	// h = scale · 0.5 · N^(−1/(4+d)). Zero selects 1.
-	BandwidthScale float64
-}
+// ranking pipeline's Scorer interface. Its bandwidth
+// h = 0.5 · N^(−1/(4+d)) adapts to the subspace dimensionality d.
+type Scorer struct{}
 
 // Score implements ranking.Scorer: one non-negative outlierness value per
 // object, higher = more outlying. The density pass runs sequentially on
 // the calling goroutine, so neither ctx nor workers is consulted.
-func (s Scorer) Score(_ context.Context, ds *dataset.Dataset, dims []int, _ int, scores []float64) error {
+func (Scorer) Score(_ context.Context, ds *dataset.Dataset, dims []int, _ int, scores []float64) error {
 	// Pin the brute backend: OUTRES only takes pairwise distances (Dist),
 	// so a k-d tree would be built per subspace and never queried.
 	idx, err := neighbors.New(ds, dims, neighbors.KindBrute)
@@ -51,14 +48,10 @@ func (s Scorer) Score(_ context.Context, ds *dataset.Dataset, dims []int, _ int,
 	if n < 3 {
 		return fmt.Errorf("outres: need at least 3 objects, have %d", n)
 	}
-	scale := s.BandwidthScale
-	if scale <= 0 {
-		scale = 1
-	}
 	d := float64(len(dims))
 	// Adaptive bandwidth: the Silverman-style N^(−1/(4+d)) rate OUTRES
 	// derives its h_optimal from, anchored at half the unit-cube scale.
-	h := scale * 0.5 * math.Pow(float64(n), -1/(4+d))
+	h := 0.5 * math.Pow(float64(n), -1/(4+d))
 
 	// Pass 1: kernel densities and kernel neighborhoods.
 	dens := make([]float64, n)

@@ -56,28 +56,6 @@ func TestScoresNonNegative(t *testing.T) {
 	}
 }
 
-func TestBandwidthScaleChangesScores(t *testing.T) {
-	ds, _ := clusterWithOutlier(3, 120)
-	a, err := score(Scorer{BandwidthScale: 0.5}, ds, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := score(Scorer{BandwidthScale: 2}, ds, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("bandwidth scale has no effect")
-	}
-}
-
 func TestScoreErrors(t *testing.T) {
 	ds := dataset.MustNew(nil, [][]float64{{1, 2}})
 	if _, err := score(Scorer{}, ds, []int{0}); err == nil {

@@ -24,38 +24,28 @@ const DefaultCount = 100
 
 // Params configures the random selection. Zero values select defaults.
 type Params struct {
-	// Count is the number of subspaces to draw.
+	// Count is the number of subspaces to draw (≤ 0 = DefaultCount).
 	Count int
-	// MinDim/MaxDim bound the drawn dimensionality. Zero selects the
-	// feature-bagging bounds ⌊D/2⌋ and D−1.
-	MinDim, MaxDim int
+	// MaxDim bounds the drawn dimensionality from above (0 = D−1, the
+	// feature-bagging bound). The lower bound is ⌊D/2⌋, clamped to
+	// [2, MaxDim].
+	MaxDim int
 	// Seed makes the selection reproducible.
 	Seed uint64
 }
 
-func (p Params) withDefaults(d int) Params {
+// withDefaults resolves Count and MaxDim for a D-dimensional space and
+// returns the lower dimensionality bound.
+func (p Params) withDefaults(d int) (Params, int) {
 	if p.Count <= 0 {
 		p.Count = DefaultCount
-	}
-	if p.MinDim <= 0 {
-		p.MinDim = d / 2
-		if p.MinDim < 2 {
-			p.MinDim = 2
-		}
 	}
 	if p.MaxDim <= 0 {
 		p.MaxDim = d - 1
 	}
-	if p.MaxDim < 2 {
-		p.MaxDim = 2 // subspaces below two dimensions carry no correlation
-	}
-	if p.MaxDim > d {
-		p.MaxDim = d
-	}
-	if p.MinDim > p.MaxDim {
-		p.MinDim = p.MaxDim
-	}
-	return p
+	// Subspaces below two dimensions carry no correlation.
+	p.MaxDim = min(max(p.MaxDim, 2), d)
+	return p, min(max(d/2, 2), p.MaxDim)
 }
 
 // SelectContext draws Count random subspaces of a D-dimensional space.
@@ -67,7 +57,7 @@ func SelectContext(ctx context.Context, d int, p Params) ([]subspace.Scored, err
 	if d < 2 {
 		return nil, fmt.Errorf("randsub: need at least 2 attributes, have %d", d)
 	}
-	p = p.withDefaults(d)
+	p, minDim := p.withDefaults(d)
 	r := rng.New(p.Seed)
 	seen := make(map[string]bool, p.Count)
 	out := make([]subspace.Scored, 0, p.Count)
@@ -80,7 +70,7 @@ func SelectContext(ctx context.Context, d int, p Params) ([]subspace.Scored, err
 		}
 		picked := false
 		for attempt := 0; attempt < maxAttemptsPerPick; attempt++ {
-			k := r.IntRange(p.MinDim, p.MaxDim)
+			k := r.IntRange(minDim, p.MaxDim)
 			r.PermInto(dims)
 			s := subspace.New(dims[:k]...)
 			if key := s.Key(); !seen[key] {

@@ -53,21 +53,23 @@ func TestSelectDeterministic(t *testing.T) {
 	}
 }
 
+// MaxDim below ⌊D/2⌋ pulls the lower bound down with it: every draw has
+// exactly MaxDim attributes.
 func TestSelectExplicitDims(t *testing.T) {
-	list, err := SelectContext(context.Background(), 10, Params{Count: 30, MinDim: 2, MaxDim: 3, Seed: 2})
+	list, err := SelectContext(context.Background(), 10, Params{Count: 30, MaxDim: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sc := range list {
-		if sc.S.Dim() < 2 || sc.S.Dim() > 3 {
-			t.Errorf("dim %d outside [2,3]", sc.S.Dim())
+		if sc.S.Dim() != 3 {
+			t.Errorf("dim %d, want 3", sc.S.Dim())
 		}
 	}
 }
 
 func TestSelectExhaustsSmallSpace(t *testing.T) {
 	// Only 3 distinct 2-dim subspaces exist in a 3-dim space.
-	list, err := SelectContext(context.Background(), 3, Params{Count: 100, MinDim: 2, MaxDim: 2, Seed: 3})
+	list, err := SelectContext(context.Background(), 3, Params{Count: 100, MaxDim: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func TestSelectSmallD(t *testing.T) {
 	if _, err := SelectContext(context.Background(), 1, Params{}); err == nil {
 		t.Error("d=1 should fail")
 	}
-	// d=2: MinDim clamps to 2, MaxDim = 1 -> clamped to valid.
+	// d=2: the lower bound clamps to 2, MaxDim = 1 -> clamped to valid.
 	list, err := SelectContext(context.Background(), 2, Params{Count: 5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)

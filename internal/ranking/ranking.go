@@ -278,18 +278,12 @@ type Pipeline struct {
 	Searcher SubspaceSearcher
 	Scorer   Scorer
 	Agg      Aggregation
-	// MaxSubspaces caps how many of the searcher's subspaces are scored
-	// ("we use only the best 100 subspaces", Sec. V). 0 means 100, -1 all.
-	MaxSubspaces int
 	// Workers bounds the batch-pass parallelism of the Scorer
 	// (0 = one worker per CPU); the search step's own worker bound lives
 	// in the searcher's parameters. Scores are bit-for-bit independent of
 	// the setting.
 	Workers int
 }
-
-// DefaultMaxSubspaces is the paper's budget of ranked projections.
-const DefaultMaxSubspaces = 100
 
 // Result carries the final ranking and provenance.
 type Result struct {
@@ -299,8 +293,9 @@ type Result struct {
 	Subspaces []subspace.Scored
 }
 
-// resolve validates the pipeline wiring, applies the subspace budget, and
-// runs the search step — the shared preamble of Rank and Fit.
+// resolve validates the pipeline wiring and runs the search step — the
+// shared preamble of Rank and Fit. Every subspace the searcher returns is
+// scored; the searchers bound their lists themselves (TopK).
 func (p Pipeline) resolve(ctx context.Context, ds *dataset.Dataset) ([]subspace.Scored, error) {
 	if p.Searcher == nil || p.Scorer == nil {
 		return nil, errors.New("ranking: pipeline needs a Searcher and a Scorer")
@@ -313,13 +308,6 @@ func (p Pipeline) resolve(ctx context.Context, ds *dataset.Dataset) ([]subspace.
 			return nil, err
 		}
 		return nil, fmt.Errorf("ranking: subspace search (%s): %w", p.Searcher.Name(), err)
-	}
-	limit := p.MaxSubspaces
-	if limit == 0 {
-		limit = DefaultMaxSubspaces
-	}
-	if limit > 0 && len(subspaces) > limit {
-		subspaces = subspaces[:limit]
 	}
 	if len(subspaces) == 0 {
 		return nil, fmt.Errorf("ranking: searcher %s selected no subspaces", p.Searcher.Name())

@@ -89,25 +89,9 @@ func TestHiCSPipelineBeatsFullSpaceOnPlantedData(t *testing.T) {
 	}
 }
 
-func TestMaxSubspacesCap(t *testing.T) {
-	b := benchData(t, 2)
-	p := Pipeline{
-		Searcher:     &randsub.Searcher{Params: randsub.Params{Count: 30, Seed: 1}},
-		Scorer:       KNNScorer{K: 5},
-		MaxSubspaces: 4,
-	}
-	res, err := p.Rank(context.Background(), b.Data.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Subspaces) != 4 {
-		t.Errorf("cap ignored: %d subspaces scored", len(res.Subspaces))
-	}
-}
-
 func TestAggregationAverageVsMax(t *testing.T) {
 	b := benchData(t, 3)
-	searcher := &randsub.Searcher{Params: randsub.Params{Count: 10, MinDim: 2, MaxDim: 3, Seed: 2}}
+	searcher := &randsub.Searcher{Params: randsub.Params{Count: 10, MaxDim: 3, Seed: 2}}
 	avg := Pipeline{Searcher: searcher, Scorer: LOFScorer{}, Agg: Average}
 	max := Pipeline{Searcher: searcher, Scorer: LOFScorer{}, Agg: Max}
 	ra, err := avg.Rank(context.Background(), b.Data.Data)

@@ -1,7 +1,10 @@
 // Package registry resolves user-facing method names to constructed
 // pipeline components: the subspace searchers and density scorers of the
 // paper's evaluation matrix (Sec. V), each addressable by a stable string
-// name with a per-method option struct.
+// name. One Options value configures every method: the builder table in
+// registry.go is the one place its shared fields (the search parameters,
+// MinPts, the neighbor index, ORCA's TopN) map onto each method's own
+// parameters.
 //
 // The registry is the single place the searcher × scorer matrix is
 // enumerated. Every layer that selects methods by name — the public

@@ -13,12 +13,8 @@ import (
 	"testing"
 
 	"hics/internal/core"
-	"hics/internal/enclus"
 	"hics/internal/neighbors"
 	"hics/internal/race"
-	"hics/internal/randsub"
-	"hics/internal/ris"
-	"hics/internal/surfing"
 	"hics/internal/synth"
 )
 
@@ -50,13 +46,7 @@ func TestGoldenLevelWiseSearchers(t *testing.T) {
 			for _, maxDim := range []int{0, 1, 2, 3} {
 				for _, cutoff := range []int{0, 5} {
 					for _, topK := range []int{0, -1, 7} {
-						o := SearcherOptions{
-							HiCS:    core.Params{Seed: 3, MaxDim: maxDim, Cutoff: cutoff, TopK: topK},
-							Enclus:  enclus.Params{MaxDim: maxDim, Cutoff: cutoff, TopK: topK},
-							RIS:     ris.Params{MaxDim: maxDim, Cutoff: cutoff, TopK: topK},
-							Surfing: surfing.Params{MaxDim: maxDim, Cutoff: cutoff, TopK: topK},
-							RandSub: randsub.Params{Count: max(topK, 0), Seed: 3, MaxDim: maxDim},
-						}
+						o := Options{Search: core.Params{Seed: 3, MaxDim: maxDim, Cutoff: cutoff, TopK: topK}}
 						s, err := NewSearcher(name, o)
 						if err != nil {
 							t.Fatal(err)
@@ -97,11 +87,7 @@ func TestGoldenScorers(t *testing.T) {
 		for _, minPts := range []int{0, 5} {
 			for _, kind := range []neighbors.Kind{neighbors.KindAuto, neighbors.KindBrute, neighbors.KindKDTree} {
 				for _, topN := range []int{0, 50} {
-					o := ScorerOptions{
-						LOF:  LOFOptions{MinPts: minPts, Index: kind},
-						KNN:  KNNOptions{K: minPts, Index: kind},
-						ORCA: ORCAOptions{K: minPts, TopN: topN, Seed: 3, Index: kind},
-					}
+					o := Options{Search: core.Params{Seed: 3}, MinPts: minPts, Index: kind, TopN: topN}
 					sc, err := NewScorer(name, o)
 					if err != nil {
 						t.Fatal(err)

@@ -22,89 +22,59 @@ const (
 	DefaultScorer   = "lof"
 )
 
-// SearcherOptions carries one option struct per registered searcher; a
-// constructor reads only its own method's struct, so callers configure the
-// whole matrix once and select by name afterwards. Zero values select each
-// method's documented defaults.
-type SearcherOptions struct {
-	// HiCS configures the "hics" searcher (the paper's contrast search).
-	HiCS core.Params
-	// Enclus configures the "enclus" grid-entropy searcher.
-	Enclus enclus.Params
-	// RIS configures the "ris" density-connectivity searcher.
-	RIS ris.Params
-	// RandSub configures the "randsub" feature-bagging baseline.
-	RandSub randsub.Params
-	// Surfing configures the "surfing" kNN-distance-variance searcher.
-	Surfing surfing.Params
-	// The "fullspace" searcher has no options.
-}
-
-// LOFOptions configures the "lof" scorer.
-type LOFOptions struct {
-	// MinPts is the LOF neighborhood size (0 = lof.DefaultMinPts).
+// Options configures every registered method at once: callers fill it
+// once and select methods by name afterwards. Each builder reads the
+// fields its method uses, and zero values select each method's defaults.
+type Options struct {
+	// Search configures the subspace searchers. "hics" reads all of it.
+	// "enclus", "ris" and "surfing" read Cutoff (0 = 400), TopK (0 = 100,
+	// -1 = all) and MaxDim (0 = 6). "randsub" draws TopK subspaces (100
+	// when TopK ≤ 0) from Seed, of at most MaxDim attributes (0 = D−1).
+	// "orca" reads Seed. "fullspace" reads nothing.
+	Search core.Params
+	// MinPts is the neighborhood size: the k of "lof", "knn" and "orca",
+	// the core-object threshold of "ris" and the k of "surfing"
+	// (0 = 10 for each).
 	MinPts int
-	// Index selects the neighbor-index backend (default automatic).
+	// Index selects the neighbor-index backend of "lof", "knn" and "orca"
+	// (default automatic).
 	Index neighbors.Kind
-}
-
-// KNNOptions configures the "knn" (average kNN-distance) scorer.
-type KNNOptions struct {
-	// K is the neighborhood size (0 = lof.DefaultMinPts).
-	K int
-	// Index selects the neighbor-index backend (default automatic).
-	Index neighbors.Kind
-}
-
-// ORCAOptions configures the "orca" randomized top-n distance miner.
-type ORCAOptions struct {
-	// K is the neighborhood size (0 = 10).
-	K int
-	// TopN is the number of outliers mined per subspace (0 = 30).
+	// TopN is the number of outliers "orca" mines per subspace (0 = 30).
 	TopN int
-	// Seed drives the randomized scan orders.
-	Seed uint64
-	// Index selects the neighbor-index backend.
-	Index neighbors.Kind
+	// Agg selects NewPipeline's score aggregation (default: the paper's
+	// average).
+	Agg ranking.Aggregation
+	// Workers bounds NewPipeline's batch scoring passes (0 = one worker
+	// per CPU); the search's own bound is Search.Workers.
+	Workers int
 }
 
-// OUTRESOptions configures the "outres" adaptive kernel-density scorer.
-type OUTRESOptions struct {
-	// BandwidthScale multiplies the dimensionality-adaptive bandwidth
-	// (0 = 1).
-	BandwidthScale float64
+// The builder tables are the one place the shared Options map onto each
+// method's own parameters.
+var searcherBuilders = map[string]func(Options) ranking.SubspaceSearcher{
+	"hics": func(o Options) ranking.SubspaceSearcher { return &core.Searcher{Params: o.Search} },
+	"enclus": func(o Options) ranking.SubspaceSearcher {
+		return &enclus.Searcher{Params: enclus.Params{MaxDim: o.Search.MaxDim, TopK: o.Search.TopK, Cutoff: o.Search.Cutoff}}
+	},
+	"ris": func(o Options) ranking.SubspaceSearcher {
+		return &ris.Searcher{Params: ris.Params{MinPts: o.MinPts, TopK: o.Search.TopK, Cutoff: o.Search.Cutoff, MaxDim: o.Search.MaxDim}}
+	},
+	"randsub": func(o Options) ranking.SubspaceSearcher {
+		return &randsub.Searcher{Params: randsub.Params{Count: o.Search.TopK, MaxDim: o.Search.MaxDim, Seed: o.Search.Seed}}
+	},
+	"surfing": func(o Options) ranking.SubspaceSearcher {
+		return &surfing.Searcher{Params: surfing.Params{K: o.MinPts, TopK: o.Search.TopK, Cutoff: o.Search.Cutoff, MaxDim: o.Search.MaxDim}}
+	},
+	"fullspace": func(Options) ranking.SubspaceSearcher { return ranking.FullSpace{} },
 }
 
-// ScorerOptions carries one option struct per registered scorer.
-type ScorerOptions struct {
-	LOF    LOFOptions
-	KNN    KNNOptions
-	ORCA   ORCAOptions
-	OUTRES OUTRESOptions
-}
-
-var searcherBuilders = map[string]func(SearcherOptions) ranking.SubspaceSearcher{
-	"hics":      func(o SearcherOptions) ranking.SubspaceSearcher { return &core.Searcher{Params: o.HiCS} },
-	"enclus":    func(o SearcherOptions) ranking.SubspaceSearcher { return &enclus.Searcher{Params: o.Enclus} },
-	"ris":       func(o SearcherOptions) ranking.SubspaceSearcher { return &ris.Searcher{Params: o.RIS} },
-	"randsub":   func(o SearcherOptions) ranking.SubspaceSearcher { return &randsub.Searcher{Params: o.RandSub} },
-	"surfing":   func(o SearcherOptions) ranking.SubspaceSearcher { return &surfing.Searcher{Params: o.Surfing} },
-	"fullspace": func(SearcherOptions) ranking.SubspaceSearcher { return ranking.FullSpace{} },
-}
-
-var scorerBuilders = map[string]func(ScorerOptions) ranking.Scorer{
-	"lof": func(o ScorerOptions) ranking.Scorer {
-		return ranking.LOFScorer{MinPts: o.LOF.MinPts, Index: o.LOF.Index}
+var scorerBuilders = map[string]func(Options) ranking.Scorer{
+	"lof": func(o Options) ranking.Scorer { return ranking.LOFScorer{MinPts: o.MinPts, Index: o.Index} },
+	"knn": func(o Options) ranking.Scorer { return ranking.KNNScorer{K: o.MinPts, Index: o.Index} },
+	"orca": func(o Options) ranking.Scorer {
+		return orca.Scorer{K: o.MinPts, TopN: o.TopN, Seed: o.Search.Seed, Index: o.Index}
 	},
-	"knn": func(o ScorerOptions) ranking.Scorer {
-		return ranking.KNNScorer{K: o.KNN.K, Index: o.KNN.Index}
-	},
-	"orca": func(o ScorerOptions) ranking.Scorer {
-		return orca.Scorer{K: o.ORCA.K, TopN: o.ORCA.TopN, Seed: o.ORCA.Seed, Index: o.ORCA.Index}
-	},
-	"outres": func(o ScorerOptions) ranking.Scorer {
-		return outres.Scorer{BandwidthScale: o.OUTRES.BandwidthScale}
-	},
+	"outres": func(Options) ranking.Scorer { return outres.Scorer{} },
 }
 
 // SearcherNames lists the registered searcher names, sorted.
@@ -139,14 +109,14 @@ func ScorerSupportsFit(name string) bool {
 	if !ok {
 		return false
 	}
-	_, ok = build(ScorerOptions{}).(ranking.FitScorer)
+	_, ok = build(Options{}).(ranking.FitScorer)
 	return ok
 }
 
-// NewSearcher constructs the named subspace searcher from its option
-// struct. The empty name selects DefaultSearcher; unknown names error,
-// enumerating the valid values.
-func NewSearcher(name string, o SearcherOptions) (ranking.SubspaceSearcher, error) {
+// NewSearcher constructs the named subspace searcher from o. The empty
+// name selects DefaultSearcher; unknown names error, enumerating the
+// valid values.
+func NewSearcher(name string, o Options) (ranking.SubspaceSearcher, error) {
 	if name == "" {
 		name = DefaultSearcher
 	}
@@ -158,10 +128,9 @@ func NewSearcher(name string, o SearcherOptions) (ranking.SubspaceSearcher, erro
 	return build(o), nil
 }
 
-// NewScorer constructs the named scorer from its option struct. The empty
-// name selects DefaultScorer; unknown names error, enumerating the valid
-// values.
-func NewScorer(name string, o ScorerOptions) (ranking.Scorer, error) {
+// NewScorer constructs the named scorer from o. The empty name selects
+// DefaultScorer; unknown names error, enumerating the valid values.
+func NewScorer(name string, o Options) (ranking.Scorer, error) {
 	if name == "" {
 		name = DefaultScorer
 	}
@@ -173,38 +142,18 @@ func NewScorer(name string, o ScorerOptions) (ranking.Scorer, error) {
 	return build(o), nil
 }
 
-// PipelineOptions bundles the method options with the pipeline-level knobs
-// NewPipeline threads through to ranking.Pipeline.
-type PipelineOptions struct {
-	Searchers SearcherOptions
-	Scorers   ScorerOptions
-	// Agg selects the score aggregation (default: the paper's average).
-	Agg ranking.Aggregation
-	// MaxSubspaces caps the scored subspaces (0 = the paper's 100, -1 = all).
-	MaxSubspaces int
-	// Workers bounds the batch-pass parallelism of the scorer
-	// (0 = one worker per CPU).
-	Workers int
-}
-
 // NewPipeline resolves a (searcher, scorer) name pair into the assembled
 // two-step ranking pipeline.
-func NewPipeline(search, scorer string, o PipelineOptions) (ranking.Pipeline, error) {
-	s, err := NewSearcher(search, o.Searchers)
+func NewPipeline(search, scorer string, o Options) (ranking.Pipeline, error) {
+	s, err := NewSearcher(search, o)
 	if err != nil {
 		return ranking.Pipeline{}, err
 	}
-	sc, err := NewScorer(scorer, o.Scorers)
+	sc, err := NewScorer(scorer, o)
 	if err != nil {
 		return ranking.Pipeline{}, err
 	}
-	return ranking.Pipeline{
-		Searcher:     s,
-		Scorer:       sc,
-		Agg:          o.Agg,
-		MaxSubspaces: o.MaxSubspaces,
-		Workers:      o.Workers,
-	}, nil
+	return ranking.Pipeline{Searcher: s, Scorer: sc, Agg: o.Agg, Workers: o.Workers}, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

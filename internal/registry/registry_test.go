@@ -9,9 +9,14 @@ import (
 
 	"hics/internal/core"
 	"hics/internal/dataset"
+	"hics/internal/enclus"
 	"hics/internal/neighbors"
+	"hics/internal/orca"
+	"hics/internal/randsub"
 	"hics/internal/ranking"
+	"hics/internal/ris"
 	"hics/internal/subspace"
+	"hics/internal/surfing"
 	"hics/internal/synth"
 )
 
@@ -34,7 +39,7 @@ func TestNames(t *testing.T) {
 // implement the pipeline interface it is registered under.
 func TestEveryNameConstructs(t *testing.T) {
 	for _, name := range SearcherNames() {
-		s, err := NewSearcher(name, SearcherOptions{})
+		s, err := NewSearcher(name, Options{})
 		if err != nil {
 			t.Errorf("NewSearcher(%q): %v", name, err)
 		}
@@ -46,7 +51,7 @@ func TestEveryNameConstructs(t *testing.T) {
 		}
 	}
 	for _, name := range ScorerNames() {
-		sc, err := NewScorer(name, ScorerOptions{})
+		sc, err := NewScorer(name, Options{})
 		if err != nil {
 			t.Errorf("NewScorer(%q): %v", name, err)
 		}
@@ -60,14 +65,14 @@ func TestEveryNameConstructs(t *testing.T) {
 }
 
 func TestDefaultsAndErrors(t *testing.T) {
-	s, err := NewSearcher("", SearcherOptions{})
+	s, err := NewSearcher("", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Name() != "HiCS" {
 		t.Errorf("default searcher is %s, want HiCS", s.Name())
 	}
-	sc, err := NewScorer("", ScorerOptions{})
+	sc, err := NewScorer("", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +81,7 @@ func TestDefaultsAndErrors(t *testing.T) {
 	}
 
 	// Unknown names must enumerate every valid value.
-	if _, err := NewSearcher("bogus", SearcherOptions{}); err == nil {
+	if _, err := NewSearcher("bogus", Options{}); err == nil {
 		t.Error("unknown searcher accepted")
 	} else {
 		for _, name := range SearcherNames() {
@@ -85,7 +90,7 @@ func TestDefaultsAndErrors(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewScorer("bogus", ScorerOptions{}); err == nil {
+	if _, err := NewScorer("bogus", Options{}); err == nil {
 		t.Error("unknown scorer accepted")
 	} else {
 		for _, name := range ScorerNames() {
@@ -94,31 +99,47 @@ func TestDefaultsAndErrors(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewPipeline("hics", "bogus", PipelineOptions{}); err == nil {
+	if _, err := NewPipeline("hics", "bogus", Options{}); err == nil {
 		t.Error("NewPipeline accepted unknown scorer")
 	}
-	if _, err := NewPipeline("bogus", "lof", PipelineOptions{}); err == nil {
+	if _, err := NewPipeline("bogus", "lof", Options{}); err == nil {
 		t.Error("NewPipeline accepted unknown searcher")
 	}
 }
 
-// Per-method options must reach the constructed component.
+// The shared options must reach every component that reads them.
 func TestOptionsReachComponents(t *testing.T) {
-	p := core.Params{M: 7, Alpha: 0.25, Seed: 3}
-	s, err := NewSearcher("hics", SearcherOptions{HiCS: p})
-	if err != nil {
-		t.Fatal(err)
+	p := core.Params{M: 7, Alpha: 0.25, Seed: 3, Cutoff: 9, TopK: 11, MaxDim: 4}
+	o := Options{Search: p, MinPts: 17, Index: neighbors.KindBrute, TopN: 13}
+	searchers := map[string]any{
+		"hics":    &core.Searcher{Params: p},
+		"enclus":  &enclus.Searcher{Params: enclus.Params{MaxDim: 4, TopK: 11, Cutoff: 9}},
+		"ris":     &ris.Searcher{Params: ris.Params{MinPts: 17, TopK: 11, Cutoff: 9, MaxDim: 4}},
+		"randsub": &randsub.Searcher{Params: randsub.Params{Count: 11, MaxDim: 4, Seed: 3}},
+		"surfing": &surfing.Searcher{Params: surfing.Params{K: 17, TopK: 11, Cutoff: 9, MaxDim: 4}},
 	}
-	if got := s.(*core.Searcher).Params; got != p {
-		t.Errorf("hics params = %+v, want %+v", got, p)
+	for name, want := range searchers {
+		s, err := NewSearcher(name, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("%s = %+v, want %+v", name, s, want)
+		}
 	}
-	sc, err := NewScorer("lof", ScorerOptions{LOF: LOFOptions{MinPts: 17, Index: neighbors.KindBrute}})
-	if err != nil {
-		t.Fatal(err)
+	scorers := map[string]ranking.Scorer{
+		"lof":  ranking.LOFScorer{MinPts: 17, Index: neighbors.KindBrute},
+		"knn":  ranking.KNNScorer{K: 17, Index: neighbors.KindBrute},
+		"orca": orca.Scorer{K: 17, TopN: 13, Seed: 3, Index: neighbors.KindBrute},
 	}
-	want := ranking.LOFScorer{MinPts: 17, Index: neighbors.KindBrute}
-	if sc.(ranking.LOFScorer) != want {
-		t.Errorf("lof scorer = %+v, want %+v", sc, want)
+	for name, want := range scorers {
+		sc, err := NewScorer(name, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc != want {
+			t.Errorf("%s = %+v, want %+v", name, sc, want)
+		}
 	}
 }
 
@@ -134,18 +155,14 @@ func TestScorerSupportsFit(t *testing.T) {
 }
 
 func TestNewPipelineWiring(t *testing.T) {
-	pipe, err := NewPipeline("enclus", "knn", PipelineOptions{
-		Scorers:      ScorerOptions{KNN: KNNOptions{K: 5, Index: neighbors.KindKDTree}},
-		Agg:          ranking.Max,
-		MaxSubspaces: -1,
-	})
+	pipe, err := NewPipeline("enclus", "knn", Options{MinPts: 5, Index: neighbors.KindKDTree, Agg: ranking.Max, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pipe.Searcher.Name() != "Enclus" || pipe.Scorer.Name() != "kNN" {
 		t.Errorf("pipeline pair = %s+%s", pipe.Searcher.Name(), pipe.Scorer.Name())
 	}
-	if pipe.Agg != ranking.Max || pipe.MaxSubspaces != -1 {
+	if pipe.Agg != ranking.Max || pipe.Workers != 2 {
 		t.Errorf("pipeline knobs not threaded: %+v", pipe)
 	}
 	if sc := pipe.Scorer.(ranking.KNNScorer); sc.K != 5 || sc.Index != neighbors.KindKDTree {
@@ -189,7 +206,7 @@ func TestRankReusedBufferMatchesFresh(t *testing.T) {
 		{S: subspace.New(0, 1)}, {S: subspace.New(2, 3)}, {S: subspace.New(4, 5)}, {S: subspace.New(1, 3, 5)},
 	}
 	for _, name := range ScorerNames() {
-		sc, err := NewScorer(name, ScorerOptions{})
+		sc, err := NewScorer(name, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,9 +27,11 @@ import (
 	"hics/internal/subspace"
 )
 
-// Defaults tuned for min-max normalized data.
+// Eps is the neighborhood radius ε in the min-max normalized data space.
+const Eps = 0.1
+
+// Defaults of the Params fields, tuned for min-max normalized data.
 const (
-	DefaultEps    = 0.1 // neighborhood radius
 	DefaultMinPts = 10  // core-object density threshold
 	DefaultTopK   = 100 // subspaces handed to the ranking step
 	DefaultCutoff = 400 // candidates retained per level
@@ -38,17 +40,13 @@ const (
 
 // Params configures the RIS search. Zero values select defaults.
 type Params struct {
-	Eps    float64 // neighborhood radius in the normalized data space
-	MinPts int     // minimum neighbors for a core object
-	TopK   int     // returned subspaces (-1 = all)
-	Cutoff int     // candidates retained per level
-	MaxDim int     // candidate dimensionality bound
+	MinPts int // minimum neighbors for a core object
+	TopK   int // returned subspaces (-1 = all)
+	Cutoff int // candidates retained per level
+	MaxDim int // candidate dimensionality bound
 }
 
 func (p Params) withDefaults() Params {
-	if p.Eps <= 0 {
-		p.Eps = DefaultEps
-	}
 	if p.MinPts <= 0 {
 		p.MinPts = DefaultMinPts
 	}
@@ -82,7 +80,7 @@ func Quality(ds *dataset.Dataset, s subspace.Subspace, p Params) (quality float6
 	}
 	n := ds.N()
 	counts := make([]int, n)
-	countAll(cols, p.Eps, counts)
+	countAll(cols, Eps, counts)
 	total := 0
 	for _, c := range counts {
 		if c >= p.MinPts {
@@ -93,7 +91,7 @@ func Quality(ds *dataset.Dataset, s subspace.Subspace, p Params) (quality float6
 	if coreObjects == 0 {
 		return 0, 0, nil
 	}
-	expected := float64(n) * ballVolume(s.Dim(), p.Eps)
+	expected := float64(n) * ballVolume(s.Dim(), Eps)
 	if expected <= 0 {
 		return 0, coreObjects, nil
 	}

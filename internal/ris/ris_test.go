@@ -169,7 +169,8 @@ func TestQualityClusteredAboveUniform(t *testing.T) {
 }
 
 func TestQualityNoCoreObjects(t *testing.T) {
-	// 20 widely spread points, eps small: no cores.
+	// 20 points, each with at most 19 neighbors: no object reaches
+	// MinPts 21.
 	r := rng.New(3)
 	x := make([]float64, 20)
 	y := make([]float64, 20)
@@ -178,7 +179,7 @@ func TestQualityNoCoreObjects(t *testing.T) {
 		y[i] = r.Float64()
 	}
 	ds := dataset.MustNew(nil, [][]float64{x, y})
-	q, cores, err := Quality(ds, subspace.New(0, 1), Params{Eps: 0.001, MinPts: 5})
+	q, cores, err := Quality(ds, subspace.New(0, 1), Params{MinPts: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
